@@ -81,7 +81,8 @@ def sqlog_check(view) -> List[str]:
     roots = view.get(R.REG_ROOTS)
     endp = view.get(R.REG_ENDP)
     pieces = view.get(REG_ALL_PIECES)
-    if not isinstance(jmask, int) or not isinstance(roots, str) \
+    if not isinstance(jmask, int) or isinstance(jmask, bool) \
+            or jmask < 0 or not isinstance(roots, str) \
             or not isinstance(endp, str):
         return bad or ["sqlog: malformed base labels"]
     levels = sorted_levels(jmask)

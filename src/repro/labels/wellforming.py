@@ -53,6 +53,10 @@ def log_threshold(n: int) -> int:
 
 @lru_cache(maxsize=8192)
 def _sorted_levels_tuple(jmask: int) -> tuple:
+    if jmask < 0:
+        # a negative int has infinitely many set bits: the shift loop
+        # below would never end
+        raise ValueError(f"J-mask must be non-negative, got {jmask}")
     levels = []
     j = 0
     while jmask:
@@ -64,7 +68,8 @@ def _sorted_levels_tuple(jmask: int) -> tuple:
 
 
 def sorted_levels(jmask: int) -> List[int]:
-    """J(v) as a sorted list of levels, decoded from the bitmask.
+    """J(v) as a sorted list of levels, decoded from the bitmask
+    (``ValueError`` on a negative mask).
 
     Decoded masks are memoized (the verifier decodes the same J(v) every
     step); a fresh list is returned so callers may slice and compare

@@ -233,6 +233,17 @@ class ColumnStore:
         self.pool_index[value] = pid
         return pid
 
+    def pooled_id(self, value: Any) -> Optional[int]:
+        """The id :meth:`intern` would return for ``value`` if it is
+        already pooled, else None — without interning it."""
+        pid = self.pool_index.get(value)
+        if pid is not None:
+            stored = self.pool_values[pid]
+            if stored is value or same_shape(stored, value):
+                return pid
+            return self.pool_typed.get(typed_key(value))
+        return None
+
     def _box(self, slot: int, i: int, value: Any) -> int:
         ovf = self.overflow[slot]
         if ovf is None:

@@ -178,43 +178,72 @@ class NumpyColumnStore(ColumnStore):
 
 
 class PoolIdCache:
-    """Monotone pool-id-indexed int64 attribute arrays.
+    """Pool-id-indexed int64 attribute arrays, filled on demand.
 
-    ``fn(value)`` maps a pooled value to ``k`` int64 attributes; the
-    arrays grow append-only in lockstep with the interning pool (shared
-    between a live store and its snapshots), so a cache synced once per
-    sweep serves every gather of that sweep.  Callers must clamp
-    negative (sentinel) ids before fancy-indexing."""
+    ``fn(value)`` maps a pooled value to ``k`` int64 attributes.  The
+    arrays are dense over the interning pool (shared between a live
+    store and its snapshots, append-only, values immutable — so a
+    computed entry never goes stale) and grow geometrically with it,
+    but :meth:`sync` computes only the ids its caller is about to
+    gather: most values a sweep interns (convergecast cars, rotation
+    keys) are never read through a given cache.  ``have`` marks the
+    computed ids, one bit each.  After a sync, every pool id of the
+    arrays passed in is valid for indexing; ``filled`` is the pool size
+    at that sync (ids at or above it are not pooled values the caller
+    can have read).  Callers must clamp negative (sentinel) ids before
+    fancy-indexing."""
 
-    __slots__ = ("pool", "fn", "k", "arrs", "filled")
+    __slots__ = ("pool", "fn", "k", "arrs", "have", "filled")
 
     def __init__(self, store: ColumnStore, k: int, fn) -> None:
         self.pool = store.pool_values
         self.fn = fn
         self.k = k
         self.arrs = [_np.zeros(0, _np.int64) for _ in range(k)]
+        self.have = _np.zeros(0, _np.uint8)
         self.filled = 0
 
-    def sync(self) -> List[Any]:
+    def sync(self, *id_arrays) -> List[Any]:
+        """Fill the attributes of every pool id in ``id_arrays``
+        (int64 arrays of column cells; sentinels are skipped) and
+        return the ``k`` attribute arrays."""
+        np = _np
         pool = self.pool
         m = len(pool)
-        if self.filled >= m:
-            return self.arrs
+        have = self.have
         arrs = self.arrs
         if len(arrs[0]) < m:
+            # zero-filled growth: pages of ids never requested are
+            # never written, so they cost address space, not memory
             cap = max(m, 2 * len(arrs[0]), 64)
             grown = []
             for a in arrs:
-                b = _np.zeros(cap, _np.int64)
+                b = np.zeros(cap, np.int64)
                 b[:len(a)] = a
                 grown.append(b)
             self.arrs = arrs = grown
-        fn = self.fn
-        for pid in range(self.filled, m):
-            vals = fn(pool[pid])
-            for a, v in zip(arrs, vals):
-                a[pid] = v
+            h = np.zeros((cap + 7) >> 3, np.uint8)
+            h[:len(have)] = have
+            self.have = have = h
         self.filled = m
+        need = []
+        for ids in id_arrays:
+            ids = ids[ids >= 0]          # sentinels are negative
+            if len(ids):
+                ids = ids[((have[ids >> 3] >> (ids & 7)) & 1) == 0]
+                if len(ids):
+                    need.append(ids)
+        if need:
+            fn = self.fn
+            todo = np.concatenate(need) if len(need) > 1 else need[0]
+            todo = list(dict.fromkeys(todo.tolist()))     # dedupe
+            for pid in todo:
+                vals = fn(pool[pid])
+                for a, v in zip(arrs, vals):
+                    a[pid] = v
+            todo = np.array(todo, np.int64)
+            np.bitwise_or.at(have, todo >> 3,
+                             (1 << (todo & 7)).astype(np.uint8))
         return arrs
 
 

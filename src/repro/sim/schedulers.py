@@ -799,20 +799,18 @@ class _CoverDaemon(Daemon):
             self._ball_sig = sig
         return self._ball2, self._order
 
-    def _partition(self, scan: Sequence[NodeId], ball2, order,
-                   blocked: Optional[Dict[int, int]] = None
-                   ) -> List[List[NodeId]]:
+    def _partition(self, scan: Sequence[NodeId], ball2,
+                   order) -> List[List[NodeId]]:
         """Greedy first-fit partition of ``scan`` (in order) into
         G²-independent batches: a node joins the first batch containing
         no other node within distance 2.  Per-node bitmasks of blocked
-        batches make it O(sum |ball2(v)|) int ops."""
-        if blocked is None:
-            blocked = {}
+        batches (a dense list over the node indices) make it
+        O(sum |ball2(v)|) int ops."""
+        blocked = [0] * len(ball2)
         batches: List[List[NodeId]] = []
-        get = blocked.get
         for v in scan:
             k = order[v]
-            m = get(k, 0)
+            m = blocked[k]
             b = (~m & (m + 1)).bit_length() - 1   # lowest clear bit
             if b == len(batches):
                 batches.append([v])
@@ -820,7 +818,7 @@ class _CoverDaemon(Daemon):
                 batches[b].append(v)
             bit = 1 << b
             for w in ball2[k]:
-                blocked[w] = get(w, 0) | bit
+                blocked[w] |= bit
         return batches
 
     def _cover(self, nodes: Sequence[NodeId]) -> List[List[NodeId]]:

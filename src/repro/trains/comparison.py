@@ -1118,8 +1118,8 @@ class _VectorCmpKernel:
         empty = self.lvl_empty[ia]
         wd_v = view64(data[comp.h_wd])[ia]
         wd_new = np.where((wd_v >= 0) & (wd_v <= _NAT_CAP), wd_v, 0) + 1
-        asks = self.ask_cache.sync()
         av = view64(data[comp.h_ask])[ia]
+        asks = self.ask_cache.sync(av)
         a_pool = (av >= 0) & (av < self.ask_cache.filled)
         api = np.where(a_pool, av, 0)
         ask_ok = a_pool & (asks[0][api] == 1)
@@ -1138,7 +1138,7 @@ class _VectorCmpKernel:
         """Per input column of broadcast-slot pool ids: the shown level
         (or SHOW_NONE) plus the show's fragment and piece intern ids
         (or -1)."""
-        shows = self.show_cache.sync()
+        shows = self.show_cache.sync(*cols)
         filled = self.show_cache.filled
         out = []
         for c in cols:
@@ -1299,14 +1299,18 @@ class _VectorCmpKernel:
         nodes = store.nodes
         overflow = store.overflow
         intern = store.intern
+        pooled_id = store.pooled_id
         want_col = data[h_want]
         w_wd = store.make_nat_writer(h_wd)
         w_svc = store.make_nat_writer(h_svc)
 
-        # intern the filings up front: publication is a *change*, and
-        # most filings re-assert the want the row already holds while
-        # it waits for service — an unchanged register cannot stale
-        # any neighbour's hold verdict
+        # resolve the filings' pool ids up front: publication is a
+        # *change*, and most filings re-assert the want the row already
+        # holds while it waits for service — an unchanged register
+        # cannot stale any neighbour's hold verdict.  A value not yet
+        # pooled is a change by definition and interns only when its
+        # filing is applied (a classified row may never be), so the
+        # pool holds exactly what the scalar sweep would intern.
         f_rows = np.flatnonzero(triv_f)
         want_ids = None
         cpub = np.zeros(m, bool)
@@ -1325,13 +1329,17 @@ class _VectorCmpKernel:
                            wcv[ri], -1)
             for q in np.flatnonzero(ids < 0).tolist():
                 r = int(f_rows[q])
-                ids[q] = intern((nodes[int(j[r])], int(lvl[r])))
-            wcj[ri] = jj
-            wcl[ri] = ll
-            wcv[ri] = ids
+                pid = pooled_id((nodes[int(j[r])], int(lvl[r])))
+                if pid is not None:
+                    ids[q] = pid
+            known = ids >= 0
+            wcj[ri[known]] = jj[known]
+            wcl[ri[known]] = ll[known]
+            wcv[ri[known]] = ids[known]
             want_ids = np.zeros(m, np.int64)
             want_ids[f_rows] = ids
-            cpub[f_rows] = ids != view64(want_col)[ia[f_rows]]
+            cpub[f_rows] = ~known \
+                | (ids != view64(want_col)[ia[f_rows]])
 
         def apply(rows):
             b = rows[triv_b[rows]]
@@ -1354,7 +1362,10 @@ class _VectorCmpKernel:
                     w_wd(i, int(wd_new[r]))
                     if ovf:
                         ovf.pop(i, None)
-                    want_col[i] = int(want_ids[r])
+                    wid = int(want_ids[r])
+                    if wid < 0:
+                        wid = intern((nodes[int(j[r])], int(lvl[r])))
+                    want_col[i] = wid
                     w_svc(i, int(svc_new[r]))
                 dc[h_want] = 1
 
@@ -1374,7 +1385,7 @@ class _VectorCmpKernel:
             return np.ones(m, bool), z, z
         e_node, e_pos = csr_take(topo.off, ia)
         wr = view64(snap.data[comp.h_want])[topo.flat[e_pos]]
-        wants = self.want_cache.sync()
+        wants = self.want_cache.sync(wr)
         w_pool = (wr >= 0) & (wr < self.want_cache.filled)
         wpi = np.where(w_pool, wr, 0)
         wf = wants[0][wpi]

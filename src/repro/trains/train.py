@@ -898,12 +898,18 @@ class TrainComponent:
         conditions are plain int64 comparisons over the train's nat
         columns plus pool-id-indexed attribute lookups, so one ndarray
         pass classifies every batch node; provably-trivial nodes get
-        their single watchdog write applied as one masked slice-store,
-        everything else (roots, adoption, car movement, boxed junk,
-        alarms — anything the masks cannot prove writes nothing more)
-        replays the exact scalar fused body.  Equivalence is therefore
-        by construction: the vector path only ever *skips* per-node
-        code whose effect it proved to be exactly the one masked write.
+        their single watchdog write applied as one masked slice-store.
+        A few frequent transitions are *planned* instead: a delivery
+        or subtree completion, a broadcast adopt, and a part root's
+        whole step (own-piece emission or cycle wrap, then the drain
+        of the car into its broadcast slot) — their exact write
+        sequences are vetted at classify time and executed after the
+        watchdog write.  Everything else (child traffic, epoch
+        adoption, boxed junk, alarms — anything the masks cannot
+        prove) replays the exact scalar fused body.  Equivalence is
+        therefore by construction: the vector path only ever *skips*
+        per-node code whose effect it proved to be exactly the writes
+        it applies.
 
         Returns an object with ``rebuild``/``classify`` (see
         ``_VectorSweep``); call only when :meth:`make_bulk_step`
@@ -920,17 +926,18 @@ class _VectorTrainKernel:
     eagerly with the exact fill code of the fused prologue and freezes
     the part topology into flat arrays; ``classify`` (per sweep) proves,
     with pure reads only, which batch rows' fused step would be exactly
-    "bump the watchdog and return".  Roots, rows under epoch adoption,
-    rows whose reads hit boxed overflow, and anything the masks cannot
-    decide stay non-trivial and replay the scalar fused body verbatim.
+    "bump the watchdog and return" or one of the planned transitions.
+    Roots mid child traffic, rows under epoch adoption, rows whose
+    reads hit boxed overflow, and anything the masks cannot decide
+    stay non-trivial and replay the scalar fused body verbatim.
     """
 
     __slots__ = ("comp", "store", "snap", "act_cache", "obs_cache",
                  "pidx", "idle", "bad", "coff", "cflat", "n_own",
                  "ooff", "oflat", "ohash", "ctxs", "ccs", "needs",
-                 "w_src",
+                 "w_src", "w_cyc",
                  "w_seq", "w_done", "w_bseq", "w_seen", "w_cnt",
-                 "w_wd", "_adopt_memo", "pub_extra")
+                 "w_wd", "_adopt_memo", "_root_memo", "pub_extra")
 
     def __init__(self, comp, ops, topo):
         self.comp = comp
@@ -938,6 +945,7 @@ class _VectorTrainKernel:
         self.snap = ops.snap
         store = ops.store
         self.w_src = store.make_nat_writer(comp.h_src)
+        self.w_cyc = store.make_nat_writer(comp.h_cyc)
         self.w_seq = store.make_nat_writer(comp.h_seq)
         self.w_done = store.make_nat_writer(comp.h_done)
         self.w_bseq = store.make_nat_writer(comp.h_bseq)
@@ -971,6 +979,7 @@ class _VectorTrainKernel:
         self.ccs = None
         self.needs = None
         self._adopt_memo = {}
+        self._root_memo = {}
         self.pub_extra = None
 
     def rebuild(self, np, topo) -> None:
@@ -1043,22 +1052,24 @@ class _VectorTrainKernel:
             else np.zeros(0, bool)
         self.ctxs = topo.ctxs
         self.ccs, self.needs = ccs, needs
-        # the adopt-vetting memo reads stable labels (roots, jmask);
-        # a stable-epoch move may change any of them
+        # the vetting memos read stable labels (roots, jmask, own
+        # pieces); a stable-epoch move may change any of them
         self._adopt_memo = {}
+        self._root_memo = {}
 
-    def classify(self, np, ia, row_of, na, hold):
+    def classify(self, np, ia, row_of, na, rr, hold):
         """(trivial-mask, broadcast-done-mask, apply, adopt-plans) for
         the batch rows ``ia``.
 
-        ``na`` is the per-row node-alarm budget (-1 where unknown, which
-        simply fails the watchdog bound), ``hold`` the sweep's
-        hold_broadcast flag.  ``apply(rows)`` performs the one masked
-        watchdog write (plus any planned adopts) for the row *positions*
-        the orchestrator kept — an int64 index array into ``ia``, so
-        the cost is O(|rows|) however wide the classification was (the
-        persistent sweep plans replay tiny conflict-free segments
-        against a full-width classification).
+        ``na`` and ``rr`` are the per-row node-alarm and root-reset
+        budgets (-1 where unknown, which simply fails the watchdog
+        bounds), ``hold`` the sweep's hold_broadcast flag.
+        ``apply(rows)`` performs the one masked watchdog write (plus
+        any planned deliveries, part-root steps and adopts) for the row
+        *positions* the orchestrator kept — an int64 index array into
+        ``ia``, so the cost is O(|rows|) however wide the
+        classification was (the persistent sweep plans replay tiny
+        conflict-free segments against a full-width classification).
 
         The broadcast-done mask marks rows whose *broadcast half* is
         proven silent (writes nothing, raises no alarm) or fully
@@ -1069,7 +1080,9 @@ class _VectorTrainKernel:
         row's adopt plan (if any) so the writes land in scalar order.
         Epoch adoption and the root-reset branch return before the
         broadcast, so the flag is vacuous (and harmless) there; roots
-        never set it (their broadcast half drains ``out``)."""
+        never set it (their broadcast half drains the car their own
+        convergecast produced, so a root's drain is planned only
+        together with the whole step)."""
         comp = self.comp
         store, snap = self.store, self.snap
         data, sdata = store.data, snap.data
@@ -1094,8 +1107,8 @@ class _VectorTrainKernel:
         # convergecast exits without writing iff the parent's activation
         # car is absent / names someone else / is malformed, or names us
         # for the cycle our subtree already finished
-        acts = self.act_cache.sync()
         ar = view64(sdata[comp.h_act])[pj]
+        acts = self.act_cache.sync(ar)
         a_pool = (ar >= 0) & (ar < self.act_cache.filled)
         api = np.where(a_pool, ar, 0)
         af = acts[0][api]
@@ -1121,12 +1134,25 @@ class _VectorTrainKernel:
         # as the plain trivial ones — unlike ack- and child-waits,
         # whose proofs would have to watch the cars and acks themselves
         # and go stale on every delivery in the subtree.
-        emit = exh = src = seq_new = None
+        #
+        # Part roots get the same treatment (see _plan_roots): an
+        # honest root emits and drains a piece on every step, forever,
+        # so a root row is planned when its watchdog stays under both
+        # the alarm and the reset budget and its convergecast is an
+        # own-piece emission, a cycle wrap (sources exhausted: clear
+        # the activation, advance the cycle) or a car still pending.
+        # Roots mid child traffic (forwarding, waiting) replay.
+        root = (pidx < 0) & ~self.bad[ia]
+        if root.any():
+            rr_ok = rr > 0
+            root &= idle | ((wd_new <= na) & rr_ok
+                            & (wd_new % np.where(rr_ok, rr, 1) != 0))
         deliver = (parented & mine & (ac == cyc) & ~done_eq
                    & (done_v != BOX_S))
-        if deliver.any():
+        emit = exh = wrap = pend = src = seq_new = out_v = None
+        if deliver.any() or root.any():
             out_v = view64(data[comp.h_out])[ia]
-            o_none = deliver & (out_v == NONE_S)
+            o_none = (deliver | root) & (out_v == NONE_S)
             if o_none.any():
                 src_v = view64(data[comp.h_src])[ia]
                 src = np.where((src_v >= 0) & (src_v <= 4096),
@@ -1141,23 +1167,15 @@ class _VectorTrainKernel:
                     seq_new = (np.where(
                         (sq_v >= 0) & (sq_v <= SEQ_MOD), sq_v, 0)
                         + 1) % SEQ_MOD
-                    conv_triv = conv_triv | emit
-                else:
-                    emit = None
-                exh = (o_none & (src >= no)
-                       & (src - no >= (self.coff[ia + 1]
-                                       - self.coff[ia])))
-                if exh.any():
-                    conv_triv = conv_triv | exh
-                else:
-                    exh = None
-        # completions clear the activation car — a register the
-        # neighbouring classifications read; the plan's publication
-        # mask must cover them (emissions touch no watched column)
-        self.pub_extra = np.flatnonzero(exh) if exh is not None \
-            else None
+                done_src = o_none & (src >= no) \
+                    & (src - no >= (self.coff[ia + 1] - self.coff[ia]))
+                exh = done_src & deliver
+                wrap = done_src & root
+                conv_triv = conv_triv | (emit & deliver) | exh
+            pend = root & (out_v >= 0)
 
         pending = {}
+        bseq = None
         if hold is True:
             bc_triv = np.ones(m, bool)
             bc_done = np.zeros(m, bool)
@@ -1173,8 +1191,8 @@ class _VectorTrainKernel:
             any_box = seg_any(cb == BOX_S, e_node, m)
             any_mism = seg_any((cb <= SENT_CEIL)
                                | (cb != bseq[e_node]), e_node, m)
-            obs_ok = self.obs_cache.sync()[0]
             pb = view64(sdata[comp.h_bbuf])[pj]
+            obs_ok = self.obs_cache.sync(pb)[0]
             b_pool = (pb >= 0) & (pb < self.obs_cache.filled)
             pobs_valid = b_pool & (obs_ok[np.where(b_pool, pb, 0)] == 1)
             psr = view64(sdata[comp.h_bseq])[pj]
@@ -1208,6 +1226,45 @@ class _VectorTrainKernel:
                 bc_triv = hold | bc_triv
 
         triv = parented & epoch_ok & wd_ok & conv_triv & bc_triv
+        drains = {}
+        if pend is not None and root.any():
+            # a root's broadcast is decidable unless a child's slot is
+            # boxed; it drains ``out`` when every child is in step and
+            # no Want hold freezes it, and is silent otherwise
+            if hold is True:
+                bc_gate = np.ones(m, bool)
+                bc_runs = np.zeros(m, bool)
+            else:
+                bc_gate = ~any_box
+                bc_runs = bc_gate & ~any_mism
+                if hold is not False:
+                    bc_gate = bc_gate | hold
+                    bc_runs &= ~hold
+            rtriv = root & bc_gate & pend
+            drain = rtriv & bc_runs
+            if emit is not None:
+                rtriv |= root & bc_gate & (emit | wrap)
+                drain |= rtriv & bc_runs & emit
+            vet = drain | (rtriv & pend)
+            if vet.any():
+                drains, rejected = self._plan_roots(
+                    np.flatnonzero(vet), ia, drain, pend, out_v, src,
+                    bseq)
+                rtriv[rejected] = False
+            triv |= rtriv
+            if wrap is not None:
+                wrap &= rtriv
+        # completions and wraps clear the activation car and drains
+        # write the broadcast slot — registers the neighbouring
+        # classifications read; the plan's publication mask must cover
+        # them (emissions touch no watched column)
+        pub = None if exh is None else exh | wrap
+        if drains:
+            if pub is None:
+                pub = np.zeros(m, bool)
+            pub[list(drains)] = True
+        self.pub_extra = np.flatnonzero(pub) if pub is not None \
+            else None
         ovf = store.overflow[comp.h_wd]
         if ovf:
             # the nat writer pops a row's boxed entry; keep those scalar
@@ -1220,42 +1277,45 @@ class _VectorTrainKernel:
         dc = store.dirty_cols
 
         exec_adopt = self._exec_adopt
+        exec_drain = self._exec_drain
         conv_exec = None
-        if emit is not None or exh is not None:
+        if emit is not None:
             oflat, ooff = self.oflat, self.ooff
             overflow = store.overflow
             intern = store.intern
             h_out, h_act = comp.h_out, comp.h_act
             out_col, act_col = data[h_out], data[h_act]
-            w_seq, w_src, w_done = self.w_seq, self.w_src, self.w_done
+            w_seq, w_src = self.w_seq, self.w_src
+            w_done, w_cyc = self.w_done, self.w_cyc
 
             def conv_exec(rows):
-                if emit is not None:
-                    e = rows[emit[rows]]
-                    if len(e):
-                        ovf = overflow[h_out]
-                        for k in e.tolist():
-                            i = int(ia[k])
-                            if ovf:
-                                ovf.pop(i, None)
-                            sq = int(seq_new[k])
-                            out_col[i] = intern(
-                                (sq,
-                                 oflat[int(ooff[i]) + int(src[k])]))
-                            w_seq(i, sq)
-                            w_src(i, int(src[k]) + 1)
-                        dc[h_out] = 1
-                if exh is not None:
-                    g = rows[exh[rows]]
-                    if len(g):
-                        ovf = overflow[h_act]
-                        for k in g.tolist():
-                            i = int(ia[k])
-                            if ovf:
-                                ovf.pop(i, None)
-                            act_col[i] = NONE_S
+                e = rows[emit[rows]]
+                if len(e):
+                    ovf = overflow[h_out]
+                    for k in e.tolist():
+                        i = int(ia[k])
+                        if ovf:
+                            ovf.pop(i, None)
+                        sq = int(seq_new[k])
+                        out_col[i] = intern(
+                            (sq, oflat[int(ooff[i]) + int(src[k])]))
+                        w_seq(i, sq)
+                        w_src(i, int(src[k]) + 1)
+                    dc[h_out] = 1
+                g = rows[(exh | wrap)[rows]]
+                if len(g):
+                    ovf = overflow[h_act]
+                    for k in g.tolist():
+                        i = int(ia[k])
+                        if ovf:
+                            ovf.pop(i, None)
+                        act_col[i] = NONE_S
+                        if exh[k]:
                             w_done(i, int(cyc[k]))
-                        dc[h_act] = 1
+                        else:       # a root starts its next cycle
+                            w_cyc(i, (int(cyc[k]) + 1) % SEQ_MOD)
+                            w_src(i, 0)
+                    dc[h_act] = 1
 
         def apply(rows):
             sel = rows[~idle[rows]]
@@ -1266,11 +1326,14 @@ class _VectorTrainKernel:
                 # scalar order inside the step: the convergecast's
                 # writes land after the watchdog bump ...
                 conv_exec(rows)
-            if pending:
+            if pending or drains:
                 kept = set(rows.tolist())
+                # ... and before the broadcast's drain or adopt (whose
+                # accounting may reset the freshly bumped watchdog)
+                for k, ent in drains.items():
+                    if k in kept:
+                        exec_drain(ent)
                 for k, ent in pending.items():
-                    # ... and before the broadcast's adopt (whose
-                    # accounting may reset the freshly bumped watchdog)
                     if k in kept:
                         exec_adopt(ent)
 
@@ -1286,20 +1349,12 @@ class _VectorTrainKernel:
         overflow, junk tuples, unhashable weights); everything else is
         left for the scalar replay.  Returns ``{row: plan}`` for
         :meth:`_exec_adopt`."""
-        comp = self.comp
         store = self.store
         pool = store.pool_values
-        overflow = store.overflow
         memos = store.decode_memo
         memo_for = store.memo_for
-        data = store.data
-        h_bbuf, h_roots = comp.h_bbuf, comp.h_roots
-        roots_col = data[h_roots]
-        last_col = data[comp.h_last]
-        membership = comp.membership_flag
-        ctxs = self.ctxs
-        ccs, needs = self.ccs, self.needs
-        ia_l = ia
+        h_bbuf = self.comp.h_bbuf
+        vet, plan = self._vet_slot, self._slot_plan
         # the static half of the vetting — decode, membership flag,
         # root-consistency, hashability — is a pure function of the
         # row's stable labels and the slot's pool id, so it memoizes
@@ -1308,7 +1363,7 @@ class _VectorTrainKernel:
         amemo = self._adopt_memo
         pending = {}
         for k in rows.tolist():
-            i = int(ia_l[k])
+            i = int(ia[k])
             v = int(pb[k])
             mkey = (i, v)
             ent = amemo.get(mkey, NO_DECODE)
@@ -1321,50 +1376,133 @@ class _VectorTrainKernel:
                 if pobs is NO_DECODE:
                     pobs = decode_observation(pool[v])
                     memo_for(h_bbuf, v)[v] = pobs
-                piece = pobs.piece
-                level, root = piece[1], piece[0]
-                ctx = ctxs[i]
-                flag = membership(ctx, piece, pobs.flag)
-                ent = (piece, flag, level, root)
-                rv = roots_col[i]
-                roots = pool[rv] if rv > SENT_CEIL else (
-                    overflow[h_roots][i] if rv == BOX_S else None)
-                if flag and isinstance(roots, str) and \
-                        level < len(roots):
-                    rc = roots[level]
-                    if (rc == "1" and root != ctx.node) or \
-                            (rc == "0" and root == ctx.node):
-                        ent = None  # would alarm: the scalar body owns it
-                if ent is not None:
-                    try:
-                        hash(piece)  # the new slot must intern cleanly
-                    except Exception:
-                        ent = None
-                amemo[mkey] = ent
+                ent = amemo[mkey] = vet(i, pobs.piece, pobs.flag)
             if ent is None:
                 continue
-            piece, flag, level, root = ent
-            lv = last_col[i]
-            if lv == BOX_S:
-                continue            # boxed junk comparison stays scalar
-            last = pool[lv] if lv > SENT_CEIL else None
-            if last is None:
-                boundary = False
-            elif type(last) is tuple and len(last) == 2 and \
-                    type(last[0]) is int and type(last[1]) is int:
-                boundary = (level, root) <= last
-            else:
-                continue            # junk tuple comparison stays scalar
-            nbseq = ((int(psr[k]) - 1) % SEQ_MOD + 1) % SEQ_MOD
-            pending[k] = (i, piece, flag, level, root, boundary, nbseq,
-                          ccs[i], needs[i])
+            ent = plan(i, ent, ((int(psr[k]) - 1) % SEQ_MOD + 1) % SEQ_MOD)
+            if ent is not None:
+                pending[k] = ent
         return pending
+
+    def _plan_roots(self, rows, ia, drain, pend, out_v, src, bseq):
+        """Vet the part-root rows of the root plan.
+
+        A pending car must decode (a junk car is the scalar body's to
+        clear); a *drain* — the broadcast consuming the car just
+        emitted or still pending into the root's own slot — must pass
+        the adopt vetting, with the root's membership flag computed
+        against no parent.  Returns ``({row: plan}, rejected rows)``;
+        plans are for :meth:`_exec_drain`."""
+        store = self.store
+        pool = store.pool_values
+        memos = store.decode_memo
+        memo_for = store.memo_for
+        h_out = self.comp.h_out
+        oflat, ooff = self.oflat, self.ooff
+        vet, plan = self._vet_slot, self._slot_plan
+        # memoized like the adopts, by (row, piece): a root drains the
+        # few pieces of its part over and over, each in many cars
+        rmemo = self._root_memo
+        drains = {}
+        rejected = []
+        for k in rows.tolist():
+            i = int(ia[k])
+            if pend[k]:
+                v = int(out_v[k])
+                memo = memos[h_out]
+                try:
+                    car = memo[v]
+                except (TypeError, IndexError):
+                    car = NO_DECODE
+                if car is NO_DECODE:
+                    car = _decode_car(pool[v])
+                    memo_for(h_out, v)[v] = car
+                if car is None:
+                    rejected.append(k)
+                    continue
+                piece = car[1]
+            else:
+                piece = oflat[int(ooff[i]) + int(src[k])]
+            if not drain[k]:
+                continue
+            # the memo keeps only the flag: ==-equal pieces (a weight 3
+            # and a weight 3.0) vet alike, but the slot and rotation key
+            # must be built from this very piece
+            flag = rmemo.get((i, piece), NO_DECODE)
+            if flag is NO_DECODE:
+                ent = vet(i, piece, False)
+                flag = rmemo[(i, piece)] = None if ent is None else ent[1]
+            ent = None if flag is None else plan(
+                i, (piece, flag, piece[1], piece[0]),
+                (int(bseq[k]) + 1) % SEQ_MOD)
+            if ent is None:
+                rejected.append(k)
+            else:
+                drains[k] = ent
+        return drains, rejected
+
+    def _vet_slot(self, i, piece, parent_flag):
+        """The static half of a slot write's vetting: ``(piece, flag,
+        level, root)`` when accounting ``piece`` at row ``i`` provably
+        raises no root-consistency alarm and the new slot interns
+        cleanly, else None (the scalar body owns the row)."""
+        store = self.store
+        ctx = self.ctxs[i]
+        level, root = piece[1], piece[0]
+        flag = self.comp.membership_flag(ctx, piece, parent_flag)
+        h_roots = self.comp.h_roots
+        rv = store.data[h_roots][i]
+        roots = store.pool_values[rv] if rv > SENT_CEIL else (
+            store.overflow[h_roots][i] if rv == BOX_S else None)
+        if flag and isinstance(roots, str) and level < len(roots):
+            rc = roots[level]
+            if (rc == "1" and root != ctx.node) or \
+                    (rc == "0" and root == ctx.node):
+                return None         # would alarm
+        try:
+            hash(piece)
+        except Exception:
+            return None
+        return (piece, flag, level, root)
+
+    def _slot_plan(self, i, vetted, nbseq):
+        """The write plan of a vetted slot at row ``i`` (see
+        :meth:`_exec_adopt`), or None when the rotation-boundary
+        compare would touch junk: a boxed or non-key ``last``."""
+        level, root = vetted[2], vetted[3]
+        lv = self.store.data[self.comp.h_last][i]
+        if lv == BOX_S:
+            return None
+        last = self.store.pool_values[lv] if lv > SENT_CEIL else None
+        if last is None:
+            boundary = False
+        elif type(last) is tuple and len(last) == 2 and \
+                type(last[0]) is int and type(last[1]) is int:
+            boundary = (level, root) <= last
+        else:
+            return None
+        return (i, vetted, boundary, nbseq, self.ccs[i], self.needs[i])
+
+    def _exec_drain(self, ent):
+        """Apply one planned part-root drain: the broadcast consumes
+        the car, then writes and accounts the new slot exactly as an
+        adopt does."""
+        i = ent[0]
+        store = self.store
+        h_out = self.comp.h_out
+        ovf = store.overflow[h_out]
+        if ovf:
+            ovf.pop(i, None)
+        store.data[h_out][i] = NONE_S
+        store.dirty_cols[h_out] = 1
+        self._exec_adopt(ent)
 
     def _exec_adopt(self, ent):
         """Apply one planned adopt: the exact write sequence of the
         scalar broadcast's adopt branch plus ``account`` (alarm-free by
         :meth:`_plan_adopts`), via the store's own writers."""
-        i, piece, flag, level, root, boundary, nbseq, cc, nd = ent
+        i, vetted, boundary, nbseq, cc, nd = ent
+        piece, flag, level, root = vetted
         comp = self.comp
         store = self.store
         data = store.data

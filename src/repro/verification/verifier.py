@@ -29,6 +29,7 @@ its networks with array-based register files by default; see
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional
 
 from ..labels.registers import (REG_BOT_COUNT, REG_BOT_ROOT,
@@ -270,7 +271,11 @@ class _VectorSweep:
 
     def __init__(self, proto, trains, comparison, ops,
                  raw_steps, cmp_fused, held_fused) -> None:
-        self.proto = proto
+        # a proxy, not a reference: the protocol owns this sweep (via
+        # its ``_fused`` cache), and a strong back-reference would make
+        # every verifier a reference cycle whose pool-sized vector
+        # caches outlive their run until the cyclic collector runs
+        self.proto = weakref.proxy(proto)
         self.comparison = comparison
         self.store = ops.store
         self.snap = ops.snap
@@ -379,6 +384,7 @@ class _VectorSweep:
         # budget thresholds row by row (id-keying Budgets objects would
         # be unsound across gc reuse; the attribute reads are cheap)
         na = np.full(m, -1, np.int64)
+        rr = np.full(m, -1, np.int64)
         aa = np.full(m, -1, np.int64)
         sv = np.full(m, -1, np.int64)
         bgok = np.zeros(m, bool)
@@ -390,6 +396,7 @@ class _VectorSweep:
                 b = c[1]
                 bgok[k] = True
                 na[k] = b.node_alarm
+                rr[k] = b.root_reset
                 aa[k] = b.ask_alarm
                 sv[k] = b.service
         if self.want:
@@ -404,7 +411,7 @@ class _VectorSweep:
         adopts = []
         for kern, hold in zip(self.train_kerns, holds):
             triv, bc_done, apply, pend = kern.classify(np, ia, row_of,
-                                                       na, hold)
+                                                       na, rr, hold)
             if held_ok is not None:
                 # an unprovable hold flag poisons the train inputs
                 triv &= held_ok
@@ -547,6 +554,7 @@ class _VectorSweep:
             stat_ok |= (snos % se) != 0
         bgts = store.gather_values(list(range(n)), proto.h_bgt)
         na = np.full(n, -1, np.int64)
+        rr = np.full(n, -1, np.int64)
         aa = np.full(n, -1, np.int64)
         sv = np.full(n, -1, np.int64)
         bgok = np.zeros(n, bool)
@@ -559,6 +567,7 @@ class _VectorSweep:
                 b = c[1]
                 bgok[k] = True
                 na[k] = b.node_alarm
+                rr[k] = b.root_reset
                 aa[k] = b.ask_alarm
                 sv[k] = b.service
         plan = _SweepPlan()
@@ -572,6 +581,7 @@ class _VectorSweep:
         # again), so a mid-sweep refresh reuses it and redoes only the
         # classification below
         plan.na = na
+        plan.rr = rr
         plan.aa = aa
         plan.sv = sv
         plan.refresh_left = 4
@@ -594,7 +604,7 @@ class _VectorSweep:
         n = self.topo.n
         ia = self.plan_ia
         row_of = ia
-        na, aa, sv = plan.na, plan.aa, plan.sv
+        na, rr, aa, sv = plan.na, plan.rr, plan.aa, plan.sv
         if self.want:
             held_ok, ht, hb = self.comp_kern.held(np, ia, row_of)
             holds = (ht, hb)
@@ -607,7 +617,7 @@ class _VectorSweep:
         adopts = []
         for kern, hold in zip(self.train_kerns, holds):
             triv, bc_done, apply, pend = kern.classify(np, ia, row_of,
-                                                       na, hold)
+                                                       na, rr, hold)
             if held_ok is not None:
                 triv &= held_ok
             trivs.append(triv)
@@ -950,7 +960,7 @@ class _SweepPlan:
     filings).  The remaining fields are the per-component verdicts
     the replay loop consults, all indexed by dense row."""
 
-    __slots__ = ("key", "epoch", "done", "base", "na", "aa", "sv",
+    __slots__ = ("key", "epoch", "done", "base", "na", "rr", "aa", "sv",
                  "refresh_left", "srv", "fus", "trivs", "bc_dones",
                  "applies", "adopts", "holds", "held_ok", "v_tr",
                  "v_cmp", "v_held", "pub_tr", "pub_want")

@@ -7,6 +7,8 @@ import pytest
 
 from repro.graphs import kruskal_mst
 from repro.graphs.generators import random_connected_graph
+from repro.labels.registers import REG_JMASK
+from repro.labels.wellforming import sorted_levels
 from repro.baselines import (HISTORICAL_ROWS, SqLogPlsProtocol,
                              evaluate_rows, recompute_checker_metrics,
                              recompute_detect, run_low_memory_mst,
@@ -62,6 +64,38 @@ class TestSqLogPls:
         assert net.alarms()
         assert rounds == 1
         assert any("C2" in r or "C1" in r for r in net.alarms().values())
+
+    @pytest.mark.parametrize("jmask", [-1, -6, True])
+    def test_negative_or_bool_jmask_is_malformed(self, jmask):
+        """A perturbed J-mask of -1 used to send the level decoder into
+        an endless shift loop; negative and bool masks are malformed
+        base labels, reported in the same round."""
+        g = random_connected_graph(16, 28, seed=5)
+        net = sqlog_network(g, sqlog_labels(g))
+        v = g.nodes()[3]
+        net.registers[v][REG_JMASK] = jmask
+        rounds = SynchronousScheduler(net, SqLogPlsProtocol()).run(
+            3, stop_when=first_alarm)
+        assert rounds == 1
+        assert net.alarms().get(v) is not None
+
+    def test_sorted_levels_rejects_negative_mask(self):
+        assert sorted_levels(0b1011) == [0, 1, 3]
+        with pytest.raises(ValueError):
+            sorted_levels(-1)
+
+    def test_scrambled_jmask_cell_detects(self):
+        """The campaign cell that once hung until MemoryError (a
+        scrambled J-mask of -1) ends ``ok`` with the fault detected."""
+        from repro.engine import ScenarioSpec, axis, run_scenario
+        res = run_scenario(ScenarioSpec(
+            topology=axis("random", n=40, extra=72),
+            fault=axis("scramble"), schedule=axis("sync"),
+            protocol=axis("sqlog"), seed=8683635352908587928,
+            topology_seed=3081366249871184947))
+        assert res.status == "ok"
+        assert res.detected
+        assert res.violation is None
 
     def test_memory_is_log_squared_shape(self):
         """The sqlog scheme's memory grows faster than the train scheme's."""

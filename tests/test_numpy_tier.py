@@ -12,17 +12,27 @@ replay without changing a single register — for the sync round license
 and for the ``want``/``want-simple`` ablations alike, junk included.
 """
 
+import types
 import warnings
 
 import pytest
 
 from repro.graphs.generators import random_connected_graph
+from repro.labels.registers import (REG_BOT_ROOT, REG_PARENT_ID,
+                                    REG_PIECES_BOT, REG_PIECES_TOP,
+                                    REG_TOP_ROOT)
 from repro.sim import (AsynchronousScheduler, ConflictFreeDaemon,
                        FaultInjector, SynchronousScheduler)
-from repro.sim.npcolumnar import (NumpyFallbackWarning,
+from repro.sim.columnar import (BOX_S, NONE_S, SENT_CEIL, UNSET_S,
+                                PoolColumn)
+from repro.sim.npcolumnar import (NumpyFallbackWarning, PoolIdCache,
                                   _reset_fallback_warning, numpy_or_none)
 from repro.verification import make_network
 from repro.verification.verifier import MstVerifierProtocol
+
+#: fused share of rows on the honest n=500 patrol of
+#: ``test_sync_tier_mix_floor`` (measured, less a margin)
+FUSED_FLOOR = 0.36
 
 
 def _snapshot(net, sched):
@@ -114,3 +124,179 @@ def test_async_conflict_free_numpy_equals_columnar(campaign_seed):
                 {v: dict(r) for v, r in net.registers.items()})
 
     assert run("numpy") == run("columnar")
+
+
+# -- store-level differential: vector sweep vs scalar fused sweep ---------
+
+def _store_state(net):
+    """Every column (pool ids resolved to their values), the interning
+    pool's contents, the overflow side tables and the dirty-column
+    flags.  Pool *order* is left out: the vector sweep applies its
+    writes component by component, so new values intern in another
+    order than the row-by-row scalar sweep's."""
+    s = net.columns
+    pool = s.pool_values
+    cols = [[("pool", pool[v]) if v > SENT_CEIL else v for v in c]
+            if type(c) is PoolColumn else list(c) for c in s.data]
+    return (cols, sorted(map(repr, pool)),
+            [dict(o) if o else None for o in s.overflow],
+            bytes(s.dirty_cols))
+
+
+def _part_roots(net, reg_root):
+    """Nodes whose part parent is absent (the train's part roots)."""
+    graph, regs = net.graph, net.registers
+    roots = []
+    for v in graph.nodes():
+        pid = regs[v][REG_PARENT_ID]
+        if pid not in graph.neighbors(v) or \
+                regs[pid][reg_root] != regs[v][reg_root]:
+            roots.append(v)
+    return roots
+
+
+def _plant_root_junk(net):
+    """Junk in part-root rows' convergecast and broadcast registers —
+    malformed and unhashable cars, out-of-range and boxed counters,
+    non-key rotation markers — for both trains."""
+    regs = net.registers
+    junk = (("out", (5, "not-a-piece")), ("out", (1, (0, 2, [1]))),
+            ("src", 5000), ("src", "s"), ("seq", 1 << 70),
+            ("bseq", "b"), ("bseq", 99), ("last", (True, "x")),
+            ("last", [1]), ("last", (3,)), ("wd", -4), ("cyc", 1 << 70))
+    for prefix, reg_root, reg_pieces in (
+            ("bt_", REG_BOT_ROOT, REG_PIECES_BOT),
+            ("tt_", REG_TOP_ROOT, REG_PIECES_TOP)):
+        roots = _part_roots(net, reg_root)
+        for v, (suffix, val) in zip(roots[1::3], junk):
+            regs[v][prefix + suffix] = val
+        # watchdogs one step short of the root reset and of the alarm
+        budgets = regs[roots[0]]["_bgt"][1]
+        for v, wd in zip(roots[::3], (budgets.root_reset - 1,
+                                      budgets.node_alarm)):
+            regs[v][prefix + "wd"] = wd
+        # a pending car whose piece equals an own piece of the root
+        # but carries its weight as a float (it must drain as such)
+        for v in roots[2::3]:
+            for z, level, w in regs[v][reg_pieces] or ():
+                if type(w) is int:
+                    regs[v][prefix + "out"] = (7, (z, level, float(w)))
+                    break
+
+
+def _lockstep(pair, rounds, label):
+    for r in range(rounds):
+        states = []
+        for net, sched in pair:
+            sched.run(1)
+            states.append(_store_state(net))
+        assert states[0] == states[1], (label, r)
+
+
+@pytest.mark.parametrize("junk", [False, True])
+@pytest.mark.parametrize("mode", ["sync-window", "want"])
+def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
+    """After every synchronous round the vector sweep leaves the store
+    exactly as the scalar fused sweep (``vec_min_batch`` above n) does:
+    every column, the pool's contents, the overflow and the dirty
+    flags — from a cold start through the settled patrol, and around
+    junk planted into part-root rows (the root plan's inputs)."""
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = random_connected_graph(96, 170, seed=campaign_seed % 911 + 3)
+    pair = []
+    for vmb in (None, len(g.nodes()) + 1):
+        net = make_network(g)
+        proto = MstVerifierProtocol(synchronous=True, comparison_mode=mode)
+        pair.append((net, SynchronousScheduler(
+            net, proto, storage="numpy", bulk=True, vec_min_batch=vmb)))
+    _lockstep(pair, 45, (mode, "honest"))
+    if junk:
+        for net, _ in pair:
+            _plant_root_junk(net)
+        _lockstep(pair, 30, (mode, "junk"))
+    assert pair[0][1].protocol.bulk_stats["rows_fused"] > 0
+
+
+@pytest.mark.parametrize("junk", [False, True])
+@pytest.mark.parametrize("vmb", [None, 2])
+def test_async_vector_sweep_store_equals_scalar_fused(vmb, junk,
+                                                      campaign_seed):
+    """The conflict-free asynchronous license, through the per-sweep
+    plan (default threshold) and the per-batch tier (``vec_min_batch``
+    2), against the scalar fused sweep of plain columnar storage."""
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = random_connected_graph(80, 140, seed=campaign_seed % 907 + 5)
+    pair = []
+    for storage in ("numpy", "columnar"):
+        net = make_network(g)
+        proto = MstVerifierProtocol(synchronous=False)
+        pair.append((net, AsynchronousScheduler(
+            net, proto, ConflictFreeDaemon(g, seed=4), storage=storage,
+            bulk=True, vec_min_batch=vmb)))
+    _lockstep(pair, 30, "honest")
+    if junk:
+        for net, _ in pair:
+            _plant_root_junk(net)
+        _lockstep(pair, 25, "junk")
+
+
+def test_sync_tier_mix_floor():
+    """The honest settled patrol is mostly fused: part-root steps
+    (emissions, wraps, drains) and non-root deliveries are planned
+    writes, not scalar replays.  Deterministic (fixed instance and
+    round count); the floor sits below the measured mix."""
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = random_connected_graph(500, 900, seed=17)
+    net = make_network(g)
+    proto = MstVerifierProtocol(synchronous=True, static_every=4)
+    sched = SynchronousScheduler(net, proto, storage="numpy", bulk=True)
+    sched.run(60)
+    proto.bulk_stats = None
+    sched.run(24)
+    stats = proto.bulk_stats
+    total = stats["rows_fused"] + stats["rows_residual"] \
+        + stats["rows_scalar"]
+    assert total == 500 * 24
+    assert not net.alarms()
+    assert stats["rows_fused"] / total >= FUSED_FLOOR, stats
+
+
+# -- PoolIdCache ----------------------------------------------------------
+
+def test_pool_id_cache_fills_only_requested_ids():
+    """Demand fill: only the pool ids passed to ``sync`` are computed
+    (once each), sentinel ids are skipped, the arrays grow with the
+    pool, and a computed id reads exactly what an eager fill gives."""
+    np = numpy_or_none()
+    if np is None:
+        pytest.skip("numpy unavailable")
+    store = types.SimpleNamespace(pool_values=[(v, v * v) for v in range(10)])
+    calls = []
+
+    def attrs(val):
+        calls.append(val)
+        return (val[0] + 100, val[1] - 7)
+
+    cache = PoolIdCache(store, 2, attrs)
+    arrs = cache.sync(np.array([2, 5, 2], np.int64),
+                      np.array([NONE_S, BOX_S, UNSET_S, 5], np.int64))
+    assert sorted(calls) == [(2, 4), (5, 25)]
+    assert cache.filled == 10
+    for pid in (2, 5):
+        assert (arrs[0][pid], arrs[1][pid]) == attrs(store.pool_values[pid])
+    calls.clear()
+    cache.sync(np.array([5, 2], np.int64))
+    assert calls == []                      # already filled
+    cache.sync(np.array([UNSET_S], np.int64), np.array([], np.int64))
+    assert calls == []
+
+    store.pool_values.extend((v, -v) for v in range(10, 200))
+    arrs = cache.sync(np.array([150, 3], np.int64))
+    assert sorted(calls) == [(3, 9), (150, -150)]
+    assert cache.filled == 200 and len(arrs[0]) >= 200
+    eager = [attrs(val) for val in store.pool_values]
+    for pid in (2, 3, 5, 150):
+        assert (arrs[0][pid], arrs[1][pid]) == eager[pid]
