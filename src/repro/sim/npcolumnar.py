@@ -187,11 +187,11 @@ class PoolIdCache:
     but :meth:`sync` computes only the ids its caller is about to
     gather: most values a sweep interns (convergecast cars, rotation
     keys) are never read through a given cache.  ``have`` marks the
-    computed ids, one bit each.  After a sync, every pool id of the
+    computed ids, one byte each.  After a sync, every pool id of the
     arrays passed in is valid for indexing; ``filled`` is the pool size
     at that sync (ids at or above it are not pooled values the caller
     can have read).  Callers must clamp negative (sentinel) ids before
-    fancy-indexing."""
+    fancy-indexing, or gather through :meth:`take`."""
 
     __slots__ = ("pool", "fn", "k", "arrs", "have", "filled")
 
@@ -212,7 +212,7 @@ class PoolIdCache:
         m = len(pool)
         have = self.have
         arrs = self.arrs
-        if len(arrs[0]) < m:
+        if len(arrs[0]) < max(m, 1):
             # zero-filled growth: pages of ids never requested are
             # never written, so they cost address space, not memory
             cap = max(m, 2 * len(arrs[0]), 64)
@@ -222,7 +222,7 @@ class PoolIdCache:
                 b[:len(a)] = a
                 grown.append(b)
             self.arrs = arrs = grown
-            h = np.zeros((cap + 7) >> 3, np.uint8)
+            h = np.zeros(cap, np.uint8)
             h[:len(have)] = have
             self.have = have = h
         self.filled = m
@@ -230,7 +230,7 @@ class PoolIdCache:
         for ids in id_arrays:
             ids = ids[ids >= 0]          # sentinels are negative
             if len(ids):
-                ids = ids[((have[ids >> 3] >> (ids & 7)) & 1) == 0]
+                ids = ids[have[ids] == 0]
                 if len(ids):
                     need.append(ids)
         if need:
@@ -241,10 +241,17 @@ class PoolIdCache:
                 vals = fn(pool[pid])
                 for a, v in zip(arrs, vals):
                     a[pid] = v
-            todo = np.array(todo, np.int64)
-            np.bitwise_or.at(have, todo >> 3,
-                             (1 << (todo & 7)).astype(np.uint8))
+            have[todo] = 1
         return arrs
+
+    def take(self, ids, *defaults) -> List[Any]:
+        """The ``k`` attributes of every cell of ``ids`` (synced
+        already), ``defaults[j]`` where a cell holds a sentinel."""
+        np = _np
+        pooled = ids >= 0
+        safe = np.where(pooled, ids, 0)
+        return [np.where(pooled, a[safe], d)
+                for a, d in zip(self.arrs, defaults)]
 
 
 def int64_or_none(x: Any) -> Optional[int]:
@@ -267,7 +274,7 @@ IDX_ODD = -3             # idx_of: unknown == semantics -> scalar path
 
 #: types whose ``==`` against node ids / plain-int levels follows
 #: standard value semantics (no adversarial ``__eq__``)
-_PLAIN = (int, bool, float, str, bytes, tuple, frozenset, type(None))
+PLAIN_TYPES = (int, bool, float, str, bytes, tuple, frozenset, type(None))
 
 
 def idx_of(store: ColumnStore, x: Any) -> int:
@@ -280,7 +287,7 @@ def idx_of(store: ColumnStore, x: Any) -> int:
     and ``1.0 == 1`` alias exactly as Python equality does."""
     index = store.index
     if type(index) is dict:
-        if type(x) not in _PLAIN:
+        if type(x) not in PLAIN_TYPES:
             return IDX_ODD
         try:
             i = index.get(x, IDX_NOT)
@@ -297,7 +304,7 @@ def idx_of(store: ColumnStore, x: Any) -> int:
                 or not x.is_integer():
             return IDX_NOT
         xi = int(x)
-    elif type(x) in _PLAIN:
+    elif type(x) in PLAIN_TYPES:
         return IDX_NOT               # str/tuple/... never == an int id
     else:
         return IDX_ODD
@@ -309,13 +316,21 @@ def csr_take(off, ia):
     ``ia`` return ``(e_node, e_pos)`` where ``e_node[t]`` is the
     position *within* ``ia`` owning edge ``t`` and ``e_pos[t]`` indexes
     the flat CSR arrays.  Empty rows contribute nothing."""
-    np = _np
     starts = off[ia]
-    counts = off[ia + 1] - starts
+    return csr_span(starts, off[ia + 1] - starts)
+
+
+def csr_span(starts, counts):
+    """:func:`csr_take` over explicit flat ranges: row ``k`` owns the
+    positions ``starts[k] .. starts[k] + counts[k] - 1`` (a row's
+    suffix of its CSR segment, say).  Edges come out grouped by row,
+    in row order, ascending within a row."""
+    np = _np
     total = int(counts.sum())
-    e_node = np.repeat(np.arange(len(ia), dtype=np.int64), counts)
-    cs = np.zeros(len(ia), np.int64)
-    if len(ia) > 1:
+    m = len(starts)
+    e_node = np.repeat(np.arange(m, dtype=np.int64), counts)
+    cs = np.zeros(m, np.int64)
+    if m > 1:
         np.cumsum(counts[:-1], out=cs[1:])
     e_pos = np.arange(total, dtype=np.int64) + np.repeat(starts - cs,
                                                          counts)
@@ -335,10 +350,11 @@ class VecTopo:
     accumulate until every node has been offered once).  Topology is
     static for a scheduler run, so the flat/offset arrays are built
     exactly once, together with the per-edge weight columns the Ask
-    comparison needs."""
+    comparison needs.  Being the one object every kernel of a sweep
+    receives, it also holds their :meth:`shared` state."""
 
     __slots__ = ("n", "ctxs", "rows", "missing", "flat", "off",
-                 "wts", "w_exact", "degs")
+                 "wts", "w_exact", "degs", "objs")
 
     #: |weight| ints above this go through the scalar path (float64
     #: compares are exact only to 2**53; stay well clear)
@@ -354,6 +370,17 @@ class VecTopo:
         self.wts = None
         self.w_exact = None
         self.degs = None
+        self.objs = {}
+
+    def shared(self, name: str, make):
+        """The sweep-wide object ``name``, built by ``make()`` on first
+        request.  The kernels of both trains share their pool-id caches
+        this way: an attribute is a function of the pooled value alone,
+        whichever train's column holds it."""
+        obj = self.objs.get(name)
+        if obj is None:
+            obj = self.objs[name] = make()
+        return obj
 
     def offer(self, contexts) -> bool:
         """Record the batch's contexts; True once every node is known

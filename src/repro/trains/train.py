@@ -49,13 +49,28 @@ from ..labels.registers import (REG_DELIM, REG_JMASK, REG_PARENT_ID,
                                 REG_ROOTS)
 from ..labels.wellforming import level_is_bottom, sorted_levels
 from ..sim.columnar import BOX_S, NONE_S, PoolColumn, SENT_CEIL
-from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, PoolIdCache, csr_take,
-                              idx_of, seg_any, view64)
+from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, PLAIN_TYPES, PoolIdCache,
+                              csr_span, csr_take, idx_of, seg_any, view64)
 from ..sim.registers import NO_DECODE, UNSET, handle_resolver
 from .budgets import Budgets, compute_budgets
 
 SEQ_MOD = 64
 _NAT_CAP = 1 << 30
+
+#: convergecast outcomes of ``_VectorTrainKernel._conv_outcomes``
+CV_REPLAY = -1   # unproven: the row replays the scalar body
+CV_QUIET = 0     # writes nothing
+CV_EMIT = 1      # the next own piece into the outgoing car
+CV_TAKE = 2      # a child's car into the outgoing car
+CV_WAIT = 3      # the activation car names an unfinished child
+CV_EXH = 4       # sources exhausted: done posted, or a root's cycle wraps
+
+#: sequence-slot keys (see :func:`_seq_key`): far outside the key range
+KEY_ODD = -(1 << 50)
+CAR_BAD = -(1 << 51)
+_KEY_CAP = 1 << 40
+#: ``act_pid`` holds id + 1 in int32; larger ids are simply not cached
+_ACT_PID_CAP = (1 << 31) - 2
 
 
 def _nat(x: Any, cap: int = 1 << 30) -> Optional[int]:
@@ -96,6 +111,19 @@ def decode_observation(buf: Any) -> Optional[TrainObservation]:
     if isinstance(buf, tuple) and len(buf) == 2 and valid_piece(buf[0]):
         return TrainObservation(piece=buf[0], flag=bool(buf[1]))
     return None
+
+
+def _seq_key(x: Any) -> int:
+    """An int64 key of a car's or ack's sequence slot:
+    ``_seq_key(a) == _seq_key(b)`` iff ``a == b`` for the plain
+    integral numbers honest trains write, ``KEY_ODD`` for anything
+    else (a row comparing one replays the scalar body)."""
+    t = type(x)
+    if t is int or t is bool:
+        return int(x) if -_KEY_CAP < x < _KEY_CAP else KEY_ODD
+    if t is float and x.is_integer() and -_KEY_CAP < x < _KEY_CAP:
+        return int(x)
+    return KEY_ODD
 
 
 def _decode_car(out: Any) -> Optional[Tuple]:
@@ -899,14 +927,17 @@ class TrainComponent:
         columns plus pool-id-indexed attribute lookups, so one ndarray
         pass classifies every batch node; provably-trivial nodes get
         their single watchdog write applied as one masked slice-store.
-        A few frequent transitions are *planned* instead: a delivery
-        or subtree completion, a broadcast adopt, and a part root's
-        whole step (own-piece emission or cycle wrap, then the drain
-        of the car into its broadcast slot) — their exact write
-        sequences are vetted at classify time and executed after the
-        watchdog write.  Everything else (child traffic, epoch
-        adoption, boxed junk, alarms — anything the masks cannot
-        prove) replays the exact scalar fused body.  Equivalence is
+        The frequent transitions are *planned* instead: the whole
+        convergecast past the activation check — ack waits, acks, own
+        piece emissions, the child scan (advancing past finished
+        children, then taking a child's car or waiting for one),
+        subtree completions and cycle wraps — a broadcast adopt, and a
+        part root's drain of its car into its broadcast slot.  Their
+        exact write sequences are vetted at classify time and executed
+        after the watchdog write.  Everything else (new-cycle
+        restarts, epoch adoption, boxed or custom-``==`` junk, alarms
+        — anything the masks cannot prove) replays the exact scalar
+        fused body.  Equivalence is
         therefore by construction: the vector path only ever *skips*
         per-node code whose effect it proved to be exactly the writes
         it applies.
@@ -926,17 +957,23 @@ class _VectorTrainKernel:
     eagerly with the exact fill code of the fused prologue and freezes
     the part topology into flat arrays; ``classify`` (per sweep) proves,
     with pure reads only, which batch rows' fused step would be exactly
-    "bump the watchdog and return" or one of the planned transitions.
-    Roots mid child traffic, rows under epoch adoption, rows whose
-    reads hit boxed overflow, and anything the masks cannot decide
-    stay non-trivial and replay the scalar fused body verbatim.
+    "bump the watchdog and return" or one of the planned transitions
+    (the convergecast's outcome table is :meth:`_conv_outcomes`).
+    The reads of the child traffic — the children's cars and ``done``
+    flags, own and parent ``tak`` — go through pool-id attribute caches
+    shared with the other train's kernel, and the activation car a
+    scan writes resolves to its pool id through ``act_pid``.  New-cycle
+    restarts, rows under epoch adoption, rows whose reads hit boxed
+    overflow or custom-``==`` junk, and anything the masks cannot
+    decide stay non-trivial and replay the scalar fused body verbatim.
     """
 
-    __slots__ = ("comp", "store", "snap", "act_cache", "obs_cache",
-                 "pidx", "idle", "bad", "coff", "cflat", "n_own",
+    __slots__ = ("comp", "store", "snap", "vd", "vs", "act_cache",
+                 "obs_cache",
+                 "car_cache", "tak_cache", "act_pid",
+                 "pidx", "idle", "bad", "coff", "cflat", "nch", "n_own",
                  "ooff", "oflat", "ohash", "ctxs", "ccs", "needs",
-                 "w_src", "w_cyc",
-                 "w_seq", "w_done", "w_bseq", "w_seen", "w_cnt",
+                 "w_bseq", "w_seen", "w_cnt",
                  "w_wd", "_adopt_memo", "_root_memo", "pub_extra")
 
     def __init__(self, comp, ops, topo):
@@ -944,10 +981,14 @@ class _VectorTrainKernel:
         self.store = ops.store
         self.snap = ops.snap
         store = ops.store
-        self.w_src = store.make_nat_writer(comp.h_src)
-        self.w_cyc = store.make_nat_writer(comp.h_cyc)
-        self.w_seq = store.make_nat_writer(comp.h_seq)
-        self.w_done = store.make_nat_writer(comp.h_done)
+        # int64 views of the columns the kernel reads and writes, live
+        # and snapshot: taken once, since columns never change length
+        # and refreshes and restores write them in place
+        cols = (comp.h_ep, comp.h_wd, comp.h_act, comp.h_cyc,
+                comp.h_done, comp.h_bseq, comp.h_bbuf, comp.h_out,
+                comp.h_src, comp.h_tak, comp.h_seq)
+        self.vd = {h: view64(store.data[h]) for h in cols}
+        self.vs = {h: view64(ops.snap.data[h]) for h in cols}
         self.w_bseq = store.make_nat_writer(comp.h_bseq)
         self.w_seen = store.make_nat_writer(comp.h_seen)
         self.w_cnt = store.make_nat_writer(comp.h_cnt)
@@ -964,13 +1005,36 @@ class _VectorTrainKernel:
         def obs_attrs(val):
             return (1 if decode_observation(val) is not None else 0,)
 
-        self.act_cache = PoolIdCache(store, 2, act_attrs)
-        self.obs_cache = PoolIdCache(store, 1, obs_attrs)
+        def car_attrs(val):
+            # a car's sequence key, CAR_BAD when it does not decode
+            car = _decode_car(val)
+            return (CAR_BAD if car is None else _seq_key(car[0]),)
+
+        def tak_attrs(val):
+            # an ack (who, seq key); a value that is no 2-tuple equals
+            # no ack or (child, seq) pair — unless its == is custom
+            if type(val) is tuple and len(val) == 2:
+                return (idx_of(store, val[0]), _seq_key(val[1]))
+            if type(val) in PLAIN_TYPES:
+                return (IDX_NOT, KEY_ODD)
+            return (IDX_ODD, KEY_ODD)
+
+        shared = topo.shared
+        self.act_cache = shared(
+            "train.act", lambda: PoolIdCache(store, 2, act_attrs))
+        self.obs_cache = shared(
+            "train.obs", lambda: PoolIdCache(store, 1, obs_attrs))
+        self.car_cache = shared(
+            "train.car", lambda: PoolIdCache(store, 1, car_attrs))
+        self.tak_cache = shared(
+            "train.tak", lambda: PoolIdCache(store, 2, tak_attrs))
+        self.act_pid = None
         self.pidx = None
         self.idle = None
         self.bad = None
         self.coff = None
         self.cflat = None
+        self.nch = None
         self.n_own = None
         self.ooff = None
         self.oflat = None
@@ -1045,6 +1109,7 @@ class _VectorTrainKernel:
             cflat[int(coff[i]):int(coff[i + 1])] = r
         self.pidx, self.idle, self.bad = pidx, idle, bad
         self.coff, self.cflat = coff, cflat
+        self.nch = coff[1:] - coff[:-1]
         self.n_own = n_own
         self.ooff = ooff
         self.oflat = oflat
@@ -1056,20 +1121,34 @@ class _VectorTrainKernel:
         # pieces); a stable-epoch move may change any of them
         self._adopt_memo = {}
         self._root_memo = {}
+        # activation-car ids + 1 per (child row, cycle), 0 = unknown;
+        # dense rows keep their node for the store's lifetime, so this
+        # is a pool-id cache like the others
+        self.act_pid = topo.shared(
+            "train.act_pid",
+            lambda: np.zeros(n * (SEQ_MOD + 1), np.int32))
 
-    def classify(self, np, ia, row_of, na, rr, hold):
+    def classify(self, np, ia, row_of, na, rr, hold, traffic):
         """(trivial-mask, broadcast-done-mask, apply, adopt-plans) for
         the batch rows ``ia``.
 
         ``na`` and ``rr`` are the per-row node-alarm and root-reset
         budgets (-1 where unknown, which simply fails the watchdog
-        bounds), ``hold`` the sweep's hold_broadcast flag.
+        bounds), ``hold`` the sweep's hold_broadcast flag.  ``traffic``
+        admits the convergecast outcomes that read the children's cars
+        and ``done`` flags and the acks (see :meth:`_conv_outcomes`):
+        the per-batch sweep classifies and applies in one go and sets
+        it for batches that amortize its cost
+        (``_VectorSweep.TRAFFIC_MIN``), but the per-sweep plan keeps
+        verdicts across segments and watches only the registers of
+        ``_VectorSweep.chk_tr``, so it passes False.
         ``apply(rows)`` performs the one masked watchdog write (plus
-        any planned deliveries, part-root steps and adopts) for the row
-        *positions* the orchestrator kept — an int64 index array into
-        ``ia``, so the cost is O(|rows|) however wide the
-        classification was (the persistent sweep plans replay tiny
-        conflict-free segments against a full-width classification).
+        any planned convergecast transitions, part-root drains and
+        adopts) for the row *positions* the orchestrator kept — an
+        int64 index array into ``ia``, so the cost is O(|rows|) however
+        wide the classification was (the persistent sweep plans replay
+        tiny conflict-free segments against a full-width
+        classification).
 
         The broadcast-done mask marks rows whose *broadcast half* is
         proven silent (writes nothing, raises no alarm) or fully
@@ -1084,30 +1163,30 @@ class _VectorTrainKernel:
         convergecast produced, so a root's drain is planned only
         together with the whole step)."""
         comp = self.comp
-        store, snap = self.store, self.snap
-        data, sdata = store.data, snap.data
+        store = self.store
+        vd, vs = self.vd, self.vs
         m = len(ia)
         pidx = self.pidx[ia]
         parented = (pidx >= 0) & ~self.bad[ia]
         pj = np.where(pidx >= 0, pidx, 0)
 
         # epoch adoption would reset before the watchdog ever bumps
-        ep_v = view64(data[comp.h_ep])[ia]
-        pe = view64(sdata[comp.h_ep])[pj]
+        ep_v = vd[comp.h_ep][ia]
+        pe = vs[comp.h_ep][pj]
         pep_valid = (pe >= 0) & (pe <= SEQ_MOD)
         epoch_ok = ~pep_valid | ((ep_v > SENT_CEIL) & (ep_v == pe))
 
         # watchdog: idle rows skip it; others must stay under budget
         # (over-budget rows alarm and reset — scalar's job)
         idle = self.idle[ia]
-        wd_v = view64(data[comp.h_wd])[ia]
+        wd_v = vd[comp.h_wd][ia]
         wd_new = np.where((wd_v >= 0) & (wd_v <= _NAT_CAP), wd_v, 0) + 1
         wd_ok = idle | (wd_new <= na)
 
         # convergecast exits without writing iff the parent's activation
         # car is absent / names someone else / is malformed, or names us
         # for the cycle our subtree already finished
-        ar = view64(sdata[comp.h_act])[pj]
+        ar = vs[comp.h_act][pj]
         acts = self.act_cache.sync(ar)
         a_pool = (ar >= 0) & (ar < self.act_cache.filled)
         api = np.where(a_pool, ar, 0)
@@ -1117,31 +1196,18 @@ class _VectorTrainKernel:
         mine = a_pool & (af == ia)
         odd = a_pool & (af == IDX_ODD)
         not_mine = a_none | (a_pool & ~mine & ~odd)
-        cyc_v = view64(data[comp.h_cyc])[ia]
+        cyc_v = vd[comp.h_cyc][ia]
         cyc = np.where((cyc_v >= 0) & (cyc_v <= SEQ_MOD), cyc_v, 0)
-        done_v = view64(data[comp.h_done])[ia]
+        done_v = vd[comp.h_done][ia]
         done_eq = (done_v > SENT_CEIL) & (done_v == cyc)
-        conv_triv = not_mine | (mine & ((ac == -1)
-                                        | ((ac == cyc) & done_eq)))
 
-        # planned delivery: it IS my turn (named in the parent's car,
-        # matching cycle, subtree unfinished), no car is pending, and
-        # the transition is an *emission* (the next source is an own
-        # piece: write the car, bump seq and src) or a *completion*
-        # (sources exhausted: clear the activation, post done).  Both
-        # write only own registers plus the activation car the sweep
-        # plans already watch (chk_tr), so the verdicts are as durable
-        # as the plain trivial ones — unlike ack- and child-waits,
-        # whose proofs would have to watch the cars and acks themselves
-        # and go stale on every delivery in the subtree.
-        #
-        # Part roots get the same treatment (see _plan_roots): an
-        # honest root emits and drains a piece on every step, forever,
-        # so a root row is planned when its watchdog stays under both
-        # the alarm and the reset budget and its convergecast is an
-        # own-piece emission, a cycle wrap (sources exhausted: clear
-        # the activation, advance the cycle) or a car still pending.
-        # Roots mid child traffic (forwarding, waiting) replay.
+        # it IS my turn (named in the parent's car, matching cycle,
+        # subtree unfinished): the rest of the convergecast runs.  Part
+        # roots run it on every step: an honest root emits or forwards
+        # a car and drains it on every step, forever, so a root row is
+        # planned when its watchdog stays under both the alarm and the
+        # reset budget (a new-cycle restart stays scalar, as does
+        # anything with an unmappable label)
         root = (pidx < 0) & ~self.bad[ia]
         if root.any():
             rr_ok = rr > 0
@@ -1149,30 +1215,15 @@ class _VectorTrainKernel:
                             & (wd_new % np.where(rr_ok, rr, 1) != 0))
         deliver = (parented & mine & (ac == cyc) & ~done_eq
                    & (done_v != BOX_S))
-        emit = exh = wrap = pend = src = seq_new = out_v = None
+        oc = np.full(m, CV_REPLAY, np.int8)
+        oc[parented & (not_mine | (mine & ((ac == -1)
+                                           | ((ac == cyc) & done_eq))))] \
+            = CV_QUIET
+        cv = None
         if deliver.any() or root.any():
-            out_v = view64(data[comp.h_out])[ia]
-            o_none = (deliver | root) & (out_v == NONE_S)
-            if o_none.any():
-                src_v = view64(data[comp.h_src])[ia]
-                src = np.where((src_v >= 0) & (src_v <= 4096),
-                               src_v, 0)
-                no = self.n_own[ia]
-                emit = o_none & (src < no)
-                if emit.any():
-                    # an unhashable own piece could not intern: scalar
-                    apos = np.where(emit, self.ooff[ia] + src, 0)
-                    emit &= self.ohash[apos]
-                    sq_v = view64(data[comp.h_seq])[ia]
-                    seq_new = (np.where(
-                        (sq_v >= 0) & (sq_v <= SEQ_MOD), sq_v, 0)
-                        + 1) % SEQ_MOD
-                done_src = o_none & (src >= no) \
-                    & (src - no >= (self.coff[ia + 1] - self.coff[ia]))
-                exh = done_src & deliver
-                wrap = done_src & root
-                conv_triv = conv_triv | (emit & deliver) | exh
-            pend = root & (out_v >= 0)
+            cv = self._conv_outcomes(np, ia, deliver | root, root, pj,
+                                     cyc, oc, traffic)
+        conv_ok = oc != CV_REPLAY
 
         pending = {}
         bseq = None
@@ -1183,19 +1234,19 @@ class _VectorTrainKernel:
             # broadcast exits without writing iff a child's slot lags
             # (first-mismatch return) or there is nothing to adopt; any
             # boxed read in the gate makes the row scalar
-            bseq_v = view64(data[comp.h_bseq])[ia]
+            bseq_v = vd[comp.h_bseq][ia]
             bseq = np.where((bseq_v >= 0) & (bseq_v <= SEQ_MOD),
                             bseq_v, 0)
             e_node, e_pos = csr_take(self.coff, ia)
-            cb = view64(sdata[comp.h_bseq])[self.cflat[e_pos]]
+            cb = vs[comp.h_bseq][self.cflat[e_pos]]
             any_box = seg_any(cb == BOX_S, e_node, m)
             any_mism = seg_any((cb <= SENT_CEIL)
                                | (cb != bseq[e_node]), e_node, m)
-            pb = view64(sdata[comp.h_bbuf])[pj]
+            pb = vs[comp.h_bbuf][pj]
             obs_ok = self.obs_cache.sync(pb)[0]
             b_pool = (pb >= 0) & (pb < self.obs_cache.filled)
             pobs_valid = b_pool & (obs_ok[np.where(b_pool, pb, 0)] == 1)
-            psr = view64(sdata[comp.h_bseq])[pj]
+            psr = vs[comp.h_bseq][pj]
             advance = ((psr >= 0) & (psr <= SEQ_MOD) & (psr != bseq)
                        & pobs_valid)
             bc_triv = ~any_box & (any_mism
@@ -1225,12 +1276,14 @@ class _VectorTrainKernel:
             if hold is not False:
                 bc_triv = hold | bc_triv
 
-        triv = parented & epoch_ok & wd_ok & conv_triv & bc_triv
+        triv = parented & epoch_ok & wd_ok & conv_ok & bc_triv
         drains = {}
-        if pend is not None and root.any():
+        if root.any():
             # a root's broadcast is decidable unless a child's slot is
             # boxed; it drains ``out`` when every child is in step and
-            # no Want hold freezes it, and is silent otherwise
+            # no Want hold freezes it, and is silent otherwise — a
+            # root's car after its convergecast is the pending one
+            # (quiet), a fresh emission or a taken child car
             if hold is True:
                 bc_gate = np.ones(m, bool)
                 bc_runs = np.zeros(m, bool)
@@ -1240,31 +1293,22 @@ class _VectorTrainKernel:
                 if hold is not False:
                     bc_gate = bc_gate | hold
                     bc_runs &= ~hold
-            rtriv = root & bc_gate & pend
-            drain = rtriv & bc_runs
-            if emit is not None:
-                rtriv |= root & bc_gate & (emit | wrap)
-                drain |= rtriv & bc_runs & emit
-            vet = drain | (rtriv & pend)
-            if vet.any():
+            rtriv = root & bc_gate & conv_ok
+            drain = rtriv & bc_runs & ((oc == CV_QUIET) | (oc == CV_EMIT)
+                                       | (oc == CV_TAKE))
+            if drain.any():
                 drains, rejected = self._plan_roots(
-                    np.flatnonzero(vet), ia, drain, pend, out_v, src,
-                    bseq)
+                    np.flatnonzero(drain), ia, cv, bseq)
                 rtriv[rejected] = False
             triv |= rtriv
-            if wrap is not None:
-                wrap &= rtriv
-        # completions and wraps clear the activation car and drains
-        # write the broadcast slot — registers the neighbouring
+        # takes, waits, completions and wraps write the activation car
+        # and drains the broadcast slot — registers the neighbouring
         # classifications read; the plan's publication mask must cover
-        # them (emissions touch no watched column)
-        pub = None if exh is None else exh | wrap
+        # them (emissions and acks write only unwatched own registers)
+        pub = (oc >= CV_TAKE) & triv
         if drains:
-            if pub is None:
-                pub = np.zeros(m, bool)
             pub[list(drains)] = True
-        self.pub_extra = np.flatnonzero(pub) if pub is not None \
-            else None
+        self.pub_extra = np.flatnonzero(pub)
         ovf = store.overflow[comp.h_wd]
         if ovf:
             # the nat writer pops a row's boxed entry; keep those scalar
@@ -1275,57 +1319,19 @@ class _VectorTrainKernel:
 
         h_wd = comp.h_wd
         dc = store.dirty_cols
-
         exec_adopt = self._exec_adopt
         exec_drain = self._exec_drain
-        conv_exec = None
-        if emit is not None:
-            oflat, ooff = self.oflat, self.ooff
-            overflow = store.overflow
-            intern = store.intern
-            h_out, h_act = comp.h_out, comp.h_act
-            out_col, act_col = data[h_out], data[h_act]
-            w_seq, w_src = self.w_seq, self.w_src
-            w_done, w_cyc = self.w_done, self.w_cyc
-
-            def conv_exec(rows):
-                e = rows[emit[rows]]
-                if len(e):
-                    ovf = overflow[h_out]
-                    for k in e.tolist():
-                        i = int(ia[k])
-                        if ovf:
-                            ovf.pop(i, None)
-                        sq = int(seq_new[k])
-                        out_col[i] = intern(
-                            (sq, oflat[int(ooff[i]) + int(src[k])]))
-                        w_seq(i, sq)
-                        w_src(i, int(src[k]) + 1)
-                    dc[h_out] = 1
-                g = rows[(exh | wrap)[rows]]
-                if len(g):
-                    ovf = overflow[h_act]
-                    for k in g.tolist():
-                        i = int(ia[k])
-                        if ovf:
-                            ovf.pop(i, None)
-                        act_col[i] = NONE_S
-                        if exh[k]:
-                            w_done(i, int(cyc[k]))
-                        else:       # a root starts its next cycle
-                            w_cyc(i, (int(cyc[k]) + 1) % SEQ_MOD)
-                            w_src(i, 0)
-                    dc[h_act] = 1
+        exec_conv = self._exec_conv
 
         def apply(rows):
             sel = rows[~idle[rows]]
             if len(sel):
-                view64(data[h_wd])[ia[sel]] = wd_new[sel]
+                vd[h_wd][ia[sel]] = wd_new[sel]
                 dc[h_wd] = 1
-            if conv_exec is not None:
+            if cv is not None:
                 # scalar order inside the step: the convergecast's
                 # writes land after the watchdog bump ...
-                conv_exec(rows)
+                exec_conv(np, rows, cv)
             if pending or drains:
                 kept = set(rows.tolist())
                 # ... and before the broadcast's drain or adopt (whose
@@ -1338,6 +1344,237 @@ class _VectorTrainKernel:
                         exec_adopt(ent)
 
         return triv, bc_done, apply, pending
+
+    def _conv_outcomes(self, np, ia, live, root, pj, cyc, oc, traffic):
+        """Evaluate ``_step_convergecast`` past its activation check
+        for the ``live`` rows (deliveries and part roots), writing each
+        row's outcome into ``oc`` (``CV_*``; rows left at
+        ``CV_REPLAY`` replay the scalar body) and returning the
+        :class:`_ConvPlan` :meth:`_exec_conv` applies.
+
+        The outcome table, in the scalar body's order:
+
+        * a pending car: a part root's waits for its drain
+          (``CV_QUIET``); a non-root's is cleared when the parent's
+          ``tak`` acks it (``ack``, then the row continues below) and
+          otherwise waits for the ack (``CV_QUIET``);
+        * no car and an own piece left: ``CV_EMIT``;
+        * the child scan from ``src``: point ``act`` at each child in
+          turn, skipping (advancing ``src`` past) finished ones; stop
+          at the first child whose car is not yet taken (``CV_TAKE``)
+          or that is unfinished (``CV_WAIT``), or run out of children
+          (``CV_EXH``: post ``done``, or wrap a root's cycle).
+
+        Boxed reads, junk cars, sequence numbers or acks whose ``==``
+        the masks do not model, and unhashable own pieces stay
+        ``CV_REPLAY``.  Without ``traffic`` the outcomes that read the
+        children's registers or the parent's ack — acks, ack waits,
+        and every child visit — stay ``CV_REPLAY`` too.  The work runs
+        over the live rows only, compressed, with one sync per
+        attribute cache: the per-call cost is what small
+        conflict-free segments pay."""
+        comp = self.comp
+        vd, vs = self.vd, self.vs
+        cars, taks = self.car_cache, self.tak_cache
+        cv = _ConvPlan()
+        cv.L = L = np.flatnonzero(live)
+        cv.iL = iL = ia[L]
+        cv.rootL = rootL = root[L]
+        cv.cycL = cycL = cyc[L]
+        cv.out_v = out_v = vd[comp.h_out][iL]
+        src_v = vd[comp.h_src][iL]
+        cv.src = src = np.where((src_v >= 0) & (src_v <= 4096), src_v, 0)
+        ci = src - self.n_own[iL]
+        nch = self.nch[iL]
+        o_none = out_v == NONE_S
+        if traffic:
+            # every row that may reach the child scan (no car, or one
+            # an ack may clear) gets its scan edges gathered up front,
+            # so that each attribute cache syncs once
+            S = np.flatnonzero((o_none | ((out_v >= 0) & ~rootL))
+                               & (ci >= 0) & (ci < nch))
+            cnt = nch[S] - ci[S]
+            e_row, e_pos = csr_span(self.coff[iL[S]] + ci[S], cnt)
+            cj = self.cflat[e_pos]
+            co = vs[comp.h_out][cj]
+            pt = vs[comp.h_tak][pj[L]]
+            tak_v = vd[comp.h_tak][iL[S]]
+            cars.sync(out_v, co)
+            taks.sync(pt, tak_v)
+        else:
+            cars.sync(out_v)
+        ck, = cars.take(out_v, CAR_BAD)
+        o_car = ck != CAR_BAD
+        cv.kind = kind = np.where(o_car & rootL, CV_QUIET, CV_REPLAY)
+        eff = o_none
+        cv.ack = None
+        if traffic:
+            # a pending car is acked iff the parent's tak is (me, seq)
+            pwho, pkey = taks.take(pt, IDX_NOT, KEY_ODD)
+            named = pwho == iL
+            sure = (o_car & ~rootL & (pt != BOX_S) & (pwho != IDX_ODD)
+                    & ~(named & ((pkey == KEY_ODD) | (ck == KEY_ODD))))
+            cv.ack = ack = sure & named & (pkey == ck)
+            kind[sure & ~ack] = CV_QUIET
+            eff = eff | ack
+        emit = eff & (ci < 0)
+        if emit.any():
+            # an unhashable own piece could not intern: scalar
+            emit &= self.ohash[np.where(emit, self.ooff[iL] + src, 0)]
+        kind[emit] = CV_EMIT
+        exh = eff & (ci >= nch)
+        kind[exh] = CV_EXH
+        # src after the step: emissions, advances, root wraps (-1: kept)
+        cv.nsrc = nsrc = np.where(emit, src + 1,
+                                  np.where(exh & rootL, 0, -1))
+        cv.stop = cv.car = cv.vis_k = cv.vis_c = None
+        if traffic and len(S):
+            # the scan, one edge per (row, child at or after src): a
+            # row stops at its first edge that takes, waits, or reads
+            # something the masks cannot decide
+            cck, = cars.take(co, CAR_BAD)
+            twho, tkey = taks.take(tak_v, IDX_NOT, KEY_ODD)
+            t_odd = ((tak_v == BOX_S) | (twho == IDX_ODD))[e_row]
+            tk = tkey[e_row]
+            named = twho[e_row] == cj
+            cvalid = cck != CAR_BAD
+            take = cvalid & ~(named & (tk == cck))
+            cd = vs[comp.h_done][cj]
+            junk = (co == BOX_S) | (cd == BOX_S) | (cvalid & (
+                t_odd | (named & ((tk == KEY_ODD) | (cck == KEY_ODD)))))
+            stop = junk | take | (cd <= SENT_CEIL) | (cd != cycL[S][e_row])
+            n_e = len(cj)
+            es = np.cumsum(cnt) - cnt
+            first = np.minimum.reduceat(
+                np.where(stop, np.arange(n_e), n_e), es)
+            stopped = first < n_e
+            f = np.where(stopped, first, 0)
+            ok = eff[S]     # ack waits and junk cars keep their outcome
+            kind[S] = np.where(ok, np.where(
+                stopped, np.where(junk[f], CV_REPLAY, np.where(
+                    take[f], CV_TAKE, CV_WAIT)), CV_EXH), kind[S])
+            adv = np.where(stopped, first, es + cnt) - es
+            nsrc[S] = np.where(ok & (adv > 0), src[S] + adv, -1)
+            nsrc[S[(kind[S] == CV_EXH) & rootL[S]]] = 0
+            cv.stop = np.full(len(L), -1, np.int64)
+            cv.stop[S] = cj[f]
+            cv.car = np.full(len(L), -1, np.int64)
+            cv.car[S] = co[f]
+            # every activation car the scan writes (the advanced
+            # children and the stop child): the final one lands in
+            # ``act``, and all of them intern, as the scalar loop's do
+            vis = np.arange(n_e) <= first[e_row]
+            cv.vis_k = S[e_row[vis]]
+            cv.vis_c = cj[vis]
+        # batch row -> index into L, for the rows that write
+        w = np.flatnonzero(kind > CV_QUIET)
+        cv.wpos = np.full(len(ia), -1, np.int64)
+        cv.wpos[L[w]] = w
+        sq_v = vd[comp.h_seq][iL]
+        cv.seq_new = (np.where((sq_v >= 0) & (sq_v <= SEQ_MOD), sq_v, 0)
+                      + 1) % SEQ_MOD
+        oc[L] = kind
+        return cv
+
+    def _act_ids(self, np, cj, cyc):
+        """Pool ids of the activation cars ``(node of cj, cyc)``,
+        interning those not yet pooled.  ``act_pid`` caches id + 1 per
+        (child row, cycle): the pool is append-only, so an id, once
+        known, is what ``intern`` returns for that value forever."""
+        key = cj * (SEQ_MOD + 1) + cyc
+        ids = self.act_pid[key].astype(np.int64) - 1
+        miss = np.flatnonzero(ids < 0)
+        if len(miss):
+            nodes, intern, apid = self.store.nodes, self.store.intern, \
+                self.act_pid
+            for t in miss.tolist():
+                k = int(key[t])
+                p = int(apid[k]) - 1
+                if p < 0:
+                    p = intern((nodes[int(cj[t])], int(cyc[t])))
+                    if p < _ACT_PID_CAP:
+                        apid[k] = p + 1
+                ids[t] = p
+        return ids
+
+    def _put(self, h, rows_i, vals) -> None:
+        """Slice-store plain ints (nats or pool ids) into column ``h``
+        at the rows ``rows_i``: the writers' overflow pop and dirty
+        mark, minus the per-row calls."""
+        store = self.store
+        ovf = store.overflow[h]
+        if ovf:
+            for i in rows_i.tolist():
+                ovf.pop(i, None)
+        self.vd[h][rows_i] = vals
+        store.dirty_cols[h] = 1
+
+    def _exec_conv(self, np, rows, cv) -> None:
+        """Apply the planned convergecast writes of the kept row
+        positions ``rows``: the final value of every register the
+        scalar body writes, each written column marked dirty, and every
+        value it interns interned.  Index arrays throughout: the
+        per-sweep plans apply segment by segment, often a row or two."""
+        k = cv.wpos[rows]
+        k = k[k >= 0]
+        if not len(k):
+            return
+        kind = cv.kind
+        comp = self.comp
+        store = self.store
+        put = self._put
+        iL = cv.iL
+        kk = kind[k]
+        if cv.ack is not None:
+            a = k[cv.ack[k]]
+            if len(a):
+                put(comp.h_out, iL[a], NONE_S)
+        w = k[cv.nsrc[k] >= 0]
+        if len(w):
+            put(comp.h_src, iL[w], cv.nsrc[w])
+        take = kk == CV_TAKE
+        c = k[(kk == CV_EMIT) | take]
+        if len(c):
+            # the new car: the next own piece or the child's piece
+            intern = store.intern
+            pool = store.pool_values
+            oflat = self.oflat
+            i_c = iL[c]
+            sq = cv.seq_new[c]
+            emit = (kind[c] == CV_EMIT).tolist()
+            opos = (self.ooff[i_c] + cv.src[c]).tolist()
+            tcar = cv.car[c].tolist() if cv.car is not None else None
+            put(comp.h_out, i_c, [
+                intern((s, oflat[opos[j]] if emit[j]
+                        else pool[tcar[j]][1]))
+                for j, s in enumerate(sq.tolist())])
+            put(comp.h_seq, i_c, sq)
+            t = k[take]
+            if len(t):
+                nodes = store.nodes
+                put(comp.h_tak, iL[t], [
+                    intern((nodes[ch], pool[v][0])) for ch, v in zip(
+                        cv.stop[t].tolist(), cv.car[t].tolist())])
+        if cv.vis_k is not None:
+            kl = np.zeros(len(kind), bool)
+            kl[k] = True
+            vk = kl[cv.vis_k]
+            if vk.any():
+                self._act_ids(np, cv.vis_c[vk], cv.cycL[cv.vis_k[vk]])
+        tw = k[take | (kk == CV_WAIT)]
+        x = k[kk == CV_EXH]
+        if len(tw):
+            put(comp.h_act, iL[tw],
+                self._act_ids(np, cv.stop[tw], cv.cycL[tw]))
+        if len(x):
+            put(comp.h_act, iL[x], NONE_S)
+            r = cv.rootL[x]
+            d = x[~r]
+            if len(d):
+                put(comp.h_done, iL[d], cv.cycL[d])
+            c = x[r]
+            if len(c):
+                put(comp.h_cyc, iL[c], (cv.cycL[c] + 1) % SEQ_MOD)
 
     def _plan_adopts(self, rows, ia, pb, psr):
         """Vet the adopt-candidate rows for the exact-write fast path.
@@ -1384,20 +1621,15 @@ class _VectorTrainKernel:
                 pending[k] = ent
         return pending
 
-    def _plan_roots(self, rows, ia, drain, pend, out_v, src, bseq):
-        """Vet the part-root rows of the root plan.
-
-        A pending car must decode (a junk car is the scalar body's to
-        clear); a *drain* — the broadcast consuming the car just
-        emitted or still pending into the root's own slot — must pass
+    def _plan_roots(self, rows, ia, cv, bseq):
+        """Vet the part-root drains: the broadcast consuming the car the
+        root's convergecast leaves in ``out`` — the pending one, a fresh
+        emission or a taken child car (all decodable, by
+        :meth:`_conv_outcomes`) — into the root's own slot must pass
         the adopt vetting, with the root's membership flag computed
         against no parent.  Returns ``({row: plan}, rejected rows)``;
         plans are for :meth:`_exec_drain`."""
-        store = self.store
-        pool = store.pool_values
-        memos = store.decode_memo
-        memo_for = store.memo_for
-        h_out = self.comp.h_out
+        pool = self.store.pool_values
         oflat, ooff = self.oflat, self.ooff
         vet, plan = self._vet_slot, self._slot_plan
         # memoized like the adopts, by (row, piece): a root drains the
@@ -1405,26 +1637,14 @@ class _VectorTrainKernel:
         rmemo = self._root_memo
         drains = {}
         rejected = []
-        for k in rows.tolist():
+        for k, j in zip(rows.tolist(), cv.L.searchsorted(rows).tolist()):
             i = int(ia[k])
-            if pend[k]:
-                v = int(out_v[k])
-                memo = memos[h_out]
-                try:
-                    car = memo[v]
-                except (TypeError, IndexError):
-                    car = NO_DECODE
-                if car is NO_DECODE:
-                    car = _decode_car(pool[v])
-                    memo_for(h_out, v)[v] = car
-                if car is None:
-                    rejected.append(k)
-                    continue
-                piece = car[1]
+            o = cv.kind[j]
+            if o == CV_EMIT:
+                piece = oflat[int(ooff[i]) + int(cv.src[j])]
             else:
-                piece = oflat[int(ooff[i]) + int(src[k])]
-            if not drain[k]:
-                continue
+                v = cv.out_v[j] if o == CV_QUIET else cv.car[j]
+                piece = pool[int(v)][1]
             # the memo keeps only the flag: ==-equal pieces (a weight 3
             # and a weight 3.0) vet alike, but the slot and rotation key
             # must be built from this very piece
@@ -1550,3 +1770,23 @@ class _VectorTrainKernel:
             ovf.pop(i, None)
         data[h_last][i] = store.intern((level, root))
         dc[h_last] = 1
+
+
+class _ConvPlan:
+    """One classification's planned convergecast (built by
+    :meth:`_VectorTrainKernel._conv_outcomes`, applied by
+    :meth:`_VectorTrainKernel._exec_conv`).  ``L`` holds the live
+    rows' batch positions and ``wpos`` each batch row's index into
+    ``L`` if its step writes (-1 otherwise); every other array is over
+    ``L``: ``iL`` (dense rows), ``rootL``, ``cycL``, ``kind``
+    (outcomes), ``out_v`` (own car ids), ``src`` (clamped source
+    pointers), ``ack`` (the pending car is cleared first; None when
+    acks were not evaluated), ``nsrc`` (``src`` after the step, -1
+    where untouched), ``seq_new`` (the next car number), ``stop`` and
+    ``car`` (the child row the scan stopped at and its car id, -1 if
+    none); ``vis_k``/``vis_c`` list every visited scan edge as (live
+    row, child row).  The scan fields are None when no row scanned."""
+
+    __slots__ = ("L", "wpos", "iL", "rootL", "cycL", "kind", "out_v", "src",
+                 "ack", "nsrc", "seq_new", "stop", "car", "vis_k",
+                 "vis_c")

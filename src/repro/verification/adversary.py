@@ -109,12 +109,16 @@ def lie_about_used_piece(network, injector) -> None:
     part, so their members rotate past the lie every cycle; a corrupted
     *top* piece can be dead data when its fragment does not intersect the
     storing part (the parts store whole ancestor chains — see
-    Section 6.3.7), which would be correctly accepted.  Raises
-    ``LookupError`` when the labels store no pieces at all.
+    Section 6.3.7), which would be correctly accepted.  Labels of the
+    O(log² n)-bit scheme (:mod:`repro.baselines.pls_sqlog`) keep every
+    fragment's piece in one table instead; the lie then lands on that
+    table's first piece, which every neighbour compares against.
+    Raises ``LookupError`` when the labels store no pieces at all.
     """
+    from ..baselines.pls_sqlog import REG_ALL_PIECES
     from ..labels import registers as R
 
-    for reg in (R.REG_PIECES_BOT, R.REG_PIECES_TOP):
+    for reg in (R.REG_PIECES_BOT, R.REG_PIECES_TOP, REG_ALL_PIECES):
         for v in network.graph.nodes():
             pieces = network.registers[v].get(reg) or ()
             if pieces:

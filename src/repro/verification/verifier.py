@@ -235,6 +235,33 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
             return
 
 
+def _budget_rows(np, bgts, step_nos):
+    """Per-row budget thresholds ``(na, rr, aa, sv, ok)`` — node
+    alarm, root reset, ask alarm, service — from the gathered ghost
+    budget caches; -1 (and ``ok`` False) where a row's cache is not
+    valid for its step.  Row by row: id-keying Budgets objects would
+    be unsound across gc reuse, and the attribute reads are cheap."""
+    na, rr, aa, sv, ok = [], [], [], [], []
+    for c, sno in zip(bgts, step_nos):
+        if isinstance(c, tuple) and len(c) == 2 and \
+                isinstance(c[1], Budgets) and sno - c[0] < 32:
+            b = c[1]
+            ok.append(True)
+            na.append(b.node_alarm)
+            rr.append(b.root_reset)
+            aa.append(b.ask_alarm)
+            sv.append(b.service)
+        else:
+            ok.append(False)
+            na.append(-1)
+            rr.append(-1)
+            aa.append(-1)
+            sv.append(-1)
+    return (np.array(na, np.int64), np.array(rr, np.int64),
+            np.array(aa, np.int64), np.array(sv, np.int64),
+            np.array(ok, bool))
+
+
 class _VectorSweep:
     """The numpy-tier whole-batch sweep behind
     :func:`fused_verifier_sweep`.
@@ -268,6 +295,14 @@ class _VectorSweep:
     #: it the persistent per-sweep plan amortizes classification over
     #: the whole sweep, so even singleton segments can fuse
     MIN_BATCH = 48
+    #: below this many rows the per-batch tier leaves the trains' child
+    #: traffic to the scalar replay: planning it costs ~0.3 ms of
+    #: small-array numpy calls per train and batch, and saves ~17 us
+    #: per planned row — about a tenth of a batch's rows, so the plan
+    #: pays from a few hundred rows (settled synchronous rounds; the
+    #: conflict-free segments of an async patrol average ~130).  A
+    #: ``vec_min_batch`` override lowers both floors
+    TRAFFIC_MIN = 256
 
     def __init__(self, proto, trains, comparison, ops,
                  raw_steps, cmp_fused, held_fused) -> None:
@@ -288,18 +323,25 @@ class _VectorSweep:
         self.comp_step = cmp_fused
         self.held = held_fused
         self.want = comparison.mode == MODE_WANT
-        # the neighbour-read register set: everything any row's
-        # classification reads from another row (write detection for
-        # the per-sweep plans keys on exactly these columns): epoch,
-        # activation car, broadcast slot and sequence — the only
-        # neighbour-read registers any classification consults (the
-        # convergecast cars/acks are deliberately *not* classified on:
-        # they churn every delivery, and watching them costs more in
-        # invalidation fan-out than the waits they would prove)
+        # the neighbour-read register set of the per-sweep plans'
+        # classifications (write detection keys on exactly these
+        # columns): epoch, activation car, broadcast slot and sequence.
+        # The convergecast's cars, done flags and acks are deliberately
+        # *not* watched: they churn every delivery, and watching them
+        # costs more in invalidation fan-out than the waits they would
+        # prove — so only the per-batch sweep, which classifies and
+        # applies in one go, plans the child traffic that reads them
+        # (``classify``'s ``traffic``, from :attr:`TRAFFIC_MIN` rows)
         self.chk_tr = tuple(
             (t.h_ep, t.h_act, t.h_bbuf, t.h_bseq)
             for t in trains)
         self.chk_want = comparison.h_want if self.want else None
+        # their int64 views, taken once (columns never change length,
+        # and refreshes and restores write them in place)
+        watched = [h for cols in self.chk_tr for h in cols]
+        if self.chk_want is not None:
+            watched.append(self.chk_want)
+        self.views = {h: view64(ops.store.data[h]) for h in watched}
         self.key = None
         self.statics_empty = None
         self.row_of = None
@@ -359,7 +401,8 @@ class _VectorSweep:
         """Vector-sweep the batch; False defers it to the caller's
         scalar loop (numpy disabled, batch too small, or topology not
         yet fully observed).  ``min_batch`` overrides :attr:`MIN_BATCH`
-        (the scheduler's ``vec_min_batch`` knob)."""
+        and :attr:`TRAFFIC_MIN` (the scheduler's ``vec_min_batch``
+        knob)."""
         np = numpy_or_none()
         m = len(ctx_list)
         mb = self.MIN_BATCH if min_batch is None else min_batch
@@ -381,24 +424,9 @@ class _VectorSweep:
         if se > 1:
             snos = np.fromiter(step_nos, np.int64, count=m)
             stat_ok |= (snos % se) != 0
-        # budget thresholds row by row (id-keying Budgets objects would
-        # be unsound across gc reuse; the attribute reads are cheap)
-        na = np.full(m, -1, np.int64)
-        rr = np.full(m, -1, np.int64)
-        aa = np.full(m, -1, np.int64)
-        sv = np.full(m, -1, np.int64)
-        bgok = np.zeros(m, bool)
-        for k in range(m):
-            c = bgts[k]
-            if isinstance(c, tuple) and len(c) == 2 and \
-                    isinstance(c[1], Budgets) and \
-                    step_nos[k] - c[0] < 32:
-                b = c[1]
-                bgok[k] = True
-                na[k] = b.node_alarm
-                rr[k] = b.root_reset
-                aa[k] = b.ask_alarm
-                sv[k] = b.service
+        na, rr, aa, sv, bgok = _budget_rows(np, bgts, step_nos)
+        traffic = m >= (self.TRAFFIC_MIN if min_batch is None
+                        else min_batch)
         if self.want:
             held_ok, ht, hb = self.comp_kern.held(np, ia, row_of)
             holds = (ht, hb)
@@ -410,8 +438,8 @@ class _VectorSweep:
         bc_dones = []
         adopts = []
         for kern, hold in zip(self.train_kerns, holds):
-            triv, bc_done, apply, pend = kern.classify(np, ia, row_of,
-                                                       na, rr, hold)
+            triv, bc_done, apply, pend = kern.classify(
+                np, ia, row_of, na, rr, hold, traffic)
             if held_ok is not None:
                 # an unprovable hold flag poisons the train inputs
                 triv &= held_ok
@@ -553,23 +581,7 @@ class _VectorSweep:
         if se > 1:
             stat_ok |= (snos % se) != 0
         bgts = store.gather_values(list(range(n)), proto.h_bgt)
-        na = np.full(n, -1, np.int64)
-        rr = np.full(n, -1, np.int64)
-        aa = np.full(n, -1, np.int64)
-        sv = np.full(n, -1, np.int64)
-        bgok = np.zeros(n, bool)
-        snos_l = snos.tolist()
-        for k in range(n):
-            c = bgts[k]
-            if isinstance(c, tuple) and len(c) == 2 and \
-                    isinstance(c[1], Budgets) and \
-                    snos_l[k] - c[0] < 32:
-                b = c[1]
-                bgok[k] = True
-                na[k] = b.node_alarm
-                rr[k] = b.root_reset
-                aa[k] = b.ask_alarm
-                sv[k] = b.service
+        na, rr, aa, sv, bgok = _budget_rows(np, bgts, snos.tolist())
         plan = _SweepPlan()
         plan.key = plan_key
         plan.epoch = epoch
@@ -616,8 +628,10 @@ class _VectorSweep:
         bc_dones = []
         adopts = []
         for kern, hold in zip(self.train_kerns, holds):
-            triv, bc_done, apply, pend = kern.classify(np, ia, row_of,
-                                                       na, rr, hold)
+            # only verdicts as durable as the plan's invalidation:
+            # child traffic reads cars and acks that chk_tr ignores
+            triv, bc_done, apply, pend = kern.classify(
+                np, ia, row_of, na, rr, hold, traffic=False)
             if held_ok is not None:
                 triv &= held_ok
             trivs.append(triv)
@@ -776,14 +790,14 @@ class _VectorSweep:
         if pw is not None:
             wmay |= csel & pw[ia]
         w_ia = ia[wmay]
-        data = self.store.data
+        views = self.views
         before = None
         if len(w_ia):
-            before = [[view64(data[h])[w_ia].copy() for h in cols]
+            # fancy indexing copies: the values as they are now
+            before = [[views[h][w_ia] for h in cols]
                       for cols in self.chk_tr]
             if self.chk_want is not None:
-                before.append(
-                    [view64(data[self.chk_want])[w_ia].copy()])
+                before.append([views[self.chk_want][w_ia]])
         # every component's proven-trivial writes for still-covered
         # rows — exactly the legacy sweep's ``apply(triv)``: a row may
         # be residual overall yet have trivial components applied here
@@ -810,10 +824,10 @@ class _VectorSweep:
         from the snapshot (boxed rows count as changed: the sentinel
         hides the side-table entry)."""
         chg = np.zeros(len(w_ia), bool)
-        data = self.store.data
+        views = self.views
         overflow = self.store.overflow
         for h, b in zip(cols, before):
-            chg |= view64(data[h])[w_ia] != b
+            chg |= views[h][w_ia] != b
             ovf = overflow[h]
             if ovf:
                 chg |= np.isin(w_ia, np.fromiter(ovf, np.int64,

@@ -97,6 +97,18 @@ class TestSqLogPls:
         assert res.detected
         assert res.violation is None
 
+    def test_piece_lie_cell_detects(self):
+        """The stored-piece lie lands in the sqlog piece table (it
+        used to find no piece and end the cell with a ScenarioError)
+        and the 1-round check catches it."""
+        from repro.engine import ScenarioSpec, axis, run_scenario
+        res = run_scenario(ScenarioSpec(
+            topology=axis("random", n=16), fault=axis("piece_lie"),
+            schedule=axis("sync"), protocol=axis("sqlog"), seed=3))
+        assert res.status == "ok"
+        assert res.detected
+        assert res.violation is None
+
     def test_memory_is_log_squared_shape(self):
         """The sqlog scheme's memory grows faster than the train scheme's."""
         from repro.verification import make_network

@@ -16,6 +16,7 @@ import types
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graphs.generators import random_connected_graph
 from repro.labels.registers import (REG_BOT_ROOT, REG_PARENT_ID,
@@ -32,7 +33,7 @@ from repro.verification.verifier import MstVerifierProtocol
 
 #: fused share of rows on the honest n=500 patrol of
 #: ``test_sync_tier_mix_floor`` (measured, less a margin)
-FUSED_FLOOR = 0.36
+FUSED_FLOOR = 0.58
 
 
 def _snapshot(net, sched):
@@ -184,6 +185,180 @@ def _plant_root_junk(net):
                     break
 
 
+class _AnyEq:
+    """A hashable value equal to everything (custom ``==``): a node id
+    or sequence number the vector kernels cannot compare (``IDX_ODD``,
+    ``KEY_ODD``), so every row that compares one must replay."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    def __hash__(self):
+        return 1 << 40
+
+    def __repr__(self):
+        return "_AnyEq()"
+
+
+class _AnyEqList(list):
+    """An unhashable (boxed) value equal to everything."""
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+    def __repr__(self):
+        return "_AnyEqList()"
+
+
+def _turn(v, par, r):
+    """It is ``v``'s turn: the parent's activation car names it for
+    its own cycle, and its subtree is unfinished."""
+    if par is None:
+        return []
+    return [(par, "act", (v, r[v]["cyc"])), (v, "done", None)]
+
+
+def _scan(v, par, kids, r, writes):
+    """``writes`` plus ``v``'s turn, with ``v`` about to scan its
+    children (own pieces skipped, no car pending)."""
+    return _turn(v, par, r) + [(v, "src", r[v]["n_own"]),
+                               (v, "out", None)] + writes
+
+
+def _finished(v, par, kids, r):
+    """Every child finished for ``v``'s cycle: the next scan advances
+    past all of them."""
+    return _scan(v, par, kids, r, [(c, "done", r[v]["cyc"]) for c in kids]
+                 + [(c, "out", None) for c in kids])
+
+
+def _pending(v, par, seq, tak, r):
+    """``v`` holds a car numbered ``seq`` on its turn; its parent's ack
+    is ``tak``."""
+    if par is None:
+        return []
+    return _turn(v, par, r) + [(v, "out", (seq, (v, 0, 3))),
+                               (par, "tak", tak)]
+
+
+#: plantings around one inner part-tree node ``v`` (parent ``par`` or
+#: None, children ``kids``, ``r[v]`` its cycle and own-piece count):
+#: each returns ``(node, suffix, value)`` writes into the
+#: children's cars and ``done`` flags, ``v``'s own and its parent's
+#: ``tak``, and the activation cars — bool and float twins,
+#: non-integral, string and custom-``==`` sequence numbers and node
+#: ids, boxed (unhashable or non-nat) values, and honest-looking states
+#: that force advances, takes and acks
+TRAFFIC_JUNK = (
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (True, (v, 0, 3)))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (1.0, (v, 0, 3))), (v, "tak", (kids[0], 1))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (2.5, (v, 0, 3))), (v, "tak", (kids[0], 2.5))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (2.5, (v, 0, 3))), (v, "tak", (kids[0], 2))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (4, (v, 0, 3))),
+        (v, "tak", (kids[0], _AnyEqList()))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[-1], "out", (_AnyEq(), (v, 1, 4)))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (_AnyEq(), (v, 1, 4))), (v, "tak", (kids[0], 3))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", ("a", (v, 1, 4))), (v, "tak", (kids[0], "b"))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", [1, 2])]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (kids[0], "out", (3, (v, 0, [1])))]),
+    lambda v, par, kids, r: _finished(v, par, kids, r) + [
+        (kids[-1], "done", float(r[v]["cyc"] or 0))],
+    lambda v, par, kids, r: _finished(v, par, kids, r) + [
+        (kids[0], "done", True)],
+    lambda v, par, kids, r: _finished(v, par, kids, r),
+    lambda v, par, kids, r: _finished(v, par, kids, r) + [
+        (kids[-1], "out", (9, (v, 0, 3)))],
+    lambda v, par, kids, r: _finished(v, par, kids, r) + [
+        (kids[-1], "out", (9, (v, 0, 3))), (v, "tak", (kids[-1], 9))],
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (v, "tak", (kids[0], True))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (v, "tak", (float(kids[0]), 1))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (v, "tak", (_AnyEq(), 1))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (v, "tak", ([1], 2))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [(v, "tak", "tak")]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [(v, "tak", _AnyEq())]),
+    lambda v, par, kids, r: _pending(v, par, 5, (float(v), 5.0), r),
+    lambda v, par, kids, r: _pending(v, par, 5, (v, True), r),
+    lambda v, par, kids, r: _pending(v, par, 1, (v, True), r),
+    lambda v, par, kids, r: _pending(v, par, 5, (_AnyEq(), 5), r),
+    lambda v, par, kids, r: _pending(v, par, 5, [v, 5], r),
+    lambda v, par, kids, r: _pending(v, par, 5, (v, _AnyEqList()), r),
+    lambda v, par, kids, r: [] if par is None else [
+        (par, "act", (float(v), r[v]["cyc"])), (v, "done", None)],
+    lambda v, par, kids, r: [] if par is None else [
+        (par, "act", (_AnyEq(), r[v]["cyc"])), (v, "done", None)],
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (v, "act", (_AnyEq(), 0))]),
+    lambda v, par, kids, r: _scan(v, par, kids, r, [
+        (v, "act", (float(kids[0]), r[v]["cyc"]))]),
+)
+
+_TRAINS = (("bt_", REG_BOT_ROOT, REG_PIECES_BOT),
+           ("tt_", REG_TOP_ROOT, REG_PIECES_TOP))
+
+#: the deterministic plantings: every recipe, cycling over the inner
+#: nodes of both part forests
+TRAFFIC_PLANTS = [(pick, t, (pick + 7 * t) % len(TRAFFIC_JUNK))
+                  for t in range(2) for pick in range(40)]
+
+
+def _part_tree(net, reg_root):
+    """(part parent, part children) per node, as the train reads them."""
+    graph, regs = net.graph, net.registers
+    parent = {}
+    for v in graph.nodes():
+        pid = regs[v][REG_PARENT_ID]
+        if pid in graph.neighbors(v) and \
+                regs[pid][reg_root] == regs[v][reg_root]:
+            parent[v] = pid
+    kids = {v: [c for c in graph.neighbors(v) if parent.get(c) == v]
+            for v in graph.nodes()}
+    return parent, kids
+
+
+def _plant_traffic_junk(net, plants):
+    """Apply ``(pick, train, recipe)`` plantings: ``pick`` selects an
+    inner node (one with part children) of that train's part forest."""
+    regs = net.registers
+    for pick, t, recipe in plants:
+        prefix, reg_root, pieces = _TRAINS[t]
+        parent, kids = _part_tree(net, reg_root)
+        inner = [v for v in net.graph.nodes() if kids[v]]
+        v = inner[pick % len(inner)]
+        own = regs[v][pieces]
+        read = {v: {"cyc": regs[v][prefix + "cyc"],
+                    "n_own": len(own) if isinstance(own, tuple) else 0}}
+        for node, suffix, val in TRAFFIC_JUNK[recipe](
+                v, parent.get(v), kids[v], read):
+            regs[node][prefix + suffix] = val
+
+
+def _plant_junk(net, junk):
+    if junk == "traffic":
+        _plant_traffic_junk(net, TRAFFIC_PLANTS)
+    else:
+        _plant_root_junk(net)
+
+
 def _lockstep(pair, rounds, label):
     for r in range(rounds):
         states = []
@@ -193,38 +368,50 @@ def _lockstep(pair, rounds, label):
         assert states[0] == states[1], (label, r)
 
 
-@pytest.mark.parametrize("junk", [False, True])
-@pytest.mark.parametrize("mode", ["sync-window", "want"])
-def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
-    """After every synchronous round the vector sweep leaves the store
-    exactly as the scalar fused sweep (``vec_min_batch`` above n) does:
-    every column, the pool's contents, the overflow and the dirty
-    flags — from a cold start through the settled patrol, and around
-    junk planted into part-root rows (the root plan's inputs)."""
-    if numpy_or_none() is None:
-        pytest.skip("numpy unavailable")
-    g = random_connected_graph(96, 170, seed=campaign_seed % 911 + 3)
+def _sync_pair(g, mode, vec_min=2):
+    """(vector sweep, scalar fused sweep) synchronous pair on numpy
+    storage: ``vec_min_batch`` above n keeps the second scalar, and a
+    floor of 2 lets the first plan child traffic at test sizes (the
+    default floor is ``_VectorSweep.TRAFFIC_MIN`` rows)."""
     pair = []
-    for vmb in (None, len(g.nodes()) + 1):
+    for vmb in (vec_min, len(g.nodes()) + 1):
         net = make_network(g)
         proto = MstVerifierProtocol(synchronous=True, comparison_mode=mode)
         pair.append((net, SynchronousScheduler(
             net, proto, storage="numpy", bulk=True, vec_min_batch=vmb)))
+    return pair
+
+
+@pytest.mark.parametrize("junk", [False, True, "traffic"])
+@pytest.mark.parametrize("mode", ["sync-window", "want"])
+def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
+    """After every synchronous round the vector sweep (child traffic
+    planned) leaves the store exactly as the scalar fused sweep
+    (``vec_min_batch`` above n) does:
+    every column, the pool's contents, the overflow and the dirty
+    flags — from a cold start through the settled patrol, and around
+    junk planted into part-root rows (the root plan's inputs) or into
+    the registers the child-traffic plans read (``TRAFFIC_JUNK``)."""
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = random_connected_graph(96, 170, seed=campaign_seed % 911 + 3)
+    pair = _sync_pair(g, mode)
     _lockstep(pair, 45, (mode, "honest"))
     if junk:
         for net, _ in pair:
-            _plant_root_junk(net)
-        _lockstep(pair, 30, (mode, "junk"))
+            _plant_junk(net, junk)
+        _lockstep(pair, 30, (mode, junk))
     assert pair[0][1].protocol.bulk_stats["rows_fused"] > 0
 
 
-@pytest.mark.parametrize("junk", [False, True])
+@pytest.mark.parametrize("junk", [False, True, "traffic"])
 @pytest.mark.parametrize("vmb", [None, 2])
 def test_async_vector_sweep_store_equals_scalar_fused(vmb, junk,
                                                       campaign_seed):
     """The conflict-free asynchronous license, through the per-sweep
-    plan (default threshold) and the per-batch tier (``vec_min_batch``
-    2), against the scalar fused sweep of plain columnar storage."""
+    plan (default threshold) and the per-batch tier with child traffic
+    planned (``vec_min_batch`` 2), against the scalar fused sweep of
+    plain columnar storage."""
     if numpy_or_none() is None:
         pytest.skip("numpy unavailable")
     g = random_connected_graph(80, 140, seed=campaign_seed % 907 + 5)
@@ -238,8 +425,32 @@ def test_async_vector_sweep_store_equals_scalar_fused(vmb, junk,
     _lockstep(pair, 30, "honest")
     if junk:
         for net, _ in pair:
-            _plant_root_junk(net)
-        _lockstep(pair, 25, "junk")
+            _plant_junk(net, junk)
+        _lockstep(pair, 25, junk)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plants=st.lists(st.tuples(st.integers(0, 1 << 16),
+                                 st.integers(0, 1),
+                                 st.integers(0, len(TRAFFIC_JUNK) - 1)),
+                       min_size=1, max_size=8),
+       warm=st.integers(3, 24),
+       want=st.booleans())
+def test_traffic_junk_property(plants, warm, want):
+    """Generated plantings on a small instance: hypothesis draws the
+    rows, the trains, the junk recipes, when they land, and the
+    comparison mode; the vector sweep (batch floor 1) must leave the
+    store exactly as the scalar fused sweep after every round."""
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = random_connected_graph(36, 64, seed=13)
+    pair = _sync_pair(g, "want" if want else "sync-window", vec_min=1)
+    for _net, sched in pair:
+        sched.run(warm)
+    for net, _ in pair:
+        _plant_traffic_junk(net, plants)
+    _lockstep(pair, 12, plants)
 
 
 def test_sync_tier_mix_floor():
