@@ -62,9 +62,9 @@ Dimensions on verifier workloads:
 * **async fusion gap** (PR 9) — conflict-free batch coalescing glues
   consecutive non-conflicting daemon batches into super-batches large
   enough to amortise the per-batch ndarray setup (gate/after/stop
-  semantics replayed bit-for-bit at the original batch boundaries),
-  and the per-sweep vector plan covers the small-segment regime the
-  coalescer cannot reach.  Three async rows: the vector tier vs the
+  semantics replayed bit-for-bit at the original batch boundaries);
+  segments below the vector floor run the scalar fused bodies.  Three
+  async rows: the vector tier vs the
   *scalar* async columnar loop at n=2000 (asserted floor 1.2x, 1.3x
   target, 1.38x measured best-of-6) and at n=8000 (1.61x measured —
   super-batches grow with n), plus the vector tier vs the fused
@@ -499,9 +499,8 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
             " rows close the fusion gap this file used to document as"
             " an honest shortfall: batch coalescing glues the daemon's"
             " conflict-free batches into super-batches large enough to"
-            " amortise the per-batch ndarray setup, and the per-sweep"
-            " plan picks up the small-segment regime the coalescer"
-            " cannot reach, so the vector tier now beats the *scalar*"
+            " amortise the per-batch ndarray setup, so the vector tier"
+            " now beats the *scalar*"
             f" async columnar loop {a2_big:.2f}x per step at"
             f" n = {big_n} (1.3x target"
             f" {'met' if a2_big >= 1.3 else 'missed'} on this run;"

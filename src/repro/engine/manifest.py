@@ -250,8 +250,6 @@ def result_from_record(spec: ScenarioSpec,
         rows_fused=rec.get("rows_fused"),
         rows_residual=rec.get("rows_residual"),
         rows_scalar=rec.get("rows_scalar"),
-        plan_rebuilds=rec.get("plan_rebuilds"),
-        plan_refreshes=rec.get("plan_refreshes"),
         churn_events=rec.get("churn_events"),
         rounds_to_redetect=tuple(rec.get("rounds_to_redetect") or ()),
         rounds_to_quiesce=tuple(rec.get("rounds_to_quiesce") or ()),

@@ -93,8 +93,6 @@ def scenario_record(result: ScenarioResult) -> Dict[str, Any]:
         "rows_fused": result.rows_fused,
         "rows_residual": result.rows_residual,
         "rows_scalar": result.rows_scalar,
-        "plan_rebuilds": result.plan_rebuilds,
-        "plan_refreshes": result.plan_refreshes,
         "churn_events": result.churn_events,
         "rounds_to_redetect": list(result.rounds_to_redetect) or None,
         "rounds_to_quiesce": list(result.rounds_to_quiesce) or None,

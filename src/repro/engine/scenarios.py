@@ -19,9 +19,9 @@ a registry in this module:
   every schedule accepts the implementation parameter
   ``storage="schema"|"dict"|"columnar"|"numpy"`` selecting the
   register backend; asynchronous schedules additionally accept
-  ``coalesce`` and ``vec_min_batch`` (conflict-free super-batch
-  coalescing and the vector tier's batch-size gate — implementation
-  parameters, excluded from seed derivation like ``storage``);
+  ``coalesce`` (conflict-free super-batch coalescing — an
+  implementation parameter, excluded from seed derivation like
+  ``storage``);
 * :data:`PROTOCOLS` — the verifier under test (``verifier``, ``hybrid``,
   ``sqlog``).
 
@@ -251,8 +251,7 @@ def _async_flags(kind: str, params: dict) -> dict:
     flags = {"storage": _storage_flag(kind, params),
              "dirty_aware": params.pop("dirty_aware", True),
              "bulk": params.pop("bulk", True),
-             "coalesce": params.pop("coalesce", True),
-             "vec_min_batch": params.pop("vec_min_batch", None)}
+             "coalesce": params.pop("coalesce", True)}
     return flags
 
 
@@ -530,8 +529,7 @@ FAILURE_STATUSES = frozenset(TERMINAL_STATUSES) - {STATUS_OK}
 #: the protocol ``bulk_stats`` keys mirrored onto :class:`ScenarioResult`
 #: (an unknown future key is simply not surfaced rather than crashing
 #: result assembly)
-_BULK_STAT_FIELDS = ("rows_fused", "rows_residual", "rows_scalar",
-                     "plan_rebuilds", "plan_refreshes")
+_BULK_STAT_FIELDS = ("rows_fused", "rows_residual", "rows_scalar")
 
 
 @dataclass(frozen=True)
@@ -558,15 +556,13 @@ class ScenarioResult:
     #: asynchronous bulk-plane accounting (``None`` outside the fused
     #: async path): conflict-free super-batches issued, original daemon
     #: batches coalesced into them, rows fused through the vector tier,
-    #: rows replayed with partial verdicts (residual), rows replayed
-    #: fully scalar, and persistent per-sweep plan rebuilds/refreshes.
+    #: rows replayed with partial verdicts (residual), and rows
+    #: replayed fully scalar.
     super_batches: Optional[int] = None
     batches_coalesced: Optional[int] = None
     rows_fused: Optional[int] = None
     rows_residual: Optional[int] = None
     rows_scalar: Optional[int] = None
-    plan_rebuilds: Optional[int] = None
-    plan_refreshes: Optional[int] = None
     #: churn cells (``fault.kind == "churn"``) only — per-event
     #: re-stabilization metrics from :func:`repro.sim.churn.
     #: run_with_churn`: executed event count, rounds until the first

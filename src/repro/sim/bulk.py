@@ -22,13 +22,10 @@ The plane has three layers:
 * **Schedulers** route their activation batches through ``bulk_step``
   when the protocol declares it (``bulk=False`` keeps the scalar loops):
   the synchronous schedulers hand over one whole round of active nodes;
-  the asynchronous scheduler hands over multi-node daemon batches — the
-  locality daemon's closed neighbourhoods are the natural unit — for
-  protocols that additionally declare ``bulk_live`` (live batches never
-  fuse, so routing them is worthwhile only for a protocol with a
-  genuinely batched live path).  Skip logic, activation accounting, and
-  stop conditions stay in the scheduler, threaded through the
-  callbacks.
+  the asynchronous scheduler hands over conflict-free daemon batches
+  (see the licenses below) to protocols that declare
+  ``bulk_conflict_free``.  Skip logic, activation accounting, and stop
+  conditions stay in the scheduler, threaded through the callbacks.
 * **Storage backends** supply the fused primitives.  On columnar
   storage (:class:`ColumnarBulkOps`) a fused read-modify-write is a
   single sweep over an ``array('q')`` column with one dirty mark per
@@ -71,8 +68,8 @@ one column sweep for the whole batch.  Two schedules grant it:
 
 Other asynchronous batches (the locality daemon's overlapping closed
 neighbourhoods) run live with activation-granular stop conditions, so
-they never license fusion — they still benefit from the plane's
-per-batch caches and from the locality daemon's amortized skip.
+they never license fusion; the asynchronous scheduler runs them
+through its scalar loop.
 """
 
 from __future__ import annotations
@@ -145,22 +142,10 @@ class BulkBatch:
     i-1's writes), with ``boundary(i-1)`` in between; ``boundary``
     returning True aborts the remaining segments.  ``segments is
     None`` (the default) is the ordinary single-batch case.
-
-    ``plan_key`` identifies the daemon sweep this batch belongs to
-    (None: no sweep identity).  Batches carrying equal consecutive
-    keys let a fused implementation reuse a sweep-lifetime vector plan
-    (classification state) across them; the key changes whenever
-    registers may have been written outside the batch stream (a new
-    ``run()`` call, a new sweep, a protocol round-end hook).
-
-    ``vec_min_batch`` threads the scheduler's configured minimum
-    vector-tier batch size to the fused kernels (None: kernel
-    default) — an implementation-only knob, never semantics.
     """
 
     __slots__ = ("contexts", "indices", "ops", "gate", "after",
-                 "wrote_all", "conflict_free", "segments", "boundary",
-                 "plan_key", "vec_min_batch")
+                 "wrote_all", "conflict_free", "segments", "boundary")
 
     def __init__(self, contexts: List[Any],
                  indices: Optional[List[int]] = None,
@@ -169,9 +154,7 @@ class BulkBatch:
                  after: Optional[AfterFn] = None,
                  conflict_free: bool = False,
                  segments: Optional[List[int]] = None,
-                 boundary: Optional[BoundaryFn] = None,
-                 plan_key: Optional[Any] = None,
-                 vec_min_batch: Optional[int] = None) -> None:
+                 boundary: Optional[BoundaryFn] = None) -> None:
         self.contexts = contexts
         self.indices = indices
         self.ops = ops
@@ -181,8 +164,6 @@ class BulkBatch:
         self.conflict_free = conflict_free
         self.segments = segments
         self.boundary = boundary
-        self.plan_key = plan_key
-        self.vec_min_batch = vec_min_batch
 
 
 def drive_batch(step: Callable[[Any], None], batch: BulkBatch) -> None:

@@ -605,15 +605,6 @@ class Protocol:
     #: protocols that can run whole batches override this with a method.
     bulk_step = None
 
-    #: whether ``bulk_step`` is worth calling on *live* multi-node
-    #: batches (asynchronous daemons).  Unlicensed live batches never
-    #: fuse — activation-granular stops and live neighbour reads
-    #: forbid write hoisting — so routing them through the per-node
-    #: fallback driver is pure callback overhead unless the protocol
-    #: has a genuinely batched live path; the asynchronous scheduler
-    #: only routes such batches when this is True.
-    bulk_live = False
-
     #: whether ``bulk_step`` can fuse batches carrying the
     #: ``conflict_free`` license (:class:`~repro.sim.schedulers.
     #: ConflictFreeDaemon` batches: pairwise disjoint closed

@@ -170,15 +170,11 @@ class SynchronousScheduler:
     def __init__(self, network: Network, protocol: Protocol,
                  fast_path: bool = True, use_schema: bool = True,
                  storage: Optional[str] = None,
-                 bulk: bool = True,
-                 vec_min_batch: Optional[int] = None) -> None:
+                 bulk: bool = True) -> None:
         self.network = network
         self.protocol = protocol
         self.rounds = 0
         self._initialized = False
-        #: minimum batch size for the numpy vector tier (None: kernel
-        #: default) — implementation-only, threaded through BulkBatch
-        self.vec_min_batch = vec_min_batch
         self.fast_path = bool(fast_path) and (
             type(protocol).on_round_end is Protocol.on_round_end)
         #: bulk-activation plane: hand whole rounds to the protocol's
@@ -481,8 +477,7 @@ class SynchronousScheduler:
             snap.refresh_from(store, full=True)
             store.clear_dirty()
             if bulk_step is not None:
-                bulk_step(BulkBatch(ctx_list, idx_list, ops,
-                                    vec_min_batch=self.vec_min_batch))
+                bulk_step(BulkBatch(ctx_list, idx_list, ops))
             else:
                 for v in nodes:
                     protocol.step(contexts[v])
@@ -552,8 +547,7 @@ class SynchronousScheduler:
                     ctx.wrote = False
                     capp(ctx)
                     iapp(ctx._i)
-                batch = BulkBatch(batch_ctxs, batch_idx, ops,
-                                  vec_min_batch=self.vec_min_batch)
+                batch = BulkBatch(batch_ctxs, batch_idx, ops)
                 bulk_step(batch)
                 if batch.wrote_all:
                     # the protocol's fused sweep wrote every node of the
@@ -1022,8 +1016,7 @@ class AsynchronousScheduler:
                  dirty_aware: bool = True,
                  storage: Optional[str] = None,
                  bulk: bool = True,
-                 coalesce: bool = True,
-                 vec_min_batch: Optional[int] = None) -> None:
+                 coalesce: bool = True) -> None:
         self.network = network
         self.protocol = protocol
         self.daemon = daemon if daemon is not None else PermutationDaemon()
@@ -1042,32 +1035,19 @@ class AsynchronousScheduler:
         #: both the daemon (``take_pending``/``requeue``) and the
         #: protocol (``bulk_segments``) support it.
         self.coalesce = bool(coalesce)
-        #: minimum batch size for the numpy vector tier (None: kernel
-        #: default) — implementation-only, threaded through BulkBatch
-        self.vec_min_batch = vec_min_batch
-        #: run() serial number: part of the sweep identity stamped on
-        #: conflict-free batches (``plan_key``), so registers written
-        #: between runs (fault injection) can never alias a reused plan
-        self._run_serial = 0
         self._covered: Set[NodeId] = set()
         self._initialized = False
         self.dirty_aware = bool(dirty_aware) and (
             type(protocol).on_round_end is Protocol.on_round_end)
-        #: bulk-activation plane: multi-node daemon batches go to the
-        #: protocol's declared ``bulk_step``; skip logic and accounting
-        #: stay here, threaded through the batch callbacks.  Unlicensed
-        #: live batches carry no fused ops — activation-granular stop
-        #: conditions forbid cross-node write hoisting — so that route
-        #: engages only for protocols that declare ``bulk_live``
-        #: (otherwise it would be pure per-activation callback overhead
-        #: on the skip-heavy hot path).  A *conflict-free* daemon
-        #: (:class:`ConflictFreeDaemon`) changes the license: its
-        #: batches have pairwise disjoint closed neighbourhoods and
-        #: batch-granular stops, so on columnar storage they are routed
-        #: with live fused column ops and the ``conflict_free`` stamp
-        #: to protocols declaring ``bulk_conflict_free``.
-        self._bulk_step = protocol.bulk_step \
-            if bulk and getattr(protocol, "bulk_live", False) else None
+        #: bulk-activation plane: a *conflict-free* daemon
+        #: (:class:`ConflictFreeDaemon`) issues batches with pairwise
+        #: disjoint closed neighbourhoods and batch-granular stops, so
+        #: on columnar storage they are routed with live fused column
+        #: ops and the ``conflict_free`` stamp to protocols declaring
+        #: ``bulk_conflict_free``; skip logic and accounting stay here,
+        #: threaded through the batch callbacks.  Every other batch
+        #: runs the scalar loop: unlicensed live batches cannot fuse
+        #: (activation-granular stops forbid cross-node write hoisting).
         self._bulk_cf = protocol.bulk_step \
             if bulk and getattr(protocol, "bulk_conflict_free", False) \
             else None
@@ -1078,15 +1058,15 @@ class AsynchronousScheduler:
     def topology_changed(self) -> None:
         """Invalidate topology-derived state after a churn event
         (:mod:`repro.sim.churn`).  Per-run state (contexts, neighbour
-        maps, skip tracking, coalescing queues, vector plan keys) is
-        already rebuilt every ``run()`` — churn events apply *between*
-        runs, so run boundaries fence super-batch coalescing and retire
-        per-sweep vector plans by construction.  What persists across
-        runs is handled here: the round-coverage set drops removed
-        nodes (a crashed node can never complete a round), the live
-        fused ops are rebuilt, the daemon drops its memoized balls and
-        in-flight sweeps, and the protocol is re-bound (clearing its
-        label-derived verdict caches)."""
+        maps, skip tracking, coalescing queues) is already rebuilt every
+        ``run()`` — churn events apply *between* runs, so run
+        boundaries fence super-batch coalescing by construction.  What
+        persists across runs is handled here: the round-coverage set
+        drops removed nodes (a crashed node can never complete a
+        round), the live fused ops are rebuilt, the daemon drops its
+        memoized balls and in-flight sweeps, and the protocol is
+        re-bound (clearing its label-derived verdict caches and its
+        vector sweep)."""
         self._covered.intersection_update(self.network.graph.nodes())
         self._live_ops = None
         self.daemon.topology_changed()
@@ -1144,7 +1124,6 @@ class AsynchronousScheduler:
         self._compiled = _ensure_storage(self.network, self.protocol,
                                          self._storage, self._compiled)
         self.initialize()
-        self._run_serial += 1
         network = self.network
         protocol = self.protocol
         nodes = network.graph.nodes()
@@ -1163,7 +1142,6 @@ class AsynchronousScheduler:
         start_rounds = self.rounds
         budget = max_activations if max_activations is not None else (
             max_rounds * len(nodes) * 4 + 64)
-        bulk_step = self._bulk_step
         stopped = False
         # conflict-free daemons: batches are simultaneous activations,
         # so stop conditions resolve at batch boundaries (for every
@@ -1187,11 +1165,6 @@ class AsynchronousScheduler:
         coalesce = (cf_step is not None and self.coalesce and
                     getattr(protocol, "bulk_segments", False) and
                     hasattr(daemon, "take_pending"))
-        # a sweep-lifetime vector plan is sound only while nothing
-        # outside the batch stream writes registers mid-sweep: a
-        # protocol round-end hook may, so it disables the key.
-        plan_ok = cf_step is not None and \
-            type(protocol).on_round_end is Protocol.on_round_end
         seg_done = [0]
 
         def boundary(i):
@@ -1208,8 +1181,10 @@ class AsynchronousScheduler:
 
         # bulk-plane callbacks: the exact per-activation semantics of the
         # scalar loop below (skip check + write-tracker setup in ``gate``,
-        # tracking/accounting/stop in ``after``), threaded through
-        # Protocol.bulk_step for multi-node daemon batches.
+        # tracking/accounting in ``after``), threaded through
+        # Protocol.bulk_step for conflict-free daemon batches — columnar
+        # storage only, and their stops resolve at batch boundaries, so
+        # ``after`` never aborts.
         def gate(k, ctx):
             nonlocal tick
             tick += 1
@@ -1225,28 +1200,17 @@ class AsynchronousScheduler:
                         break
                 if skip:
                     return False
-            if columnar:
-                ctx.wrote = False
-            else:
-                ctx._dirty = {} if slot_mode else set()
-                if slot_mode:
-                    ctx._marks = None
+            ctx.wrote = False
             return True
 
         def after(k, ctx, stepped):
-            nonlocal budget, stopped
+            nonlocal budget
             v = ctx.node
             if not stepped:
                 self.steps_skipped += 1
             elif dirty_aware:
-                if columnar:
-                    if ctx.wrote:
-                        changed_at[v] = tick
-                else:
-                    tracker = ctx._dirty
-                    ctx._dirty = None
-                    if tracker:
-                        changed_at[v] = tick
+                if ctx.wrote:
+                    changed_at[v] = tick
                 stepped_at[v] = tick
             self.activations += 1
             budget -= 1
@@ -1255,23 +1219,14 @@ class AsynchronousScheduler:
                 self.rounds += 1
                 self._covered = set()
                 self.protocol.on_round_end(self.network, self.rounds)
-            if not batch_stop and stop_when is not None and \
-                    stop_when(self.network):
-                stopped = True
-                return True
             return False
 
         while self.rounds - start_rounds < max_rounds and budget > 0:
             batch_nodes = self.daemon.next_batch(nodes)
             multi = len(batch_nodes) > 1
-            if cf_step is not None and (multi or coalesce or plan_ok):
+            if cf_step is not None and (multi or coalesce):
                 # the conflict-free license: live fused column ops,
-                # commuting gate/after, stop at the batch boundary.
-                # Singletons route here too whenever a sweep plan may
-                # be live — a scalar-loop activation would bypass the
-                # plan's write tracking and stale it.
-                plan_key = (self._run_serial, getattr(daemon, "sweeps", 0)) \
-                    if plan_ok else None
+                # commuting gate/after, stop at the batch boundary
                 segs = ([batch_nodes] + daemon.take_pending()) \
                     if coalesce else None
                 if segs is not None and len(segs) > 1:
@@ -1283,8 +1238,7 @@ class AsynchronousScheduler:
                         None, cf_ops, gate=gate, after=after,
                         conflict_free=True,
                         segments=[len(seg) for seg in segs],
-                        boundary=boundary, plan_key=plan_key,
-                        vec_min_batch=self.vec_min_batch))
+                        boundary=boundary))
                     if seg_done[0] < len(segs):
                         # boundary aborted (or the protocol stopped
                         # early): hand the un-executed tail back so the
@@ -1296,18 +1250,8 @@ class AsynchronousScheduler:
                     continue
                 cf_step(BulkBatch([contexts[v] for v in batch_nodes],
                                   None, cf_ops, gate=gate, after=after,
-                                  conflict_free=True, plan_key=plan_key,
-                                  vec_min_batch=self.vec_min_batch))
+                                  conflict_free=True))
                 if stop_when is not None and stop_when(network):
-                    return self.rounds - start_rounds
-                continue
-            if bulk_step is not None and multi:
-                bulk_step(BulkBatch([contexts[v] for v in batch_nodes],
-                                    gate=gate, after=after))
-                if stopped:
-                    return self.rounds - start_rounds
-                if batch_stop and stop_when is not None and \
-                        stop_when(network):
                     return self.rounds - start_rounds
                 continue
             for v in batch_nodes:

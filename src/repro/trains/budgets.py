@@ -28,6 +28,11 @@ from dataclasses import dataclass
 
 from ..labels.wellforming import log_threshold
 
+#: validity horizon of a node's budget ghost cache ``(step_no,
+#: Budgets)``: the cached budgets serve a step whose counter is fewer
+#: than this many steps past the one that stored them
+BUDGET_CACHE_STEPS = 32
+
 
 @dataclass(frozen=True)
 class Budgets:

@@ -1161,15 +1161,10 @@ class _VectorCmpKernel:
 
     # -- classifiers -------------------------------------------------------
     def classify(self, np, ia, row_of, aa, sv):
-        """``(trivial-mask, apply, publish)`` for the batch rows ``ia``.
+        """``(trivial-mask, apply)`` for the batch rows ``ia``.
 
         ``apply(rows)`` performs the trivial writes for the row
-        *positions* kept (an int64 index array into ``ia``, O(|rows|)).
-        ``publish`` is None when no trivial write is ever visible to a
-        neighbour's classification, else a full-width mask of the rows
-        whose trivial step writes a register neighbours read (the Want
-        filings) — the persistent sweep plans invalidate around those
-        rows."""
+        *positions* kept (an int64 index array into ``ia``, O(|rows|))."""
         if self.comp.mode == MODE_SYNC_WINDOW:
             return self._classify_sync(np, ia, row_of, aa)
         return self._classify_want(np, ia, row_of, aa, sv)
@@ -1252,8 +1247,7 @@ class _VectorCmpKernel:
                 view64(data[h_wait])[ri] = wait[sel] - 1
                 dc[h_wait] = 1
 
-        # wd/wait are own-only registers no neighbour classifies on
-        return triv, apply, None
+        return triv, apply
 
     def _classify_want(self, np, ia, row_of, aa, sv):
         comp, store, snap = self.comp, self.store, self.snap
@@ -1264,7 +1258,7 @@ class _VectorCmpKernel:
             self._prologue(np, ia)
         if int(topo.off[-1]) == 0:
             # no edges anywhere: every non-empty row advances (scalar)
-            return empty.copy(), (lambda rows: None), None
+            return empty.copy(), (lambda rows: None)
         nr = view64(data[comp.h_nbr])[ia]
         idx = np.where((nr > 0) & (nr <= _NAT_CAP), nr, 0)
         in_rng = idx < topo.degs[ia]
@@ -1304,16 +1298,14 @@ class _VectorCmpKernel:
         w_wd = store.make_nat_writer(h_wd)
         w_svc = store.make_nat_writer(h_svc)
 
-        # resolve the filings' pool ids up front: publication is a
-        # *change*, and most filings re-assert the want the row already
-        # holds while it waits for service — an unchanged register
-        # cannot stale any neighbour's hold verdict.  A value not yet
-        # pooled is a change by definition and interns only when its
-        # filing is applied (a classified row may never be), so the
-        # pool holds exactly what the scalar sweep would intern.
+        # resolve the filings' pool ids up front (most filings re-assert
+        # the want the row already holds while it waits for service, so
+        # a per-row memo of the last id skips the pool lookup).  A value
+        # not yet pooled interns only when its filing is applied (a
+        # classified row may never be), so the pool holds exactly what
+        # the scalar sweep would intern.
         f_rows = np.flatnonzero(triv_f)
         want_ids = None
-        cpub = np.zeros(m, bool)
         if len(f_rows):
             wc = self._want_ids
             if wc is None or len(wc[0]) != topo.n:
@@ -1338,8 +1330,6 @@ class _VectorCmpKernel:
             wcv[ri[known]] = ids[known]
             want_ids = np.zeros(m, np.int64)
             want_ids[f_rows] = ids
-            cpub[f_rows] = ~known \
-                | (ids != view64(want_col)[ia[f_rows]])
 
         def apply(rows):
             b = rows[triv_b[rows]]
@@ -1369,8 +1359,7 @@ class _VectorCmpKernel:
                     w_svc(i, int(svc_new[r]))
                 dc[h_want] = 1
 
-        # branch F writes ``want``, which neighbours' held() reads
-        return triv, apply, cpub
+        return triv, apply
 
     # -- Want-mode hold flags ---------------------------------------------
     def held(self, np, ia, row_of):

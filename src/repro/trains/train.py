@@ -974,7 +974,7 @@ class _VectorTrainKernel:
                  "pidx", "idle", "bad", "coff", "cflat", "nch", "n_own",
                  "ooff", "oflat", "ohash", "ctxs", "ccs", "needs",
                  "w_bseq", "w_seen", "w_cnt",
-                 "w_wd", "_adopt_memo", "_root_memo", "pub_extra")
+                 "w_wd", "_adopt_memo", "_root_memo")
 
     def __init__(self, comp, ops, topo):
         self.comp = comp
@@ -1044,7 +1044,6 @@ class _VectorTrainKernel:
         self.needs = None
         self._adopt_memo = {}
         self._root_memo = {}
-        self.pub_extra = None
 
     def rebuild(self, np, topo) -> None:
         """Refresh label-derived row attributes (called when the joint
@@ -1136,19 +1135,13 @@ class _VectorTrainKernel:
         budgets (-1 where unknown, which simply fails the watchdog
         bounds), ``hold`` the sweep's hold_broadcast flag.  ``traffic``
         admits the convergecast outcomes that read the children's cars
-        and ``done`` flags and the acks (see :meth:`_conv_outcomes`):
-        the per-batch sweep classifies and applies in one go and sets
-        it for batches that amortize its cost
-        (``_VectorSweep.TRAFFIC_MIN``), but the per-sweep plan keeps
-        verdicts across segments and watches only the registers of
-        ``_VectorSweep.chk_tr``, so it passes False.
+        and ``done`` flags and the acks (see :meth:`_conv_outcomes`);
+        the sweep sets it for batches large enough to amortize its
+        cost (``_VectorSweep.TRAFFIC_MIN`` rows).
         ``apply(rows)`` performs the one masked watchdog write (plus
         any planned convergecast transitions, part-root drains and
         adopts) for the row *positions* the orchestrator kept — an
-        int64 index array into ``ia``, so the cost is O(|rows|) however
-        wide the classification was (the persistent sweep plans replay
-        tiny conflict-free segments against a full-width
-        classification).
+        int64 index array into ``ia``, so the cost is O(|rows|).
 
         The broadcast-done mask marks rows whose *broadcast half* is
         proven silent (writes nothing, raises no alarm) or fully
@@ -1301,14 +1294,6 @@ class _VectorTrainKernel:
                     np.flatnonzero(drain), ia, cv, bseq)
                 rtriv[rejected] = False
             triv |= rtriv
-        # takes, waits, completions and wraps write the activation car
-        # and drains the broadcast slot — registers the neighbouring
-        # classifications read; the plan's publication mask must cover
-        # them (emissions and acks write only unwatched own registers)
-        pub = (oc >= CV_TAKE) & triv
-        if drains:
-            pub[list(drains)] = True
-        self.pub_extra = np.flatnonzero(pub)
         ovf = store.overflow[comp.h_wd]
         if ovf:
             # the nat writer pops a row's boxed entry; keep those scalar
@@ -1513,8 +1498,7 @@ class _VectorTrainKernel:
         """Apply the planned convergecast writes of the kept row
         positions ``rows``: the final value of every register the
         scalar body writes, each written column marked dirty, and every
-        value it interns interned.  Index arrays throughout: the
-        per-sweep plans apply segment by segment, often a row or two."""
+        value it interns interned."""
         k = cv.wpos[rows]
         k = k[k >= 0]
         if not len(k):

@@ -31,7 +31,7 @@ from ..labels.wellforming import sorted_levels, static_check
 from ..sim.bulk import drive_batch
 from ..sim.network import NodeContext, Protocol
 from ..sim.registers import ALARM, RegisterSchema, handle_resolver
-from ..trains.budgets import Budgets, node_budgets
+from ..trains.budgets import BUDGET_CACHE_STEPS, Budgets, node_budgets
 from ..trains.comparison import (MODE_SYNC_WINDOW, MODE_WANT,
                                  ComparisonComponent)
 from ..trains.train import TrainComponent, _nat, valid_piece
@@ -219,7 +219,8 @@ class HybridVerifierProtocol(Protocol):
         if step_no is None:
             step_no = ctx.nat(self.h_vstep, cap=1 << 30) or 0
         if isinstance(cached, tuple) and len(cached) == 2 and \
-                isinstance(cached[1], Budgets) and step_no - cached[0] < 32:
+                isinstance(cached[1], Budgets) and \
+                step_no - cached[0] < BUDGET_CACHE_STEPS:
             return cached[1]
         if sentinel is not None:
             ent = self._budget_cache.get(ctx.node)

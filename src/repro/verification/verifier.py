@@ -39,9 +39,9 @@ from ..labels.registers import (REG_BOT_COUNT, REG_BOT_ROOT,
 from ..labels.wellforming import static_check
 from ..sim.bulk import drive_batch
 from ..sim.network import NodeContext, Protocol
-from ..sim.npcolumnar import VecTopo, csr_take, numpy_or_none, view64
+from ..sim.npcolumnar import VecTopo, numpy_or_none
 from ..sim.registers import ALARM, RegisterSchema, handle_resolver
-from ..trains.budgets import Budgets, node_budgets
+from ..trains.budgets import BUDGET_CACHE_STEPS, Budgets, node_budgets
 from ..trains.comparison import (MODE_SYNC_WINDOW, MODE_WANT,
                                  MODE_WANT_SIMPLE, ComparisonComponent)
 from ..trains.train import TrainComponent
@@ -56,13 +56,12 @@ def _bulk_stats(proto):
     Pure diagnostics (scenario results surface it; nothing reads it
     back into the protocol), so it is neither snapshotted nor reset by
     ``bind_registers``: rows fused through the vector tier, rows
-    replayed with a partial plan (residual), rows replayed fully
-    scalar, and persistent-plan rebuilds."""
+    replayed with a partial plan (residual), and rows replayed fully
+    scalar."""
     stats = getattr(proto, "bulk_stats", None)
     if stats is None:
         stats = proto.bulk_stats = {
-            "rows_fused": 0, "rows_residual": 0, "rows_scalar": 0,
-            "plan_rebuilds": 0, "plan_refreshes": 0}
+            "rows_fused": 0, "rows_residual": 0, "rows_scalar": 0}
     return stats
 
 
@@ -143,6 +142,7 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
         if comparison.mode == MODE_WANT_SIMPLE else None
     tr0 = train_steps[0]
     tr1 = train_steps[1] if len(train_steps) == 2 else None
+    horizon = BUDGET_CACHE_STEPS
 
     def run_bodies(ctx_list, step_nos, bgts):
         for k, ctx in enumerate(ctx_list):
@@ -152,7 +152,7 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
             cached = bgts[k]
             if isinstance(cached, tuple) and len(cached) == 2 and \
                     isinstance(cached[1], Budgets) and \
-                    step_no - cached[0] < 32:
+                    step_no - cached[0] < horizon:
                 budgets = cached[1]
             else:
                 budgets = budgets_for(ctx, sentinel, step_no)
@@ -183,13 +183,12 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
 
     gate = batch.gate
     after = batch.after
-    if gate is None and after is None and batch.segments is None \
-            and batch.plan_key is None:
+    if gate is None and after is None and batch.segments is None:
         step_nos = ops.inc_nat(batch, proto.h_vstep)
         batch.wrote_all = True
         bgts = ops.gather(batch, proto.h_bgt)
         if vec is None or not vec.run(contexts, step_nos, bgts,
-                                      run_bodies, batch.vec_min_batch):
+                                      run_bodies):
             run_bodies(contexts, step_nos, bgts)
         return
     # conflict-free batch, possibly coalesced: per segment, commuting
@@ -201,7 +200,6 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
     segments = batch.segments if batch.segments is not None \
         else [len(contexts)]
     boundary = batch.boundary
-    plan_key = batch.plan_key
     base = 0
     for si, seg_len in enumerate(segments):
         seg_ctxs = contexts[base:base + seg_len]
@@ -219,13 +217,8 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
                 # every stepped activation writes its step counter, so
                 # the scalar loop would flag every survivor as written
                 ctx.wrote = True
-            handled = False
-            if vec is not None and plan_key is not None:
-                handled = vec.run_planned(plan_key, active, step_nos,
-                                          bgts, batch.vec_min_batch)
-            if not handled and (vec is None or not vec.run(
-                    active, step_nos, bgts, run_bodies,
-                    batch.vec_min_batch)):
+            if vec is None or not vec.run(active, step_nos, bgts,
+                                          run_bodies):
                 run_bodies(active, step_nos, bgts)
         if after is not None:
             for k, ctx in enumerate(seg_ctxs):
@@ -242,9 +235,10 @@ def _budget_rows(np, bgts, step_nos):
     valid for its step.  Row by row: id-keying Budgets objects would
     be unsound across gc reuse, and the attribute reads are cheap."""
     na, rr, aa, sv, ok = [], [], [], [], []
+    horizon = BUDGET_CACHE_STEPS
     for c, sno in zip(bgts, step_nos):
         if isinstance(c, tuple) and len(c) == 2 and \
-                isinstance(c[1], Budgets) and sno - c[0] < 32:
+                isinstance(c[1], Budgets) and sno - c[0] < horizon:
             b = c[1]
             ok.append(True)
             na.append(b.node_alarm)
@@ -264,7 +258,10 @@ def _budget_rows(np, bgts, step_nos):
 
 class _VectorSweep:
     """The numpy-tier whole-batch sweep behind
-    :func:`fused_verifier_sweep`.
+    :func:`fused_verifier_sweep`: one call per synchronous round or
+    conflict-free segment of at least :attr:`MIN_BATCH` rows, which it
+    classifies and applies in one go (smaller batches run the scalar
+    fused bodies).
 
     Each component's classifier proves, per batch row, whether that
     component's fused step is exactly its masked column write(s) — no
@@ -287,21 +284,19 @@ class _VectorSweep:
     refreshes the ghost register exactly as the scalar sweep would.
     """
 
-    #: below this many rows the per-batch classification overhead beats
-    #: the savings (conflict-free batches are often small); schedulers
-    #: override it per batch via ``vec_min_batch``.  The same threshold
-    #: routes conflict-free sweeps between the two vector tiers: at or
-    #: above it the per-batch tier classifies fresh per segment, below
-    #: it the persistent per-sweep plan amortizes classification over
-    #: the whole sweep, so even singleton segments can fuse
+    #: below this many rows the classification overhead beats the
+    #: savings, so the batch runs the scalar fused bodies instead
+    #: (conflict-free segments are often small; coalescing keeps the
+    #: segments of a settled async patrol near ~130 rows)
     MIN_BATCH = 48
-    #: below this many rows the per-batch tier leaves the trains' child
-    #: traffic to the scalar replay: planning it costs ~0.3 ms of
-    #: small-array numpy calls per train and batch, and saves ~17 us
-    #: per planned row — about a tenth of a batch's rows, so the plan
-    #: pays from a few hundred rows (settled synchronous rounds; the
-    #: conflict-free segments of an async patrol average ~130).  A
-    #: ``vec_min_batch`` override lowers both floors
+    #: below this many rows the sweep leaves the trains' child traffic
+    #: to the scalar replay: planning it costs ~0.3 ms of small-array
+    #: numpy calls per train and batch, and saves ~17 us per planned
+    #: row — about a tenth of a batch's rows, so the plan pays from a
+    #: few hundred rows (settled synchronous rounds, not the
+    #: conflict-free segments of an async patrol).  Both floors are
+    #: class attributes that tests lower to reach the vector paths on
+    #: small instances
     TRAFFIC_MIN = 256
 
     def __init__(self, proto, trains, comparison, ops,
@@ -311,7 +306,6 @@ class _VectorSweep:
         # every verifier a reference cycle whose pool-sized vector
         # caches outlive their run until the cyclic collector runs
         self.proto = weakref.proxy(proto)
-        self.comparison = comparison
         self.store = ops.store
         self.snap = ops.snap
         self.topo = VecTopo(ops.store.n)
@@ -323,41 +317,9 @@ class _VectorSweep:
         self.comp_step = cmp_fused
         self.held = held_fused
         self.want = comparison.mode == MODE_WANT
-        # the neighbour-read register set of the per-sweep plans'
-        # classifications (write detection keys on exactly these
-        # columns): epoch, activation car, broadcast slot and sequence.
-        # The convergecast's cars, done flags and acks are deliberately
-        # *not* watched: they churn every delivery, and watching them
-        # costs more in invalidation fan-out than the waits they would
-        # prove — so only the per-batch sweep, which classifies and
-        # applies in one go, plans the child traffic that reads them
-        # (``classify``'s ``traffic``, from :attr:`TRAFFIC_MIN` rows)
-        self.chk_tr = tuple(
-            (t.h_ep, t.h_act, t.h_bbuf, t.h_bseq)
-            for t in trains)
-        self.chk_want = comparison.h_want if self.want else None
-        # their int64 views, taken once (columns never change length,
-        # and refreshes and restores write them in place)
-        watched = [h for cols in self.chk_tr for h in cols]
-        if self.chk_want is not None:
-            watched.append(self.chk_want)
-        self.views = {h: view64(ops.store.data[h]) for h in watched}
         self.key = None
         self.statics_empty = None
         self.row_of = None
-        # persistent per-sweep plan state (see run_planned)
-        self.plan = None
-        self.plan_ia = None
-        self.readers = None
-        # profitability (see run_planned): exponential moving average
-        # of segment width, the sweep the plan was declined for, and
-        # the adaptive yield backoff.  The mode is decided once per
-        # sweep: mixing would let legacy segments write without the
-        # plan's invalidation tracking, leaving stale verdicts.
-        self.seg_ema = None
-        self.plan_off_key = None
-        self.plan_cool = 0
-        self.plan_back = 1
 
     def _rebuild(self, np) -> None:
         proto = self.proto
@@ -373,40 +335,17 @@ class _VectorSweep:
         for kern in self.train_kerns:
             kern.rebuild(np, topo)
         self.comp_kern.rebuild(np, topo)
-        # per-train reverse-reader CSR: readers(p) = rows whose train
-        # classification *reads* p's train registers ({x: parent(x)=p}
-        # union {x: p in children(x)}).  Junk labels make the claimed
-        # tree asymmetric (x may name a parent whose own child list
-        # omits x), so invalidation must follow the read edges, not
-        # p's own parent/children claims.
-        readers = []
-        for kern in self.train_kerns:
-            pk = kern.pidx
-            src_p = np.flatnonzero(pk >= 0)
-            src_c = np.repeat(np.arange(n, dtype=np.int64),
-                              np.diff(kern.coff))
-            src = np.concatenate((src_p, src_c))
-            dst = np.concatenate((pk[src_p], kern.cflat))
-            order = np.argsort(dst, kind="stable")
-            off = np.zeros(n + 1, np.int64)
-            np.cumsum(np.bincount(dst, minlength=n), out=off[1:])
-            readers.append((off, src[order]))
-        self.readers = readers
         if self.row_of is None:
             self.row_of = np.empty(n, np.int64)
         self.key = self.store.stable_epoch + self.snap.stable_epoch
 
-    def run(self, ctx_list, step_nos, bgts, run_bodies,
-            min_batch=None) -> bool:
+    def run(self, ctx_list, step_nos, bgts, run_bodies) -> bool:
         """Vector-sweep the batch; False defers it to the caller's
         scalar loop (numpy disabled, batch too small, or topology not
-        yet fully observed).  ``min_batch`` overrides :attr:`MIN_BATCH`
-        and :attr:`TRAFFIC_MIN` (the scheduler's ``vec_min_batch``
-        knob)."""
+        yet fully observed)."""
         np = numpy_or_none()
         m = len(ctx_list)
-        mb = self.MIN_BATCH if min_batch is None else min_batch
-        if np is None or m < mb:
+        if np is None or m < self.MIN_BATCH:
             return False
         if not self.topo.offer(ctx_list):
             return False
@@ -425,8 +364,7 @@ class _VectorSweep:
             snos = np.fromiter(step_nos, np.int64, count=m)
             stat_ok |= (snos % se) != 0
         na, rr, aa, sv, bgok = _budget_rows(np, bgts, step_nos)
-        traffic = m >= (self.TRAFFIC_MIN if min_batch is None
-                        else min_batch)
+        traffic = m >= self.TRAFFIC_MIN
         if self.want:
             held_ok, ht, hb = self.comp_kern.held(np, ia, row_of)
             holds = (ht, hb)
@@ -447,8 +385,7 @@ class _VectorSweep:
             bc_dones.append(bc_done)
             applies.append(apply)
             adopts.append(pend)
-        ctriv, capply, _cpub = self.comp_kern.classify(np, ia, row_of,
-                                                       aa, sv)
+        ctriv, capply = self.comp_kern.classify(np, ia, row_of, aa, sv)
         trivs.append(ctriv)
         applies.append(capply)
         any_triv = False
@@ -486,6 +423,7 @@ class _VectorSweep:
         comp_step = self.comp_step
         held = self.held
         want = self.want
+        horizon = BUDGET_CACHE_STEPS
         # plain-list views: per-element indexing of numpy bool arrays
         # costs more than the loop bodies it gates
         t0 = trivs[0].tolist()
@@ -510,7 +448,7 @@ class _VectorSweep:
             cached = bgts[k]
             if isinstance(cached, tuple) and len(cached) == 2 and \
                     isinstance(cached[1], Budgets) and \
-                    step_no - cached[0] < 32:
+                    step_no - cached[0] < horizon:
                 budgets = cached[1]
             else:
                 budgets = budgets_for(ctx, sentinel, step_no)
@@ -546,438 +484,6 @@ class _VectorSweep:
                     first = a
             if first:
                 ctx.alarm(first[0])
-
-    # -- persistent per-sweep plan -------------------------------------
-    def _build_plan(self, np, plan_key, epoch, cur_ia, cur_snos):
-        """Classify *every* node once for the daemon sweep ``plan_key``.
-
-        Sound because classification inputs of row x live entirely in
-        the closed neighbourhood N[x]'s registers: a row's verdict
-        stays exact until a register it reads is written, and
-        :meth:`run_planned` invalidates (conservatively, per
-        component) the affected readers after every segment.  Step
-        numbers are predicted (``vstep + 1`` with the nat restart
-        semantics of ``inc_nat_batch``): a node steps at most once per
-        sweep and only the node itself writes its counter, so the
-        prediction is the value the node's segment will produce.  The
-        triggering segment ``cur_ia`` already incremented its
-        counters before the build, so its actual step numbers
-        ``cur_snos`` override the prediction."""
-        proto = self.proto
-        store = self.store
-        topo = self.topo
-        n = topo.n
-        if epoch != self.key:
-            self._rebuild(np)
-        ia = self.plan_ia
-        if ia is None:
-            ia = self.plan_ia = np.arange(n, dtype=np.int64)
-        row_of = ia                # identity: plan rows ARE dense rows
-        vs = view64(store.data[proto.h_vstep])[ia]
-        snos = np.where((vs >= 0) & (vs <= 1 << 30), vs + 1, 1)
-        snos[cur_ia] = cur_snos
-        stat_ok = self.statics_empty.copy()
-        se = proto.static_every
-        if se > 1:
-            stat_ok |= (snos % se) != 0
-        bgts = store.gather_values(list(range(n)), proto.h_bgt)
-        na, rr, aa, sv, bgok = _budget_rows(np, bgts, snos.tolist())
-        plan = _SweepPlan()
-        plan.key = plan_key
-        plan.epoch = epoch
-        plan.done = np.zeros(n, bool)
-        plan.base = stat_ok & bgok
-        # the frame — step predictions, budget thresholds, statics —
-        # holds for the whole sweep (only a row's own step writes its
-        # vstep/budget ghost, and done rows never consult the plan
-        # again), so a mid-sweep refresh reuses it and redoes only the
-        # classification below
-        plan.na = na
-        plan.rr = rr
-        plan.aa = aa
-        plan.sv = sv
-        plan.refresh_left = 4
-        plan.srv = 0
-        plan.fus = 0
-        self._classify_plan(np, plan)
-        self.plan = plan
-        _bulk_stats(proto)["plan_rebuilds"] += 1
-        return plan
-
-    def _classify_plan(self, np, plan) -> None:
-        """(Re)classify every node against the *current* registers.
-
-        Called at plan build and again mid-sweep when invalidation has
-        eroded coverage: not-yet-done rows then read exactly the state
-        their scalar step would read at this point of the sweep, so the
-        fresh verdicts are exact and all validity resets to covered.
-        Done rows get garbage verdicts — harmless, every consumer gates
-        on ``~plan.done``."""
-        n = self.topo.n
-        ia = self.plan_ia
-        row_of = ia
-        na, rr, aa, sv = plan.na, plan.rr, plan.aa, plan.sv
-        if self.want:
-            held_ok, ht, hb = self.comp_kern.held(np, ia, row_of)
-            holds = (ht, hb)
-        else:
-            held_ok = None
-            holds = (False, False)
-        trivs = []
-        applies = []
-        bc_dones = []
-        adopts = []
-        for kern, hold in zip(self.train_kerns, holds):
-            # only verdicts as durable as the plan's invalidation:
-            # child traffic reads cars and acks that chk_tr ignores
-            triv, bc_done, apply, pend = kern.classify(
-                np, ia, row_of, na, rr, hold, traffic=False)
-            if held_ok is not None:
-                triv &= held_ok
-            trivs.append(triv)
-            bc_dones.append(bc_done)
-            applies.append(apply)
-            adopts.append(pend)
-        ctriv, capply, cpub = self.comp_kern.classify(np, ia, row_of,
-                                                      aa, sv)
-        trivs.append(ctriv)
-        applies.append(capply)
-        plan.trivs = trivs
-        plan.bc_dones = bc_dones
-        plan.applies = applies
-        plan.adopts = adopts
-        plan.holds = holds
-        plan.held_ok = held_ok
-        # per-component validity: a write invalidates only the
-        # classifications that read it (see _invalidate), so an adopt
-        # at p costs p's tree readers their train verdict and N(p)
-        # their comparison verdict — the other train survives
-        plan.v_tr = [np.ones(n, bool) for _ in self.train_kerns]
-        plan.v_cmp = np.ones(n, bool)
-        plan.v_held = np.ones(n, bool) if self.want else None
-        # neighbour-visible fused writes: adopt plans per train
-        # (broadcast slots), planned subtree completions (activation
-        # clears) and Want filings (comparison)
-        pub_tr = []
-        for kern, pend in zip(self.train_kerns, adopts):
-            mask = np.zeros(n, bool)
-            if pend:
-                mask[list(pend)] = True
-            pe = kern.pub_extra
-            if pe is not None and len(pe):
-                mask[pe] = True
-            pub_tr.append(mask)
-        plan.pub_tr = pub_tr
-        plan.pub_want = cpub
-
-    def run_planned(self, plan_key, ctx_list, step_nos, bgts,
-                    min_batch=None) -> bool:
-        """Sweep one conflict-free segment against the persistent
-        per-sweep plan; False defers the segment to the caller (numpy
-        off, topology not yet fully observed, or the profitability
-        gate routed this sweep to the per-batch tier — the plan itself
-        has no minimum size: its classification is amortized over the
-        whole sweep).
-
-        Profitability, decided once per sweep: when segments average
-        at or above the per-batch threshold, that tier's fresh
-        per-segment classification is strictly better informed than
-        plan reuse for the same O(n)-per-sweep work, so the plan
-        yields.  The plan's domain is the small-segment regime the
-        per-batch gate would send scalar; there it probes, measures
-        its own fused yield, and retires itself with exponential
-        backoff when sweep locality (the tiled daemon's
-        self-invalidating tiles) starves it.
-
-        Per component, rows whose verdict is still covered (nothing
-        that classification reads was written since the build) either
-        apply their proven writes in one subset-indexed slice-store or
-        hand the replay loop their planned flags; uncovered components
-        replay the exact scalar body.  After the segment,
-        :meth:`_invalidate` revokes only the verdicts each write can
-        actually stale — per-train tree readers, graph-neighbour
-        comparisons, graph-neighbour holds."""
-        np = numpy_or_none()
-        if np is None or not self.topo.offer(ctx_list):
-            return False
-        m = len(ctx_list)
-        ema = self.seg_ema
-        self.seg_ema = ema = m if ema is None else \
-            0.05 * m + 0.95 * ema
-        if self.plan_off_key == plan_key:
-            return False
-        epoch = self.store.stable_epoch + self.snap.stable_epoch
-        plan = self.plan
-        if plan is None or plan.key != plan_key:
-            # sweep boundary: score the plan that just finished, then
-            # commit this sweep to one tier
-            if plan is not None and plan.srv >= 256:
-                # break-even sits near one third fused: a high-yield
-                # sweep triggers almost no refreshes, so its cost is
-                # one build; below that the erosion-refresh cycle
-                # outruns what reuse saves and the scalar replay of a
-                # small sweep is simply cheaper
-                if plan.fus * 3 < plan.srv:
-                    self.plan_back = min(64, self.plan_back * 2)
-                    self.plan_cool = self.plan_back
-                else:
-                    self.plan_back = 1
-                    self.plan_cool = 0
-            mb = self.MIN_BATCH if min_batch is None else min_batch
-            if ema >= mb or self.plan_cool > 0:
-                if ema < mb:
-                    self.plan_cool -= 1
-                self.plan = None
-                self.plan_off_key = plan_key
-                return False
-        ia = np.fromiter((ctx._i for ctx in ctx_list), np.int64,
-                         count=m)
-        if plan is None or plan.key != plan_key or plan.epoch != epoch:
-            plan = self._build_plan(np, plan_key, epoch, ia,
-                                    np.fromiter(step_nos, np.int64,
-                                                count=m))
-        want = self.want
-        nd = ~plan.done[ia]
-        # refresh rather than decay: when invalidation has eroded this
-        # segment's coverage below half, reclassify every remaining row
-        # against the current registers (the frame part of the plan
-        # survives).  Amortized over the rest of the sweep this is far
-        # cheaper than replaying the uncovered rows scalar.
-        cov = nd & plan.v_cmp[ia]
-        for vt in plan.v_tr:
-            cov &= vt[ia]
-        if want:
-            cov &= plan.v_held[ia]
-        undone = len(plan.done) - int(plan.done.sum())
-        if plan.refresh_left > 0 and \
-                int(cov.sum()) * 2 < int(nd.sum()) and \
-                undone >= max(64, len(plan.done) // 8):
-            # budgeted: locality-heavy sweep orders (the tiled daemon)
-            # re-erode every tile — past the budget, uncovered rows
-            # just replay scalar rather than thrash reclassification
-            plan.refresh_left -= 1
-            self._classify_plan(np, plan)
-            stats = _bulk_stats(self.proto)
-            stats["plan_refreshes"] += 1
-        vh = plan.v_held[ia] if want else None
-        # trusted flags per component; train verdicts were proven
-        # under the build's hold window (classify poisons triv with
-        # held_ok), so a stale held untrusts the trains too
-        tr_ok = []
-        tsel = []
-        for t in range(len(self.train_kerns)):
-            ok = nd & plan.v_tr[t][ia]
-            if vh is not None:
-                ok &= vh
-            tr_ok.append(ok)
-            tsel.append(ok & plan.trivs[t][ia])
-        c_ok = nd & plan.v_cmp[ia]
-        csel = c_ok & plan.trivs[-1][ia]
-        stats = _bulk_stats(self.proto)
-        fused = nd & plan.base[ia] & csel
-        for sel in tsel:
-            fused &= sel
-        # write detection beats prediction: snapshot the neighbour-read
-        # columns of every row that MAY write one (scalar replays,
-        # planned adopts, changing Want filings) and invalidate, after
-        # the segment, only the rows that actually did — the bulk of
-        # the sweep's writes (watchdogs, idempotent re-filings) stale
-        # no verdict at all
-        wmay = ~fused
-        for t, sel in enumerate(tsel):
-            wmay |= sel & plan.pub_tr[t][ia]
-        pw = plan.pub_want
-        if pw is not None:
-            wmay |= csel & pw[ia]
-        w_ia = ia[wmay]
-        views = self.views
-        before = None
-        if len(w_ia):
-            # fancy indexing copies: the values as they are now
-            before = [[views[h][w_ia] for h in cols]
-                      for cols in self.chk_tr]
-            if self.chk_want is not None:
-                before.append([views[self.chk_want][w_ia]])
-        # every component's proven-trivial writes for still-covered
-        # rows — exactly the legacy sweep's ``apply(triv)``: a row may
-        # be residual overall yet have trivial components applied here
-        # (the replay loop then skips them)
-        for sel, apply in zip(tsel + [csel], plan.applies):
-            if sel.any():
-                apply(ia[sel])
-        nf = int(fused.sum())
-        plan.srv += m
-        plan.fus += nf
-        stats["rows_fused"] += nf
-        if nf != m:
-            h_ok = nd & vh & plan.held_ok[ia] if want else None
-            self._replay_planned(np.flatnonzero(~fused), ia, ctx_list,
-                                 step_nos, bgts, plan, tr_ok, tsel,
-                                 c_ok, csel, h_ok, stats)
-        plan.done[ia] = True
-        if before is not None:
-            self._invalidate(np, plan, w_ia, before)
-        return True
-
-    def _changed(self, np, w_ia, cols, before):
-        """Rows of ``w_ia`` whose value in any of ``cols`` differs
-        from the snapshot (boxed rows count as changed: the sentinel
-        hides the side-table entry)."""
-        chg = np.zeros(len(w_ia), bool)
-        views = self.views
-        overflow = self.store.overflow
-        for h, b in zip(cols, before):
-            chg |= views[h][w_ia] != b
-            ovf = overflow[h]
-            if ovf:
-                chg |= np.isin(w_ia, np.fromiter(ovf, np.int64,
-                                                 count=len(ovf)))
-        return chg
-
-    def _invalidate(self, np, plan, w_ia, before) -> None:
-        """Revoke the verdicts a segment's actual writes stale.
-
-        A train-t write at p (ep/act/bbuf/bseq moved) is read by the
-        train-t classification of p's tree readers, by every graph
-        neighbour's comparison (the broadcast slot is the show), and
-        by p's own hold query.  A ``want`` write at p is read only by
-        the neighbours' hold queries.  Everything else either tier
-        writes is own-only, and p itself is done for the sweep."""
-        topo = self.topo
-        vc = plan.v_cmp
-        vh = plan.v_held
-        for t in range(len(self.train_kerns)):
-            wt = w_ia[self._changed(np, w_ia, self.chk_tr[t],
-                                    before[t])]
-            if not len(wt):
-                continue
-            vt = plan.v_tr[t]
-            vt[wt] = False
-            off, src = self.readers[t]
-            _, e_pos = csr_take(off, wt)
-            vt[src[e_pos]] = False
-            vc[wt] = False
-            _, e_pos = csr_take(topo.off, wt)
-            vc[topo.flat[e_pos]] = False
-            if vh is not None:
-                vh[wt] = False
-        if vh is not None:
-            wf = w_ia[self._changed(np, w_ia, (self.chk_want,),
-                                    before[-1])]
-            if len(wf):
-                vh[wf] = False
-                _, e_pos = csr_take(topo.off, wf)
-                vh[topo.flat[e_pos]] = False
-
-    def _replay_planned(self, resid, ia, ctx_list, step_nos, bgts,
-                        plan, tr_ok, tsel, c_ok, csel, h_ok,
-                        stats) -> None:
-        """Replay a planned segment's non-fused rows — the exact
-        ``run_bodies`` sequence, with the plan's verdicts trusted per
-        component only where still covered."""
-        proto = self.proto
-        statics = proto._static_alarms
-        budgets_for = proto.budgets_for
-        se = proto.static_every
-        tr0, tr1 = self.tr0, self.tr1
-        comp_step = self.comp_step
-        held = self.held
-        want = self.want
-        kerns = self.train_kerns
-        b0a = plan.bc_dones[0]
-        b1a = plan.bc_dones[1] if tr1 is not None else None
-        p0 = plan.adopts[0]
-        p1 = plan.adopts[1] if tr1 is not None else None
-        htm, hbm = plan.holds
-        ia_l = ia.tolist()
-        t0l = tsel[0].tolist()
-        k0l = tr_ok[0].tolist()
-        t1l = tsel[1].tolist() if tr1 is not None else None
-        k1l = tr_ok[1].tolist() if tr1 is not None else None
-        tcl = csel.tolist()
-        ckl = c_ok.tolist()
-        hkl = h_ok.tolist() if h_ok is not None else None
-        for k in resid.tolist():
-            ctx = ctx_list[k]
-            d = ia_l[k]
-            step_no = step_nos[k]
-            sentinel = ctx.stable_sentinel()
-            first = statics(ctx, sentinel) if step_no % se == 0 else None
-            cached = bgts[k]
-            if isinstance(cached, tuple) and len(cached) == 2 and \
-                    isinstance(cached[1], Budgets) and \
-                    step_no - cached[0] < 32:
-                budgets = cached[1]
-            else:
-                budgets = budgets_for(ctx, sentinel, step_no)
-            trusted = ckl[k] or k0l[k] or (k1l is not None and k1l[k])
-            if trusted:
-                stats["rows_residual"] += 1
-            else:
-                stats["rows_scalar"] += 1
-            t0 = t0l[k]
-            tc = tcl[k]
-            b0 = False
-            ent0 = None
-            if k0l[k]:
-                b0 = bool(b0a[d])
-                ent0 = p0.get(d)
-            t1 = b1 = False
-            ent1 = None
-            if t1l is not None:
-                t1 = t1l[k]
-                if k1l[k]:
-                    b1 = bool(b1a[d])
-                    ent1 = p1.get(d)
-            if want:
-                if hkl[k]:
-                    h0, h1 = bool(htm[d]), bool(hbm[d])
-                else:
-                    hlt, hlb = held(ctx)
-                    h0, h1 = hlt is not None, hlb is not None
-            else:
-                h0 = h1 = False
-            if not t0:
-                a = tr0(ctx, budgets, h0 or b0, sentinel)
-                if ent0 is not None and not h0:
-                    kerns[0]._exec_adopt(ent0)
-                if a and not first:
-                    first = a
-            if tr1 is not None and not t1:
-                a = tr1(ctx, budgets, h1 or b1, sentinel)
-                if ent1 is not None and not h1:
-                    kerns[1]._exec_adopt(ent1)
-                if a and not first:
-                    first = a
-            if not tc:
-                a = comp_step(ctx, budgets, sentinel)
-                if a and not first:
-                    first = a
-            if first:
-                ctx.alarm(first[0])
-
-
-class _SweepPlan:
-    """One daemon sweep's persistent vector-tier state (built by
-    :meth:`_VectorSweep._build_plan`, consumed per conflict-free
-    segment by :meth:`_VectorSweep.run_planned`).
-
-    ``done`` — rows already activated this sweep (a daemon covers
-    each node at most once per sweep; the flag also hardens against a
-    daemon that does not); ``base`` — statics proven silent and
-    budget ghost valid at the predicted step; ``v_tr``/``v_cmp``/
-    ``v_held`` — per-component validity: the verdict of that
-    component for that row is exact until a register it reads is
-    written (:meth:`_VectorSweep._invalidate`); ``pub_tr``/
-    ``pub_want`` — rows whose *fused* step writes a register some
-    neighbour's classification reads (adopt plans per train, Want
-    filings).  The remaining fields are the per-component verdicts
-    the replay loop consults, all indexed by dense row."""
-
-    __slots__ = ("key", "epoch", "done", "base", "na", "rr", "aa", "sv",
-                 "refresh_left", "srv", "fus", "trivs", "bc_dones",
-                 "applies", "adopts", "holds", "held_ok", "v_tr",
-                 "v_cmp", "v_held", "pub_tr", "pub_want")
 
 
 class MstVerifierProtocol(Protocol):
@@ -1060,7 +566,8 @@ class MstVerifierProtocol(Protocol):
         if step_no is None:
             step_no = ctx.nat(self.h_vstep, cap=1 << 30) or 0
         if isinstance(cached, tuple) and len(cached) == 2 and \
-                isinstance(cached[1], Budgets) and step_no - cached[0] < 32:
+                isinstance(cached[1], Budgets) and \
+                step_no - cached[0] < BUDGET_CACHE_STEPS:
             return cached[1]
         if sentinel is not None:
             ent = self._budget_cache.get(ctx.node)

@@ -12,6 +12,8 @@ exactly like the scalar context writes, and the dirty/skip machinery
 must stay sound across batched writes).
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.engine import TOPOLOGIES, axis, derive_seed, run_scenario, \
@@ -27,7 +29,7 @@ from repro.sim.columnar import ColumnStore
 from repro.sim.registers import CompiledSchema
 from repro.verification import make_network
 from repro.verification.hybrid import HybridVerifierProtocol
-from repro.verification.verifier import MstVerifierProtocol
+from repro.verification.verifier import MstVerifierProtocol, _VectorSweep
 
 STORAGES = STORAGE_KINDS
 
@@ -39,18 +41,6 @@ def _protocol(kind, synchronous):
         return HybridVerifierProtocol(synchronous=synchronous)
     from repro.baselines.pls_sqlog import SqLogPlsProtocol
     return SqLogPlsProtocol()
-
-
-class LiveBulkVerifier(MstVerifierProtocol):
-    """The verifier with the live-batch capability declared: no shipped
-    protocol opts in (live batches cannot fuse, so routing them would
-    be pure callback overhead), but the async routing machinery — gate
-    callbacks doing skip checks and tracker setup, after callbacks
-    doing accounting and stop conditions, the fallback driver honouring
-    both — must stay exactly equivalent for the daemon that eventually
-    licenses it."""
-
-    bulk_live = True
 
 
 def _run_sync(graph, storage, bulk, seed, proto_kind, fast_path=True):
@@ -102,23 +92,18 @@ def _daemon(kind, g, seed):
                           "tiled"])
 def test_async_bulk_vs_scalar_equal(daemon_kind, campaign_seed):
     """Asynchronous daemon batches routed through the bulk plane (the
-    locality daemon's whole neighbourhoods engage it via ``bulk_live``;
-    the conflict-free daemon's independent sets via the
-    ``conflict_free`` license — with *fused* column sweeps on columnar
-    storage; singleton daemons keep the scalar loop) match the scalar
-    execution exactly — including the dirty-aware skip accounting,
-    which must stay sound when a whole batch's writes land through
+    conflict-free daemons' independent sets via the ``conflict_free``
+    license — with *fused* column sweeps on columnar storage; every
+    other daemon keeps the scalar loop) match the scalar execution
+    exactly — including the dirty-aware skip accounting, which must
+    stay sound when a whole batch's writes land through
     ``bulk_step``."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 983)
-    cf = daemon_kind in ("independent", "tiled")
 
     def run(storage, bulk, dirty_aware=True):
         daemon = _daemon(daemon_kind, g, 5)
         net = make_network(g)
-        # the conflict-free license needs no bulk_live declaration —
-        # the shipped verifier opts in via bulk_conflict_free
-        proto = LiveBulkVerifier(synchronous=False) if bulk and not cf \
-            else MstVerifierProtocol(synchronous=False)
+        proto = MstVerifierProtocol(synchronous=False)
         sched = AsynchronousScheduler(net, proto,
                                       daemon, storage=storage, bulk=bulk,
                                       dirty_aware=dirty_aware)
@@ -157,19 +142,26 @@ def test_engine_bulk_flag_matrix(campaign_seed):
         seed = derive_seed(campaign_seed, "bulk-flag", sched, proto)
         results = []
         for storage in STORAGES:
-            flags = [{"bulk": False}, {"bulk": True}]
+            flags = [({"bulk": False}, None), ({"bulk": True}, None)]
             if sched in ("independent", "tiled"):
-                # the coalescing and vector-gate knobs are equally
-                # implementation-only on the conflict-free daemons
-                flags += [{"bulk": True, "coalesce": False},
-                          {"bulk": True, "vec_min_batch": 2}]
-            for extra in flags:
+                # coalescing is equally implementation-only on the
+                # conflict-free daemons, and so are the vector floors
+                # (lowered so the small segments take the vector tier)
+                flags += [({"bulk": True, "coalesce": False}, None),
+                          ({"bulk": True}, 2)]
+            for extra, floor in flags:
                 spec = ScenarioSpec(
                     topology=axis("random", n=12, extra=8),
                     fault=axis("corrupt", count=1, fraction=0.6),
                     schedule=axis(sched, storage=storage, **extra),
                     protocol=axis(proto), seed=seed, max_rounds=20_000)
-                r = run_scenario(spec)
+                if floor is None:
+                    r = run_scenario(spec)
+                else:
+                    with mock.patch.multiple(_VectorSweep,
+                                             MIN_BATCH=floor,
+                                             TRAFFIC_MIN=floor):
+                        r = run_scenario(spec)
                 assert r.error is None, (spec.key, r.error)
                 results.append((r.detected, r.rounds_run,
                                 r.rounds_to_detection, r.alarm_reasons,
@@ -248,7 +240,6 @@ def test_junk_mid_sweep_async_vector_path(campaign_seed, monkeypatch):
     sets engage the masked-ndarray replay, junk planted between runs
     must flow through the per-batch classify/apply split exactly like
     the scalar context writes."""
-    from repro.verification.verifier import _VectorSweep
     monkeypatch.setattr(_VectorSweep, "MIN_BATCH", 4)
     g = random_connected_graph(40, 68, seed=campaign_seed % 929)
 
@@ -439,15 +430,14 @@ def test_junk_mid_sweep_async_fused_equals_scalar(campaign_seed):
 
 
 def test_junk_mid_sweep_skip_soundness_async(campaign_seed):
-    """Skip soundness survives batched writes over junk: the
-    locality-batched dirty-aware scheduler on columnar storage, with
-    junk planted between runs, still matches the naive scalar loop."""
+    """Skip soundness survives junk under neighbourhood batches: the
+    locality-batched dirty-aware scheduler on every storage, with junk
+    planted between runs, still matches the naive scalar loop."""
     g = random_connected_graph(10, 16, seed=campaign_seed % 953)
 
     def run(storage, bulk, dirty_aware):
         net = make_network(g)
-        proto = LiveBulkVerifier(synchronous=False) if bulk \
-            else MstVerifierProtocol(synchronous=False)
+        proto = MstVerifierProtocol(synchronous=False)
         sched = AsynchronousScheduler(net, proto,
                                       LocalityBatchDaemon(g, seed=3),
                                       storage=storage, bulk=bulk,
@@ -528,8 +518,7 @@ def _churn_run(g, storage, make_sched, seed):
 
 def test_churn_sync_bulk_vs_scalar_equal(campaign_seed):
     """Crash/rejoin/reweight events between runs: the fused column
-    sweeps (and the numpy vector tier's per-sweep plans, which the
-    events retire) must keep matching the scalar loop bit for bit."""
+    sweeps must keep matching the scalar loop bit for bit."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 1019)
 
     def make(bulk, storage, fast_path=True):

@@ -280,8 +280,7 @@ def _strip(rec):
             if k not in ("spec", "schedule", "key", "wall_time",
                          "activations", "super_batches",
                          "batches_coalesced", "rows_fused",
-                         "rows_residual", "rows_scalar", "plan_rebuilds",
-                         "plan_refreshes")}
+                         "rows_residual", "rows_scalar")}
 
 
 def test_engine_churn_records_are_storage_independent(campaign_seed):

@@ -14,6 +14,7 @@ and for the ``want``/``want-simple`` ablations alike, junk included.
 
 import types
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,13 +24,14 @@ from repro.labels.registers import (REG_BOT_ROOT, REG_PARENT_ID,
                                     REG_PIECES_BOT, REG_PIECES_TOP,
                                     REG_TOP_ROOT)
 from repro.sim import (AsynchronousScheduler, ConflictFreeDaemon,
-                       FaultInjector, SynchronousScheduler)
+                       FaultInjector, SynchronousScheduler,
+                       TiledConflictFreeDaemon)
 from repro.sim.columnar import (BOX_S, NONE_S, SENT_CEIL, UNSET_S,
                                 PoolColumn)
 from repro.sim.npcolumnar import (NumpyFallbackWarning, PoolIdCache,
                                   _reset_fallback_warning, numpy_or_none)
 from repro.verification import make_network
-from repro.verification.verifier import MstVerifierProtocol
+from repro.verification.verifier import MstVerifierProtocol, _VectorSweep
 
 #: fused share of rows on the honest n=500 patrol of
 #: ``test_sync_tier_mix_floor`` (measured, less a margin)
@@ -368,26 +370,33 @@ def _lockstep(pair, rounds, label):
         assert states[0] == states[1], (label, r)
 
 
-def _sync_pair(g, mode, vec_min=2):
-    """(vector sweep, scalar fused sweep) synchronous pair on numpy
-    storage: ``vec_min_batch`` above n keeps the second scalar, and a
-    floor of 2 lets the first plan child traffic at test sizes (the
-    default floor is ``_VectorSweep.TRAFFIC_MIN`` rows)."""
+def _floors(floor):
+    """Lower both vector floors (``_VectorSweep.MIN_BATCH`` and
+    ``TRAFFIC_MIN``) to ``floor`` for the duration of the block, so
+    test-size batches take the vector tier and plan child traffic."""
+    return mock.patch.multiple(_VectorSweep, MIN_BATCH=floor,
+                               TRAFFIC_MIN=floor)
+
+
+def _sync_pair(g, mode):
+    """(vector sweep, scalar fused sweep) synchronous pair: numpy
+    storage against the scalar fused sweep of plain columnar
+    storage."""
     pair = []
-    for vmb in (vec_min, len(g.nodes()) + 1):
+    for storage in ("numpy", "columnar"):
         net = make_network(g)
         proto = MstVerifierProtocol(synchronous=True, comparison_mode=mode)
         pair.append((net, SynchronousScheduler(
-            net, proto, storage="numpy", bulk=True, vec_min_batch=vmb)))
+            net, proto, storage=storage, bulk=True)))
     return pair
 
 
 @pytest.mark.parametrize("junk", [False, True, "traffic"])
 @pytest.mark.parametrize("mode", ["sync-window", "want"])
 def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
-    """After every synchronous round the vector sweep (child traffic
-    planned) leaves the store exactly as the scalar fused sweep
-    (``vec_min_batch`` above n) does:
+    """After every synchronous round the vector sweep (floors of 2, so
+    child traffic is planned) leaves the store exactly as the scalar
+    fused sweep of plain columnar storage does:
     every column, the pool's contents, the overflow and the dirty
     flags — from a cold start through the settled patrol, and around
     junk planted into part-root rows (the root plan's inputs) or into
@@ -396,37 +405,49 @@ def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
         pytest.skip("numpy unavailable")
     g = random_connected_graph(96, 170, seed=campaign_seed % 911 + 3)
     pair = _sync_pair(g, mode)
-    _lockstep(pair, 45, (mode, "honest"))
-    if junk:
-        for net, _ in pair:
-            _plant_junk(net, junk)
-        _lockstep(pair, 30, (mode, junk))
+    with _floors(2):
+        _lockstep(pair, 45, (mode, "honest"))
+        if junk:
+            for net, _ in pair:
+                _plant_junk(net, junk)
+            _lockstep(pair, 30, (mode, junk))
     assert pair[0][1].protocol.bulk_stats["rows_fused"] > 0
 
 
 @pytest.mark.parametrize("junk", [False, True, "traffic"])
-@pytest.mark.parametrize("vmb", [None, 2])
-def test_async_vector_sweep_store_equals_scalar_fused(vmb, junk,
-                                                      campaign_seed):
-    """The conflict-free asynchronous license, through the per-sweep
-    plan (default threshold) and the per-batch tier with child traffic
-    planned (``vec_min_batch`` 2), against the scalar fused sweep of
-    plain columnar storage."""
+@pytest.mark.parametrize("daemon, floor", [
+    pytest.param(ConflictFreeDaemon, None, id="None"),
+    pytest.param(ConflictFreeDaemon, 2, id="2"),
+    pytest.param(TiledConflictFreeDaemon, None, id="tiled-None"),
+    pytest.param(TiledConflictFreeDaemon, 2, id="tiled-2")])
+def test_async_vector_sweep_store_equals_scalar_fused(daemon, floor, junk,
+                                                      campaign_seed,
+                                                      monkeypatch):
+    """The conflict-free asynchronous license, on the independent-set
+    and the tiled daemons, at the default vector floors (segments
+    below ``MIN_BATCH`` run the scalar fused bodies) and with both
+    floors lowered to 2 (every segment takes the vector tier, child
+    traffic planned), against the scalar fused sweep of plain columnar
+    storage."""
     if numpy_or_none() is None:
         pytest.skip("numpy unavailable")
+    if floor is not None:
+        monkeypatch.setattr(_VectorSweep, "MIN_BATCH", floor)
+        monkeypatch.setattr(_VectorSweep, "TRAFFIC_MIN", floor)
     g = random_connected_graph(80, 140, seed=campaign_seed % 907 + 5)
     pair = []
     for storage in ("numpy", "columnar"):
         net = make_network(g)
         proto = MstVerifierProtocol(synchronous=False)
         pair.append((net, AsynchronousScheduler(
-            net, proto, ConflictFreeDaemon(g, seed=4), storage=storage,
-            bulk=True, vec_min_batch=vmb)))
+            net, proto, daemon(g, seed=4), storage=storage, bulk=True)))
     _lockstep(pair, 30, "honest")
     if junk:
         for net, _ in pair:
             _plant_junk(net, junk)
         _lockstep(pair, 25, junk)
+    if floor is not None:
+        assert pair[0][1].protocol.bulk_stats["rows_fused"] > 0
 
 
 @settings(max_examples=20, deadline=None,
@@ -440,17 +461,18 @@ def test_async_vector_sweep_store_equals_scalar_fused(vmb, junk,
 def test_traffic_junk_property(plants, warm, want):
     """Generated plantings on a small instance: hypothesis draws the
     rows, the trains, the junk recipes, when they land, and the
-    comparison mode; the vector sweep (batch floor 1) must leave the
+    comparison mode; the vector sweep (floors of 1) must leave the
     store exactly as the scalar fused sweep after every round."""
     if numpy_or_none() is None:
         pytest.skip("numpy unavailable")
     g = random_connected_graph(36, 64, seed=13)
-    pair = _sync_pair(g, "want" if want else "sync-window", vec_min=1)
-    for _net, sched in pair:
-        sched.run(warm)
-    for net, _ in pair:
-        _plant_traffic_junk(net, plants)
-    _lockstep(pair, 12, plants)
+    pair = _sync_pair(g, "want" if want else "sync-window")
+    with _floors(1):
+        for _net, sched in pair:
+            sched.run(warm)
+        for net, _ in pair:
+            _plant_traffic_junk(net, plants)
+        _lockstep(pair, 12, plants)
 
 
 def test_sync_tier_mix_floor():

@@ -457,7 +457,7 @@ def test_impl_only_schedule_params_never_change_the_key():
     """For every registered schedule kind, every implementation-only
     param is invisible to both the key and the daemon seed."""
     assert {"storage", "bulk", "fast_path", "dirty_aware",
-            "coalesce", "vec_min_batch"} <= set(IMPL_SCHEDULE_PARAMS)
+            "coalesce"} <= set(IMPL_SCHEDULE_PARAMS)
     for kind in sorted(SCHEDULES):
         base = _spec(schedule=Axis(kind))
         for param in sorted(IMPL_SCHEDULE_PARAMS):

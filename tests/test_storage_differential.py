@@ -53,8 +53,7 @@ def _strip_spec(result):
     d.pop("wall_time")
     d.pop("spec")
     for diag in ("super_batches", "batches_coalesced", "rows_fused",
-                 "rows_residual", "rows_scalar", "plan_rebuilds",
-                 "plan_refreshes"):
+                 "rows_residual", "rows_scalar"):
         d.pop(diag)
     return d
 
