@@ -149,10 +149,10 @@ class SqLogPlsProtocol(Protocol):
 
     The checks are written against the storage-agnostic name-based view
     API, but declaring a schema still pays: the network's snapshots
-    become slot-list (or whole-column) copies and alarm polling a slot
-    load, the Theta(log^2 n)-bit piece tables intern into the columnar
-    pool (one shared tuple per distinct table instead of one per node
-    copy), and the dirty-aware schedulers can skip re-checking quiescent
+    become whole-column copies and alarm polling a column scan, the
+    Theta(log^2 n)-bit piece tables intern into the columnar pool (one
+    shared tuple per distinct table instead of one per node copy), and
+    the dirty-aware schedulers can skip re-checking quiescent
     (accepting) nodes — under the locality-batching daemon a whole
     settled neighbourhood skips per batch."""
 
@@ -166,7 +166,7 @@ class SqLogPlsProtocol(Protocol):
 
     def bind_registers(self, compiled) -> None:
         # the whole check is a pure function of the closed
-        # neighbourhood's labels: under register files it reruns only
+        # neighbourhood's labels: on columnar storage it reruns only
         # when the stable sentinel moves
         self._slot_bound = compiled is not None
         self._check_cache = {}

@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..sim.schedulers import STORAGE_ALIASES, STORAGE_DEFAULT
 from .manifest import CampaignManifest, result_from_record
 from .scenarios import (STATUS_OK, ScenarioError, ScenarioResult,
                         runtime_registered_axes)
@@ -225,8 +226,9 @@ class CampaignResult:
         lines.append(format_table(
             ["fault", "runs", "detected", "worst detection rounds",
              "max memory bits", "violations"], rows))
-        tiers = sorted({r.spec.schedule.get("storage", "dict")
-                        for r in self.results})
+        named = (r.spec.schedule.get("storage", STORAGE_DEFAULT)
+                 for r in self.results)
+        tiers = sorted({STORAGE_ALIASES.get(s, s) for s in named})
         if tiers:
             note = ""
             if "numpy" in tiers:

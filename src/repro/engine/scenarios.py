@@ -17,8 +17,9 @@ a registry in this module:
   ``tiled`` — the hybrid daemon that sweeps distance-2 tiles and
   partitions each tile into conflict-free sub-batches);
   every schedule accepts the implementation parameter
-  ``storage="schema"|"dict"|"columnar"|"numpy"`` selecting the
-  register backend; asynchronous schedules additionally accept
+  ``storage="columnar"|"numpy"|"dict"`` selecting the register backend
+  (``"schema"`` is a deprecated alias of the default, ``"columnar"``);
+  asynchronous schedules additionally accept
   ``coalesce`` (conflict-free super-batch coalescing — an
   implementation parameter, excluded from seed derivation like
   ``storage``);
@@ -53,11 +54,12 @@ from ..graphs.weighted import NodeId, WeightedGraph
 from ..sim.churn import ChurnScript, run_with_churn
 from ..sim.faults import FaultInjector, detection_distance
 from ..sim.network import Network, Protocol, first_alarm
-from ..sim.schedulers import (AsynchronousScheduler, ConflictFreeDaemon,
-                              LocalityBatchDaemon, PermutationDaemon,
-                              RandomDaemon, RoundRobinDaemon,
-                              SlowNodesDaemon, SynchronousScheduler,
-                              TiledConflictFreeDaemon)
+from ..sim.schedulers import (STORAGE_ALIASES, STORAGE_DEFAULT,
+                              STORAGE_KINDS, AsynchronousScheduler,
+                              ConflictFreeDaemon, LocalityBatchDaemon,
+                              PermutationDaemon, RandomDaemon,
+                              RoundRobinDaemon, SlowNodesDaemon,
+                              SynchronousScheduler, TiledConflictFreeDaemon)
 from ..trains.budgets import Budgets, compute_budgets
 from ..trains.comparison import rotation_settled
 from ..verification.adversary import (labels_for_claimed_tree,
@@ -211,19 +213,20 @@ def register_schedule(kind: str, synchronous: bool,
 
 
 def _storage_flag(kind: str, params: dict) -> str:
-    """Pop the ``storage`` schedule parameter: ``"schema"`` (default)
-    backs the network with the protocol's typed register file,
-    ``"columnar"`` with the packed column store
+    """Pop the ``storage`` schedule parameter: ``"columnar"`` (the
+    default) backs the network with the packed column store
     (:mod:`repro.sim.columnar`), ``"numpy"`` with the vectorized numpy
     column tier (:mod:`repro.sim.npcolumnar`; falls back to columnar
     with a warning when numpy is absent), and ``"dict"`` forces the
-    legacy per-node dict store (the reference representation the
-    differential tests compare against)."""
-    storage = params.pop("storage", "schema")
-    if storage not in ("schema", "dict", "columnar", "numpy"):
+    per-node dict store (the reference representation the differential
+    tests compare against).  The retired ``"schema"`` passes through to
+    the scheduler, which runs it on columnar with a deprecation
+    warning."""
+    storage = params.pop("storage", STORAGE_DEFAULT)
+    if storage not in STORAGE_KINDS and storage not in STORAGE_ALIASES:
         raise ScenarioError(
             f"{kind!r}: unknown storage {storage!r} "
-            "(expected 'schema', 'columnar', 'numpy' or 'dict')")
+            f"(expected one of {STORAGE_KINDS})")
     return storage
 
 

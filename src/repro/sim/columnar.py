@@ -1,9 +1,8 @@
 """Columnar register storage: pack the hot state into arrays.
 
-The third storage backend (after the legacy per-node dicts and the typed
-register files of :mod:`repro.sim.registers`): instead of one slot list
-per node, the network keeps one **column** per register, indexed by a
-dense node index.
+The production storage backend (the per-node dicts are the reference):
+a protocol's compiled :class:`~repro.sim.registers.RegisterSchema` is
+laid out as one **column** per register, indexed by a dense node index.
 
 * ``nat``-kind registers pack into ``array('q')`` columns — the raw
   value *is* the stored int64, so numeric reads need no separate
@@ -47,20 +46,21 @@ A store-level ``stable_epoch`` counter (bumped on every write to a
 label anywhere changed — the common case on every settled network —
 instead of summing the closed neighbourhood per step.
 
-Equivalence: the backend is observably identical to the other two —
-same mapping contents, same alarms, rounds, activations, and memory
-bits (``tests/test_storage_differential.py`` proves it three ways).
+Equivalence: the backend is observably identical to the dict
+reference — same mapping contents, same alarms, rounds, activations,
+and memory bits (``tests/test_storage_differential.py`` proves it).
 The interning pool verifies every hit with :func:`same_shape` (deep
 type equality) and diverts ``==``-equal values of different types
 (``True`` vs ``1``, ``(1, 1)`` vs ``(1, True)``) to a secondary
 typed-key pool: Python's ``True == 1`` would otherwise hand a later
 bool write back as the earlier int, silently changing register
-contents and the bit accounting relative to the other backends.
+contents and the bit accounting relative to the dict reference.
 """
 
 from __future__ import annotations
 
 from array import array
+from operator import is_
 from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from ..graphs.weighted import NodeId
@@ -100,6 +100,10 @@ def _make_column(kind: str, n: int):
     return [UNSET] * n
 
 
+def _nat_columns(data) -> tuple:
+    return tuple(col if type(col) is array else None for col in data)
+
+
 def _copy_column(col):
     if type(col) is PoolColumn:
         return PoolColumn("q", col)
@@ -112,7 +116,7 @@ def same_shape(a: Any, b: Any) -> bool:
     ``True == 1`` and ``2.0 == 2`` in Python, so raw equality alone
     would let the interning pool hand one back as the other — changing
     register contents, bit accounting, and nat coercion relative to the
-    other backends.  Tuples recurse element-wise (``==``-equal tuples
+    dict reference.  Tuples recurse element-wise (``==``-equal tuples
     pair up positionally); ``==``-equal but non-identical frozensets
     iterate in unrelated orders, so they conservatively report False
     and intern separately."""
@@ -120,6 +124,8 @@ def same_shape(a: Any, b: Any) -> bool:
     if ta is not b.__class__:
         return False
     if ta is tuple:
+        if all(map(is_, a, b)):   # shared parts, small ints: the common
+            return True           # hit, checked at C speed
         for x, y in zip(a, b):
             if x is not y and not same_shape(x, y):
                 return False
@@ -150,7 +156,7 @@ class ColumnStore:
     pure functions of the value, so they are shareable too).
     """
 
-    __slots__ = ("schema", "nodes", "index", "n", "data",
+    __slots__ = ("schema", "nodes", "index", "n", "data", "nat_cols",
                  "decoded", "decode_memo", "none_decode", "overflow",
                  "stable_versions", "stable_epoch",
                  "extras", "pool_values", "pool_index", "pool_typed",
@@ -171,6 +177,10 @@ class ColumnStore:
             self.index = {v: i for i, v in enumerate(self.nodes)}
         size = schema.size
         self.data: List[Any] = [_make_column(k, n) for k in schema.kinds]
+        #: per slot, the column when it is a plain ``array('q')`` nat
+        #: column, else None (the contexts' fast path for nat reads and
+        #: writes)
+        self.nat_cols = _nat_columns(self.data)
         #: per-slot per-node decode caches for *boxed* columns (created
         #: lazily); pooled columns use the per-id memo instead
         self.decoded: List[Optional[List[Any]]] = [None] * size
@@ -530,10 +540,12 @@ class ColumnStore:
         return out
 
     def node_bits(self, i: int) -> int:
+        get = self.get_value
         total = 0
         for slot in self.schema.nonghost_slots:
-            if self.has_value(i, slot):
-                total += bit_size(self.get_value(i, slot))
+            v = get(i, slot, UNSET)
+            if v is not UNSET:
+                total += bit_size(v)
         extra = self.extras[i]
         if extra:
             total += sum(bit_size(v) for name, v in extra.items()
@@ -559,6 +571,7 @@ class ColumnStore:
         snap.decode_memo = self.decode_memo
         snap.none_decode = self.none_decode
         snap.data = [_copy_column(col) for col in self.data]
+        snap.nat_cols = _nat_columns(snap.data)
         snap.decoded = [dec[:] if dec is not None else None
                         for dec in self.decoded]
         snap.overflow = [dict(ovf) if ovf else None
@@ -719,12 +732,12 @@ class ColumnStore:
 
 
 class ColumnarNodeFacade:
-    """The per-node ``RegisterFile``-shaped face over a column store.
+    """The per-node face over a column store.
 
     Everything that treats node registers as a per-node object — the
     dict-compatible :class:`~repro.sim.registers.RegisterView`, fault
     injection, markers, the bit accounting — works against this facade
-    exactly as it does against a register file.
+    by register name.
     """
 
     __slots__ = ("store", "node", "i")
@@ -820,10 +833,11 @@ class ColumnarNodeFacade:
 
 
 class ColumnarNodeContext:
-    """The columnar counterpart of
-    :class:`~repro.sim.network.SlotNodeContext`: the same handle API
-    (int slot indices resolved by ``Protocol.bind_registers``, str names
-    as the storage-agnostic fallback), backed by column loads.
+    """The slot-addressed counterpart of
+    :class:`~repro.sim.network.NodeContext`: accessors take *handles*,
+    int slot indices resolved once per run by
+    ``Protocol.bind_registers`` (str names are the storage-agnostic
+    fallback), backed by column loads.
 
     Own registers are read and written live; neighbour reads go to the
     ``snap`` store (a scheduler snapshot under the synchronous fast
@@ -831,13 +845,14 @@ class ColumnarNodeContext:
     write flags its column dirty and sets :attr:`wrote`; the schedulers
     mark the node dirty once per activation off that flag (writes
     outside a scheduler step — markers, fault injection, facade pokes —
-    are covered by the run-boundary full refresh, exactly as on the
-    other backends).
+    are covered by the run-boundary full refresh, exactly as on dict
+    storage).
     """
 
     __slots__ = ("network", "node", "neighbors", "store", "snap",
                  "_i", "_index", "_data", "_snap_data", "_pool",
                  "_memos", "_decs", "_snap_decs", "_stable", "_dc",
+                 "_ovf", "_snap_ovf", "_nat_cols", "_snap_nat_cols",
                  "_nbr_idx", "wrote", "_sent_key", "_sent_val")
 
     def __init__(self, network, node: NodeId, store: ColumnStore,
@@ -861,6 +876,10 @@ class ColumnarNodeContext:
         self._snap_decs = snap.decoded
         self._stable = store.schema.stable_mask
         self._dc = store.dirty_cols
+        self._ovf = store.overflow
+        self._snap_ovf = snap.overflow
+        self._nat_cols = store.nat_cols
+        self._snap_nat_cols = snap.nat_cols
         self._nbr_idx = tuple(self._index[u] for u in self.neighbors)
         self.wrote = False
         self._sent_key = None
@@ -868,9 +887,10 @@ class ColumnarNodeContext:
 
     # -- own state ------------------------------------------------------
     def get(self, handle, default: Any = None) -> Any:
-        if type(handle) is not int:
+        try:
+            col = self._data[handle]
+        except TypeError:     # a register name, not a slot handle
             return self._get_name(handle, default)
-        col = self._data[handle]
         v = col[self._i]
         t = type(col)
         if t is list:
@@ -881,15 +901,18 @@ class ColumnarNodeContext:
             return None
         if v == UNSET_S:
             return default
-        return self.store.overflow[handle][self._i]
+        return self._ovf[handle][self._i]
 
     def nat(self, handle, cap: int = 1 << 30) -> Optional[int]:
-        if type(handle) is not int:
+        try:
+            col = self._nat_cols[handle]
+        except TypeError:
             return nat_value(self._get_name(handle), cap)
+        if col is not None:
+            v = col[self._i]
+            return v if 0 <= v <= cap else None
         col = self._data[handle]
         v = col[self._i]
-        if type(col) is array:
-            return v if 0 <= v <= cap else None
         if type(col) is list:
             return nat_value(v, cap)
         # pooled: an adversary may plant an int in a str/tuple column;
@@ -897,9 +920,10 @@ class ColumnarNodeContext:
         return nat_value(self._pool[v], cap) if v > SENT_CEIL else None
 
     def get_decoded(self, handle, decoder) -> Any:
-        if type(handle) is not int:
+        try:
+            col = self._data[handle]
+        except TypeError:
             return decoder(self._get_name(handle))
-        col = self._data[handle]
         if type(col) is PoolColumn:
             v = col[self._i]
             if v >= 0:
@@ -942,38 +966,34 @@ class ColumnarNodeContext:
         return d
 
     def set(self, handle, value: Any) -> None:
-        if type(handle) is not int:
+        try:
+            col = self._nat_cols[handle]
+        except TypeError:
             self._set_name(handle, value)
             return
         i = self._i
-        col = self._data[handle]
-        t = type(col)
-        if t is array:
-            ovf = self.store.overflow[handle]
-            if ovf:              # drop a stale boxed entry (re-boxed
-                ovf.pop(i, None)     # below when still needed)
+        ovf = self._ovf[handle]
+        if ovf:                  # drop a stale boxed entry (re-boxed
+            ovf.pop(i, None)     # below when still needed)
+        if col is not None:
             if type(value) is int and INT_LO < value < INT_HI:
                 col[i] = value
             elif value is None:
                 col[i] = NONE_S
             else:
                 col[i] = self.store._box(handle, i, value)
-        elif t is list:
+        elif type(col := self._data[handle]) is list:
             col[i] = value
             dec = self._decs[handle]
             if dec is not None:
                 dec[i] = NO_DECODE
+        elif value is None:
+            col[i] = NONE_S
         else:
-            ovf = self.store.overflow[handle]
-            if ovf:
-                ovf.pop(i, None)
-            if value is None:
-                col[i] = NONE_S
-            else:
-                try:
-                    col[i] = self.store.intern(value)
-                except TypeError:   # unhashable adversarial junk
-                    col[i] = self.store._box(handle, i, value)
+            try:
+                col[i] = self.store.intern(value)
+            except TypeError:   # unhashable adversarial junk
+                col[i] = self.store._box(handle, i, value)
         self._dc[handle] = 1
         self.wrote = True
         if self._stable[handle]:
@@ -1032,13 +1052,14 @@ class ColumnarNodeContext:
 
     # -- neighbour state --------------------------------------------------
     def read(self, neighbor: NodeId, handle, default: Any = None) -> Any:
-        if type(handle) is not int:
+        try:
+            col = self._snap_data[handle]
+        except TypeError:
             slot = self.snap.schema.slots.get(handle)
             if slot is None:
                 extra = self.snap.extras[self._index[neighbor]]
                 return extra.get(handle, default) if extra else default
             return self.snap.get_value(self._index[neighbor], slot, default)
-        col = self._snap_data[handle]
         v = col[self._index[neighbor]]
         t = type(col)
         if t is list:
@@ -1049,24 +1070,28 @@ class ColumnarNodeContext:
             return None
         if v == UNSET_S:
             return default
-        return self.snap.overflow[handle][self._index[neighbor]]
+        return self._snap_ovf[handle][self._index[neighbor]]
 
     def read_nat(self, neighbor: NodeId, handle,
                  cap: int = 1 << 30) -> Optional[int]:
-        if type(handle) is not int:
+        try:
+            col = self._snap_nat_cols[handle]
+        except TypeError:
             return nat_value(self.read(neighbor, handle), cap)
+        if col is not None:
+            v = col[self._index[neighbor]]
+            return v if 0 <= v <= cap else None
         col = self._snap_data[handle]
         v = col[self._index[neighbor]]
-        if type(col) is array:
-            return v if 0 <= v <= cap else None
         if type(col) is list:
             return nat_value(v, cap)
         return nat_value(self._pool[v], cap) if v > SENT_CEIL else None
 
     def read_decoded(self, neighbor: NodeId, handle, decoder) -> Any:
-        if type(handle) is not int:
+        try:
+            col = self._snap_data[handle]
+        except TypeError:
             return decoder(self.read(neighbor, handle))
-        col = self._snap_data[handle]
         i = self._index[neighbor]
         if type(col) is PoolColumn:
             v = col[i]

@@ -1,29 +1,23 @@
-"""Register stores with bit-size accounting, and typed register files.
+"""Register declarations with bit-size accounting.
 
 The paper's memory-size measure counts the bits stored at a node: identity,
 marker labels, and verifier working memory (Section 2.4).  Protocols store
 per-node state in named registers; :func:`bit_size` estimates the number of
 bits needed to encode a register value.
 
-Three storage representations coexist:
+Two storage representations coexist:
 
-* the **legacy dict store** — each node owns a plain ``Dict[str, Any]``;
+* the **dict store** — each node owns a plain ``Dict[str, Any]``;
   always available, and the reference semantics for every differential
   test;
-* the **typed register file** — a protocol declares a
-  :class:`RegisterSchema` (register name -> kind, default), which is
-  compiled once per network into integer *slot* indices backing a flat
-  per-node list (:class:`RegisterFile`).  Reads and writes become O(1)
-  list loads, the ``_nat`` bounded-non-negative-int coercion that
-  dominates the verifier's hot path is computed once at write time and
-  cached per slot, and per-round snapshots copy slot lists instead of
-  rebuilding dicts.  :class:`RegisterView` keeps a dict-compatible
-  ``MutableMapping`` face over a file so fault injection, markers, and
-  the bit accounting keep working unchanged;
-* the **columnar store** (:mod:`repro.sim.columnar`) — the same
-  compiled schema laid out as one column per register over a dense node
-  index: nat kinds in ``array('q')``, str/tuple kinds interned into a
-  shared pool, opaque boxed.
+* the **columnar store** (:mod:`repro.sim.columnar`) — a protocol
+  declares a :class:`RegisterSchema` (register name -> kind, default),
+  compiled once per network into integer *slot* indices, and the
+  network keeps one column per register over a dense node index: nat
+  kinds in ``array('q')``, str/tuple kinds interned into a shared pool,
+  opaque boxed.  :class:`RegisterView` keeps a dict-compatible
+  ``MutableMapping`` face over one node of it, so fault injection,
+  markers, and the bit accounting keep working unchanged.
 
 The representations are observably equivalent: the same writes produce
 the same mapping contents, the same bit accounting, and the same
@@ -51,10 +45,9 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
 
 #: register kinds a schema may declare.  ``nat`` marks registers whose
 #: reads go through the bounded non-negative-int coercion (the verifier's
-#: ``_nat``).  Under register files the coercion cache is maintained for
-#: *every* slot, so the kind is declarative there; the columnar store
-#: packs by kind — ``nat`` into ``array('q')`` columns, ``str``/``tuple``
-#: through the interning pool, ``opaque`` boxed.
+#: ``_nat``).  The columnar store packs by kind — ``nat`` into
+#: ``array('q')`` columns, ``str``/``tuple`` through the interning pool,
+#: ``opaque`` boxed.
 KIND_NAT = "nat"
 KIND_STR = "str"
 KIND_TUPLE = "tuple"
@@ -62,8 +55,8 @@ KIND_OPAQUE = "opaque"
 
 REGISTER_KINDS = (KIND_NAT, KIND_STR, KIND_TUPLE, KIND_OPAQUE)
 
-#: the slot value of a register that has never been written (it does not
-#: appear in the node's mapping view).
+#: the boxed-column value of a register that has never been written (it
+#: does not appear in the node's mapping view).
 UNSET = type("_UnsetType", (), {
     "__repr__": lambda self: "<unset register>",
     "__reduce__": lambda self: "UNSET",
@@ -84,16 +77,6 @@ def nat_value(x: Any, cap: int = NAT_CAP) -> Optional[int]:
     trains apply to every numeric register read)."""
     if isinstance(x, int) and not isinstance(x, bool) and 0 <= x <= cap:
         return x
-    return None
-
-
-def nat_cache_value(value: Any) -> Optional[int]:
-    """The write-time half of :func:`nat_value`: cache the value when it
-    is a non-negative non-bool int (cap checks happen at read time).
-    ``SlotNodeContext.set`` inlines this predicate for speed — keep the
-    two in sync."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
     return None
 
 
@@ -152,7 +135,7 @@ class RegisterSchema:
         """Declare one register.
 
         ``stable`` marks registers the protocol treats as slowly changing
-        inputs (marker labels): writes to them bump the register file's
+        inputs (marker labels): writes to them bump the node's
         *stable version*, which lets protocols cache label-derived
         computations and invalidate them exactly when a label (or a
         neighbour's label) actually changes."""
@@ -263,186 +246,29 @@ def handle_resolver(compiled: Optional[CompiledSchema]):
     return compiled.slots.__getitem__
 
 
-# ---------------------------------------------------------------------------
-# the per-node register file
-# ---------------------------------------------------------------------------
-
 class RegisterFile:
-    """Flat slot-indexed storage for one node's registers.
+    """The name of the retired per-node register-file backend, kept only
+    because the per-layer tracer of ``benchmarks/perf`` still patches its
+    ``copy`` seam.  Nothing constructs one: ``storage="schema"`` runs on
+    the columnar store."""
 
-    ``slots[i]`` is the raw register value (``UNSET`` when never
-    written); ``nats[i]`` caches the non-negative-int coercion of the
-    value, computed once per write; ``extra`` holds undeclared registers
-    (adversarially planted state, storage-agnostic instrumentation).
-    The raw values are the single source of truth — the nat cache is
-    derived state that never leaks into mapping views, snapshots
-    comparisons, or the bit accounting.
-    """
-
-    __slots__ = ("schema", "slots", "nats", "decoded", "extra",
-                 "stable_version")
-
-    def __init__(self, schema: CompiledSchema,
-                 slots: Optional[List[Any]] = None,
-                 nats: Optional[List[Optional[int]]] = None,
-                 extra: Optional[Dict[str, Any]] = None,
-                 stable_version: int = 0,
-                 decoded: Optional[List[Any]] = None) -> None:
-        self.schema = schema
-        self.slots: List[Any] = [UNSET] * schema.size if slots is None \
-            else slots
-        self.nats: List[Optional[int]] = [None] * schema.size if nats is None \
-            else nats
-        #: write-invalidated cache of protocol-decoded slot values (e.g.
-        #: a validated train observation parsed off the broadcast slot).
-        #: Purely derived state: one decoder per slot, installed lazily
-        #: by the context's ``get_decoded``/``read_decoded``.
-        self.decoded: List[Any] = [NO_DECODE] * schema.size \
-            if decoded is None else decoded
-        self.extra: Optional[Dict[str, Any]] = extra
-        #: bumped whenever a slot declared ``stable`` is written; the sum
-        #: over a closed neighbourhood is the invalidation sentinel for
-        #: label-derived caches (the counters are monotone, so the sum
-        #: changes iff some constituent changed).
-        self.stable_version = stable_version
-
-    # -- copying (snapshots) -------------------------------------------
-    def copy(self) -> "RegisterFile":
-        return RegisterFile(self.schema, self.slots[:], self.nats[:],
-                            dict(self.extra) if self.extra else None,
-                            self.stable_version, self.decoded[:])
-
-    # -- checkpoint serialization (:mod:`repro.sim.snapshot`) -----------
-    def serialize(self) -> Dict[str, Any]:
-        """The file's state as a picklable dict.  Only the raw slots,
-        extras, and stable counter ship — ``nats`` and ``decoded`` are
-        derived state that :meth:`restore_serialized` recomputes."""
-        return {"slots": self.slots[:],
-                "extra": dict(self.extra) if self.extra else None,
-                "stable_version": self.stable_version}
-
-    def restore_serialized(self, state: Mapping[str, Any]) -> None:
-        """Restore a :meth:`serialize` payload in place (contexts alias
-        the slot lists), rebuilding the nat cache and dropping decode
-        memos.  Raises without mutating on a slot-count mismatch."""
-        slots = state["slots"]
-        if len(slots) != self.schema.size:
-            raise ValueError("serialized slot count does not match the "
-                             "schema")
-        self.slots[:] = slots
-        self.nats[:] = [nat_cache_value(v) for v in slots]
-        self.decoded[:] = [NO_DECODE] * self.schema.size
-        extra = state["extra"]
-        self.extra = dict(extra) if extra else None
-        self.stable_version = state["stable_version"]
-
-    # -- slot access ----------------------------------------------------
-    def set_slot(self, i: int, value: Any) -> None:
-        self.slots[i] = value
-        self.nats[i] = nat_cache_value(value)
-        self.decoded[i] = NO_DECODE
-        if self.schema.stable_mask[i]:
-            self.stable_version += 1
-
-    def unset_slot(self, i: int) -> None:
-        self.slots[i] = UNSET
-        self.nats[i] = None
-        self.decoded[i] = NO_DECODE
-        if self.schema.stable_mask[i]:
-            self.stable_version += 1
-
-    # -- name access (views, legacy code paths) -------------------------
-    def get_name(self, name: str, default: Any = None) -> Any:
-        i = self.schema.slots.get(name)
-        if i is not None:
-            v = self.slots[i]
-            return default if v is UNSET else v
-        if self.extra is not None:
-            return self.extra.get(name, default)
-        return default
-
-    def set_name(self, name: str, value: Any) -> None:
-        i = self.schema.slots.get(name)
-        if i is not None:
-            self.set_slot(i, value)
-        else:
-            if self.extra is None:
-                self.extra = {}
-            self.extra[name] = value
-
-    def del_name(self, name: str) -> None:
-        i = self.schema.slots.get(name)
-        if i is not None:
-            if self.slots[i] is UNSET:
-                raise KeyError(name)
-            self.unset_slot(i)
-        elif self.extra is not None and name in self.extra:
-            del self.extra[name]
-        else:
-            raise KeyError(name)
-
-    def has_name(self, name: str) -> bool:
-        i = self.schema.slots.get(name)
-        if i is not None:
-            return self.slots[i] is not UNSET
-        return bool(self.extra) and name in self.extra
-
-    # -- bulk operations ------------------------------------------------
-    def clear(self) -> None:
-        # in place: contexts alias the slot lists across activations
-        self.slots[:] = [UNSET] * self.schema.size
-        self.nats[:] = [None] * self.schema.size
-        self.decoded[:] = [NO_DECODE] * self.schema.size
-        self.extra = None
-        self.stable_version += 1
-
-    def update(self, mapping: Mapping[str, Any]) -> None:
-        for name, value in mapping.items():
-            self.set_name(name, value)
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {n: v for n, v in zip(self.schema.names, self.slots)
-               if v is not UNSET}
-        if self.extra:
-            out.update(self.extra)
-        return out
-
-    def names(self) -> Iterator[str]:
-        for n, v in zip(self.schema.names, self.slots):
-            if v is not UNSET:
-                yield n
-        if self.extra:
-            yield from self.extra
-
-    def __len__(self) -> int:
-        n = sum(1 for v in self.slots if v is not UNSET)
-        return n + (len(self.extra) if self.extra else 0)
-
-    # -- memory accounting ----------------------------------------------
-    def bits(self) -> int:
-        slots = self.slots
-        total = 0
-        for i in self.schema.nonghost_slots:
-            v = slots[i]
-            if v is not UNSET:
-                total += bit_size(v)
-        if self.extra:
-            total += sum(bit_size(v) for name, v in self.extra.items()
-                         if not is_ghost(name))
-        return total
+    def copy(self):  # pragma: no cover - never constructed
+        raise NotImplementedError
 
 
 class RegisterView(MutableMapping):
-    """A dict-compatible mutable mapping over one node's register file.
+    """A dict-compatible mutable mapping over one node's registers (a
+    :class:`~repro.sim.columnar.ColumnarNodeFacade`).
 
     Everything that treated node registers as a plain dict — fault
     injectors, markers, reset waves, ``dict(regs)`` snapshots in tests —
-    keeps working against this view; writes maintain the nat cache.
+    keeps working against this view; writes keep the store's dirty and
+    stable-version bookkeeping.
     """
 
     __slots__ = ("file",)
 
-    def __init__(self, file: RegisterFile) -> None:
+    def __init__(self, file) -> None:
         self.file = file
 
     def __getitem__(self, name: str) -> Any:

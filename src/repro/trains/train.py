@@ -97,8 +97,8 @@ def piece_key(piece: Tuple) -> Tuple[int, int]:
 class TrainObservation:
     """What the comparison layer reads off a neighbour's broadcast slot.
 
-    Instances may be shared across reads (the register file caches the
-    decoded observation per broadcast-slot write): treat as read-only.
+    Instances may be shared across reads (the columnar store caches the
+    decoded observation per broadcast-slot value): treat as read-only.
     """
 
     piece: Tuple
@@ -107,7 +107,7 @@ class TrainObservation:
 
 def decode_observation(buf: Any) -> Optional[TrainObservation]:
     """Validate and parse a broadcast slot; the slot's decode function
-    (run once per write under register files)."""
+    (run once per pooled value on columnar storage)."""
     if isinstance(buf, tuple) and len(buf) == 2 and valid_piece(buf[0]):
         return TrainObservation(piece=buf[0], flag=bool(buf[1]))
     return None
@@ -216,7 +216,7 @@ class TrainComponent:
             for suffix, _kind, default in _DYNAMIC_DECLS)
         # label-derived cache: node -> (stable sentinel, (parent,
         # children, own pieces, count claim, needed mask)).  Only used
-        # under register files, where the sentinel detects label writes.
+        # on columnar storage, where the sentinel detects label writes.
         self._label_cache = {}
         self._cur_needed: Optional[int] = None
 
@@ -303,7 +303,7 @@ class TrainComponent:
         (the Want-mode server delaying the train, Section 7.2.2); the
         convergecast keeps flowing.
 
-        ``sentinel`` (register files only) is the closed neighbourhood's
+        ``sentinel`` (columnar storage only) is the closed neighbourhood's
         stable-register version: the part topology, own pieces, count
         claim, and needed mask are pure functions of labels, so they are
         recomputed only when the sentinel moves — never per step.

@@ -9,7 +9,7 @@ Three layers of guarantees:
   with an immediate rejoin, reweights confined to non-MST edges with
   fresh strictly-larger weights (the unique MST survives);
 * **driver layer** — :func:`run_with_churn` is bit-for-bit identical
-  across dict/schema/columnar/numpy storage, under synchronous and
+  across dict/columnar/numpy storage, under synchronous and
   asynchronous daemons, the daemons re-cover exactly the survivors
   after ``topology_changed()``, and a reweight-only stream never raises
   an alarm (false-alarm immunity: the MST did not change);

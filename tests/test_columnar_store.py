@@ -269,8 +269,8 @@ def test_fault_injection_into_nat_columns_degrades_gracefully():
                 net.max_memory_bits(), net.total_memory_bits())
 
     ref = corrupt("dict")
-    assert corrupt("schema") == ref
     assert corrupt("columnar") == ref
+    assert corrupt("numpy") == ref
 
 
 def test_detection_survives_boxed_label_corruption():
@@ -340,7 +340,7 @@ def test_rotation_settled_matches_dict_on_boxed_rot():
             net.registers[v]["_rot"] = 1 << 62   # beyond int64 packing
         return rotation_settled(net)
 
-    assert settled("dict") is settled("schema") is settled("columnar") \
+    assert settled("dict") is settled("columnar") is settled("numpy") \
         is True
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the campaign engine: specs, grids, seed derivation,
 registries, the runner's error containment, and result aggregation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import (Axis, CampaignRunner, ScenarioSpec, axis,
@@ -9,6 +11,10 @@ from repro.engine import (Axis, CampaignRunner, ScenarioSpec, axis,
                           spec_is_satisfiable, TOPOLOGIES)
 from repro.engine.scenarios import _graph_for
 from repro.graphs.generators import ring_graph
+from repro.sim import (AsynchronousScheduler, ColumnStore,
+                       SynchronousScheduler)
+from repro.verification import make_network
+from repro.verification.verifier import MstVerifierProtocol
 
 
 class TestSpec:
@@ -123,6 +129,8 @@ class TestRunner:
                                "label_swap"}
         text = result.summary()
         assert "scenarios" in text and "violation" in text
+        # cells naming no storage ran on the default tier, not on dict
+        assert "\nstorage tiers: columnar, numpy" in text
         rows = result.rows("n", "detected")
         assert len(rows) == len(result)
 
@@ -219,6 +227,43 @@ class TestStorageAxis:
                 topology=axis("path", n=6),
                 schedule=axis("sync", storage="quantum"),
                 completeness_rounds=8))
+        net = make_network(ring_graph(6))
+        for scheduler in (SynchronousScheduler, AsynchronousScheduler):
+            with pytest.raises(ValueError, match="storage"):
+                scheduler(net, MstVerifierProtocol(), storage="quantum")
+
+    @pytest.mark.parametrize("schedule", ["sync", "permutation"])
+    def test_schema_alias_runs_the_default_storage(self, schedule,
+                                                   monkeypatch):
+        """The retired ``storage="schema"`` is an alias of the default
+        columnar backend on both schedulers and through a spec: one
+        DeprecationWarning per process, and the same semantic key,
+        seeds and record as a spec that names no storage."""
+        from repro.engine import scenario_record
+        from repro.sim import schedulers
+
+        monkeypatch.setattr(schedulers, "_alias_warned", False)
+        base = ScenarioSpec(topology=axis("random", n=10, extra=6),
+                            fault=axis("corrupt", count=1),
+                            schedule=axis(schedule), seed=9,
+                            max_rounds=4000)
+        alias = replace(base, schedule=axis(schedule, storage="schema"))
+        assert alias.semantic_key == base.semantic_key
+        for role in ("topology", "fault", "daemon"):
+            assert alias.derived_seed(role) == base.derived_seed(role)
+        scheduler = SynchronousScheduler if schedule == "sync" \
+            else AsynchronousScheduler
+        with pytest.warns(DeprecationWarning, match="schema") as caught:
+            got = scenario_record(run_scenario(alias))
+            net = make_network(ring_graph(6))
+            scheduler(net, MstVerifierProtocol(), storage="schema")
+        assert len(caught) == 1
+        assert type(net.columns) is ColumnStore
+        want = scenario_record(run_scenario(base))
+        for rec in (got, want):
+            for field in ("key", "schedule", "wall_time"):
+                rec.pop(field)
+        assert got == want
 
 
 class TestStructuredErrors:

@@ -1,8 +1,10 @@
-"""Unit tests for the typed register file layer (``repro.sim.registers``).
+"""Unit tests for register schemas and one node's register file: the
+dict-compatible :class:`~repro.sim.registers.RegisterView` over a
+columnar facade, and the slot-addressed context reads beside it.
 
-The mapping views must be indistinguishable from plain dicts; the nat /
-decode caches and stable-version counters are derived state that must
-never leak into observable behaviour.
+The mapping views must be indistinguishable from plain dicts; the nat
+coercion, decode caches and stable-version counters are derived state
+that must never leak into observable behaviour.
 """
 
 import pickle
@@ -10,9 +12,9 @@ import pickle
 import pytest
 
 from repro.graphs.weighted import WeightedGraph
-from repro.sim import (Network, RegisterFile, RegisterSchema, RegisterView,
-                       compile_schema, register_bits)
-from repro.sim.registers import NO_DECODE, UNSET
+from repro.sim import (ColumnarNodeContext, ColumnarNodeFacade, ColumnStore,
+                       Network, RegisterSchema, RegisterView, compile_schema,
+                       register_bits)
 
 
 def _schema():
@@ -22,6 +24,16 @@ def _schema():
     s.declare("roots", "str", None, stable=True)
     s.declare("pieces", "tuple", None, stable=True)
     return s.compile()
+
+
+def _node():
+    """A one-node column store and the register view over its node."""
+    store = ColumnStore(_schema(), [0])
+    return store, RegisterView(ColumnarNodeFacade(store, 0))
+
+
+def _ctx(store):
+    return ColumnarNodeContext(None, 0, store, neighbors=[])
 
 
 class TestSchema:
@@ -60,8 +72,7 @@ class TestSchema:
 
 class TestRegisterFileView:
     def test_view_behaves_like_dict(self):
-        f = RegisterFile(_schema())
-        view = RegisterView(f)
+        _, view = _node()
         assert dict(view) == {}
         view["wd"] = 3
         view["roots"] = "10*"
@@ -79,66 +90,81 @@ class TestRegisterFileView:
             del view["wd"]
 
     def test_view_equals_plain_dict(self):
-        f = RegisterFile(_schema())
-        view = RegisterView(f)
+        _, view = _node()
         view.update({"wd": 1, "alarm": None})
         assert view == {"wd": 1, "alarm": None}
         assert not (view == {"wd": 2, "alarm": None})
 
     def test_bits_match_dict_accounting(self):
-        f = RegisterFile(_schema())
-        view = RegisterView(f)
+        _, view = _node()
         contents = {"wd": 9, "roots": "101", "pieces": (1, 2),
                     "_ghost": 10 ** 9, "extra_reg": True}
         view.update(contents)
         assert register_bits(view) == register_bits(contents)
 
     def test_copy_is_independent(self):
-        f = RegisterFile(_schema())
-        f.set_name("wd", 1)
-        c = f.copy()
-        c.set_name("wd", 2)
-        assert f.get_name("wd") == 1
-        assert c.get_name("wd") == 2
+        store, view = _node()
+        view["wd"] = 1
+        snap = store.fork()
+        snap.set_value(0, store.schema.slots["wd"], 2)
+        assert view["wd"] == 1
+        assert snap.get_value(0, store.schema.slots["wd"]) == 2
 
     def test_nat_cache_tracks_writes(self):
-        f = RegisterFile(_schema())
-        i = f.schema.slots["wd"]
-        f.set_slot(i, 7)
-        assert f.nats[i] == 7
-        f.set_slot(i, -1)
-        assert f.nats[i] is None
-        f.set_slot(i, True)           # bools are not nats
-        assert f.nats[i] is None
+        store, _ = _node()
+        ctx = _ctx(store)
+        for name in ("wd", "pieces", "alarm"):   # nat, pooled, boxed
+            i = store.schema.slots[name]
+            ctx.set(i, 7)
+            assert ctx.nat(i) == 7 and ctx.read_nat(0, i) == 7
+            assert ctx.nat(i, cap=6) is None
+            ctx.set(i, -1)
+            assert ctx.nat(i) is None
+            ctx.set(i, True)           # bools are not nats
+            assert ctx.nat(i) is None and ctx.read_nat(0, i) is None
+            ctx.set(i, (7,))
+            assert ctx.nat(i) is None
+            ctx.set(i, 7)
+            assert ctx.nat(i) == 7, name
 
     def test_decode_cache_invalidated_on_write(self):
-        f = RegisterFile(_schema())
-        i = f.schema.slots["pieces"]
-        f.set_slot(i, (1, 2, 3))
-        assert f.decoded[i] is NO_DECODE
-        f.decoded[i] = "decoded!"
-        f.set_slot(i, (4, 5, 6))
-        assert f.decoded[i] is NO_DECODE
+        store, _ = _node()
+        ctx = _ctx(store)
+        calls = []
+
+        def decoder(v):
+            calls.append(v)
+            return ("decoded", v)
+
+        for name in ("pieces", "alarm"):         # pooled, boxed
+            i = store.schema.slots[name]
+            calls.clear()
+            ctx.set(i, (1, 2, 3))
+            assert ctx.get_decoded(i, decoder) == ("decoded", (1, 2, 3))
+            assert ctx.get_decoded(i, decoder) == ("decoded", (1, 2, 3))
+            assert len(calls) == 1
+            ctx.set(i, (4, 5, 6))
+            assert ctx.get_decoded(i, decoder) == ("decoded", (4, 5, 6))
 
     def test_stable_version_bumps_only_on_stable_slots(self):
-        f = RegisterFile(_schema())
-        v0 = f.stable_version
-        f.set_name("wd", 5)           # dynamic
-        assert f.stable_version == v0
-        f.set_name("roots", "111")    # stable
-        assert f.stable_version == v0 + 1
-        f.del_name("roots")
-        assert f.stable_version == v0 + 2
+        store, view = _node()
+        v0 = store.stable_versions[0]
+        view["wd"] = 5                # dynamic
+        assert store.stable_versions[0] == v0
+        view["roots"] = "111"         # stable
+        assert store.stable_versions[0] == v0 + 1
+        del view["roots"]
+        assert store.stable_versions[0] == v0 + 2
 
     def test_clear_resets_everything(self):
-        f = RegisterFile(_schema())
-        f.set_name("wd", 5)
-        f.set_name("planted", 1)
-        slots_id = id(f.slots)
-        f.clear()
-        assert dict(RegisterView(f)) == {}
-        # in place: contexts alias the slot lists
-        assert id(f.slots) == slots_id
+        store, view = _node()
+        view["wd"] = 5
+        view["planted"] = 1
+        columns = [id(col) for col in store.data]
+        view.clear()
+        assert dict(view) == {}
+        # in place: contexts alias the columns
+        assert [id(col) for col in store.data] == columns
 
 
 class TestNetworkAdoption:
@@ -149,22 +175,28 @@ class TestNetworkAdoption:
         g.add_edge("a", "b", 1)
         return g
 
+    def _network(self, graph):
+        net = Network(graph)
+        net.adopt_schema(_schema())
+        return net
+
     def test_adopt_preserves_contents(self):
         net = Network(self._graph())
         net.install({"a": {"wd": 1, "other": "x"}, "b": {"roots": "1"}})
         before = {v: dict(r) for v, r in net.registers.items()}
         net.adopt_schema(_schema())
         assert {v: dict(r) for v, r in net.registers.items()} == before
-        assert net.files is not None
+        assert net.columns is not None
 
     def test_wholesale_assignment_writes_through(self):
-        net = Network(self._graph(), schema=_schema())
+        net = self._network(self._graph())
         net.registers["a"] = {"wd": 9}
-        assert net.files["a"].get_name("wd") == 9
+        store = net.columns
+        assert store.get_value(store.index["a"], net.schema.slots["wd"]) == 9
         assert dict(net.registers["a"]) == {"wd": 9}
 
     def test_alarms_via_slots(self):
-        net = Network(self._graph(), schema=_schema())
+        net = self._network(self._graph())
         assert net.alarms() == {}
         assert not net.has_alarm()
         net.registers["b"]["alarm"] = "boom"
@@ -176,13 +208,13 @@ class TestNetworkAdoption:
         empty = Network(WeightedGraph())
         assert empty.max_memory_bits() == 0
         assert empty.total_memory_bits() == 0
-        schema_backed = Network(WeightedGraph(), schema=_schema())
+        schema_backed = self._network(WeightedGraph())
         assert schema_backed.max_memory_bits() == 0
 
     def test_register_views_survive_pickling_of_contents(self):
         """Campaign results carry register-derived data across process
         boundaries; the view's dict face must round-trip."""
-        net = Network(self._graph(), schema=_schema())
+        net = self._network(self._graph())
         net.install({"a": {"wd": 2, "pieces": (1, 2, 3)}})
         data = {v: dict(r) for v, r in net.registers.items()}
         assert pickle.loads(pickle.dumps(data)) == data

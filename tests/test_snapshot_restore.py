@@ -7,10 +7,13 @@ suite's standard: settle → snapshot → restore into a freshly built
 network/scheduler/protocol → inject fault → run, compared bit-for-bit —
 full per-node register traces at every stop-condition poll, alarms,
 round/activation/skip counters, memory-bit accounting — against the
-uninterrupted settle → inject → run, across dict/schema/columnar
-storage × sync/async/locality/independent schedules ×
+uninterrupted settle → inject → run, across dict/columnar/numpy
+storage × sync/async/locality/independent/tiled schedules ×
 verifier/hybrid/sqlog protocols, with adversarial junk planted in
-nat/tuple columns *before* the snapshot.
+nat/tuple columns *before* the snapshot.  The ``schema`` column runs
+the retired storage name (an alias of columnar) and restores the
+payload as the retired per-node register-file backend wrote it, which
+old warm caches still hold.
 
 The engine-level tests then pin the cache semantics: warm-started
 ``run_scenario`` results equal cold ones field for field, the cache key
@@ -38,6 +41,7 @@ from repro.sim import (AsynchronousScheduler, ConflictFreeDaemon,
                        PermutationDaemon, SynchronousScheduler,
                        TiledConflictFreeDaemon)
 from repro.sim.churn import _articulation_points
+from repro.sim.registers import UNSET
 from repro.sim.snapshot import (SnapshotError, capture_run_state,
                                 decode_snapshot, encode_snapshot,
                                 restore_run_state, topology_signature)
@@ -118,6 +122,21 @@ def _settle(instance, protocol_kind, schedule, storage):
     return network, scheduler, settled
 
 
+def _legacy_schema_payload(payload, schema):
+    """``payload`` as the retired per-node register-file backend wrote
+    it: ``backend: "schema"`` with a native ``files`` section (per-node
+    slot lists, extras, stable counter) in place of ``columns``."""
+    net = {k: v for k, v in payload["network"].items() if k != "columns"}
+    net["backend"] = "schema"
+    net["files"] = {
+        v: {"slots": [regs.get(name, UNSET) for name in schema.names],
+            "extra": {k: x for k, x in regs.items()
+                      if k not in schema.slots} or None,
+            "stable_version": 0}
+        for v, regs in net["values"].items()}
+    return dict(payload, network=net)
+
+
 def _detect(network, scheduler):
     """Inject the same fault and record everything observable at every
     stop-condition poll."""
@@ -153,9 +172,12 @@ def test_restore_equivalence(instance, protocol_kind, schedule, storage):
                                           schedule, storage)
     payload = capture_run_state(network, scheduler, settled)
     assert payload is not None
+    if storage == "schema":
+        payload = _legacy_schema_payload(payload, network.schema)
     blob = encode_snapshot(payload)          # through the wire format
     settled_registers = {v: dict(network.registers[v])
                          for v in network.graph.nodes()}
+    settled_bits = (network.max_memory_bits(), network.total_memory_bits())
     reference = _detect(network, scheduler)
 
     fresh_net, fresh_sched = _build(instance, protocol_kind, schedule,
@@ -165,6 +187,8 @@ def test_restore_equivalence(instance, protocol_kind, schedule, storage):
     assert restored == settled
     assert {v: dict(fresh_net.registers[v]) for v in
             fresh_net.graph.nodes()} == settled_registers
+    assert (fresh_net.max_memory_bits(),
+            fresh_net.total_memory_bits()) == settled_bits
     assert _detect(fresh_net, fresh_sched) == reference
 
 
@@ -197,7 +221,7 @@ def test_restore_crosses_storage_backends(instance, target_storage):
     key excludes ``storage``) with the same observable continuation —
     including numpy-tier snapshots warming plain-columnar runs and
     vice versa (the serialized buffer is the same raw int64 layout)."""
-    source_storage = {"dict": "numpy", "columnar": "schema",
+    source_storage = {"dict": "numpy", "columnar": "dict",
                       "numpy": "columnar"}[target_storage]
     network, scheduler, settled = _settle(instance, "verifier", "sync",
                                           source_storage)

@@ -1,11 +1,10 @@
 """Differential test: every storage backend is bit-for-bit equivalent.
 
-Four backends coexist: the legacy per-node dict store (the reference
-semantics), the typed register file (``repro.sim.registers``, slot
-lists per node), the columnar store (``repro.sim.columnar`` —
-``array('q')`` columns, interning pool, conservative column/node dirty
-tracking), and the numpy tier (``repro.sim.npcolumnar`` — the same
-columnar representation with vectorized bulk sweeps).  They
+Three backends coexist: the per-node dict store (the reference
+semantics), the columnar store (``repro.sim.columnar`` — ``array('q')``
+columns, interning pool, conservative column/node dirty tracking), and
+the numpy tier (``repro.sim.npcolumnar`` — the same columnar
+representation with vectorized bulk sweeps).  They
 re-represent node state, but none of that may be *observable*: the
 same scenario must produce identical alarms, rounds, activations,
 register contents, and memory-bit accounting under every backend, for
@@ -14,7 +13,7 @@ every scheduler and protocol.
 Two layers of evidence:
 
 * a randomized scenario sweep driven through the campaign engine with
-  the ``storage`` schedule parameter swept over ``dict`` / ``schema`` /
+  the ``storage`` schedule parameter swept over ``dict`` /
   ``columnar`` / ``numpy`` (scenario seeds derive from
   ``campaign_seed``, so
   ``REPRO_TEST_SEED`` re-randomizes the whole sweep);
@@ -103,7 +102,7 @@ def _spec_triples(campaign_seed):
 
 
 def test_scenarios_match_across_storage(campaign_seed):
-    """The same scenario under all three storages yields identical
+    """The same scenario under every storage yields identical
     alarms, rounds, memory bits, and every other metric."""
     for triple in _spec_triples(campaign_seed):
         results = [run_scenario(spec) for spec in triple]
@@ -149,8 +148,7 @@ def test_sync_register_trace_bitwise_equal(proto_kind, campaign_seed):
     standalone."""
     g = random_connected_graph(16, 26, seed=campaign_seed % 1009)
     ref = _run_sync(g, "dict", False, campaign_seed, proto_kind)
-    for storage, fast_path in [("dict", True), ("schema", False),
-                               ("schema", True), ("columnar", False),
+    for storage, fast_path in [("dict", True), ("columnar", False),
                                ("columnar", True), ("numpy", False),
                                ("numpy", True)]:
         got = _run_sync(g, storage, fast_path, campaign_seed, proto_kind)
@@ -200,9 +198,9 @@ def test_async_dirty_aware_bitwise_equal(daemon_cls, campaign_seed):
 def test_async_dirty_aware_skips_quiescent_nodes():
     """On an accepting 1-round PLS run the dirty-aware scheduler provably
     skips re-steps (each node executes once per run, the rest skip) while
-    producing the identical outcome — under both slot and columnar
-    storage, and under the locality daemon (whose whole-neighbourhood
-    batches are exactly what the skip amortizes)."""
+    producing the identical outcome — under every storage, and under
+    the locality daemon (whose whole-neighbourhood batches are exactly
+    what the skip amortizes)."""
     from repro.baselines.pls_sqlog import SqLogPlsProtocol, sqlog_labels
 
     g = random_connected_graph(14, 24, seed=5)
@@ -222,9 +220,9 @@ def test_async_dirty_aware_skips_quiescent_nodes():
                 sched.steps_skipped)
 
     for locality in (False, True):
-        naive = run("schema", False, locality)
+        naive = run("dict", False, locality)
         assert naive[5] == 0
-        for storage in ("schema", "columnar", "numpy"):
+        for storage in STORAGES:
             aware = run(storage, True, locality)
             assert naive[:5] == aware[:5], (storage, locality)
             # every activation after each node's first no-op step skips
@@ -234,7 +232,7 @@ def test_async_dirty_aware_skips_quiescent_nodes():
 def test_fault_recipes_storage_independent(campaign_seed):
     """The fault injector's rng draws must not depend on the storage
     backend's iteration order: the same seed corrupts the same registers
-    to the same values under all three representations."""
+    to the same values under every representation."""
     g = random_connected_graph(10, 16, seed=3)
     marker = run_marker(g)
 
@@ -249,7 +247,6 @@ def test_fault_recipes_storage_independent(campaign_seed):
         return {v: dict(regs) for v, regs in net.registers.items()}
 
     ref = corrupted("dict")
-    assert corrupted("schema") == ref
     assert corrupted("columnar") == ref
     assert corrupted("numpy") == ref
 
@@ -276,7 +273,6 @@ def test_hybrid_storage_differential(campaign_seed):
                 {v: dict(regs) for v, regs in net.registers.items()})
 
     ref = run("dict")
-    assert run("schema") == ref
     assert run("columnar") == ref
     assert run("numpy") == ref
     assert ref[1], "hybrid must reject the adversarial labeling"
@@ -292,7 +288,7 @@ def test_protocol_shared_across_schedulers_rebinds():
     proto = MstVerifierProtocol(synchronous=True)
     net1, net2, net3 = make_network(g1), make_network(g2), make_network(g3)
     s1 = SynchronousScheduler(net1, proto, storage="dict")
-    s2 = SynchronousScheduler(net2, proto, storage="schema")
+    s2 = SynchronousScheduler(net2, proto, storage="numpy")
     s3 = SynchronousScheduler(net3, proto, storage="columnar")
     # interleave: each run must rebind to its own storage
     for _ in range(2):
@@ -302,7 +298,7 @@ def test_protocol_shared_across_schedulers_rebinds():
     assert not net1.alarms() and not net2.alarms() and not net3.alarms()
 
     # reference: fresh protocols, same schedules
-    for g, storage, net in ((g1, "dict", net1), (g2, "schema", net2),
+    for g, storage, net in ((g1, "dict", net1), (g2, "numpy", net2),
                             (g3, "columnar", net3)):
         ref_net = make_network(g)
         ref = SynchronousScheduler(ref_net, MstVerifierProtocol(
@@ -314,20 +310,20 @@ def test_protocol_shared_across_schedulers_rebinds():
 
 def test_shared_network_across_storage_schedulers():
     """Two schedulers with different storage modes sharing one *network*
-    re-adopt the backing layout on each run (values preserved through
-    the slot-file -> columns -> slot-file round trips) and behave
-    exactly like a same-storage scheduler pair."""
+    re-adopt the backing store on each run (values preserved through
+    the columnar -> numpy -> columnar round trips) and behave exactly
+    like a same-storage scheduler pair."""
     g = random_connected_graph(10, 16, seed=9)
 
     def interleave(second_storage):
         net = make_network(g)
         s1 = SynchronousScheduler(net, MstVerifierProtocol(
-            synchronous=True), storage="schema")
+            synchronous=True), storage="columnar")
         s2 = SynchronousScheduler(net, MstVerifierProtocol(
             synchronous=True), storage=second_storage)
         s1.run(3)
-        s2.run(3)   # columnar: switches the network to columns
-        s1.run(3)   # and back to slot files
+        s2.run(3)   # numpy: switches the network to numpy columns
+        s1.run(3)   # and back to plain columns
         return {v: dict(r) for v, r in net.registers.items()}
 
-    assert interleave("columnar") == interleave("schema")
+    assert interleave("numpy") == interleave("columnar")
