@@ -190,59 +190,20 @@ class SqLogPlsProtocol(Protocol):
         if reasons:
             ctx.alarm(reasons[0])
 
-    #: conflict-free asynchronous batches may route here (the body is a
+    #: conflict-free asynchronous batches may route here (the step is a
     #: read-only verdict-cache pass, valid under any interleaving)
     bulk_conflict_free = True
-    #: coalesced batches too: the pass below replays ``boundary`` at
-    #: the original batch boundaries (and the dict fallback delegates
-    #: to the segment-aware generic driver)
+    #: coalesced batches too: the generic driver replays ``boundary``
+    #: at the original batch boundaries
     bulk_segments = True
 
     def bulk_step(self, batch) -> None:
-        """Bulk-activation sweep: the whole step is a static verdict
-        check, so a batch is one pass over the sentinel-keyed verdict
-        cache with the dispatch hoisted — an accepting batch performs
-        no writes at all, which is what lets the schedulers'
-        quiescence/skip machinery retire it wholesale.  The pass drives
-        ``gate``/``after`` strictly interleaved per activation (the
-        always-valid contract), so callback-gated batches — including
-        conflict-free asynchronous ones — take the same cached loop;
-        only undeclared (dict) storage falls back to the generic
-        driver."""
-        if not getattr(self, "_slot_bound", False):
-            drive_batch(self.step, batch)
-            return
-        gate = batch.gate
-        after = batch.after
-        cache = self._check_cache
-        cache_get = cache.get
-        segments = batch.segments
-        boundary = batch.boundary
-        seg_ends = []
-        if segments is not None:
-            k = 0
-            for seg_len in segments:
-                k += seg_len
-                seg_ends.append(k)
-        seg = 0
-        for k, ctx in enumerate(batch.contexts):
-            stepped = gate is None or gate(k, ctx)
-            if stepped:
-                sentinel = ctx.stable_sentinel()
-                ent = cache_get(ctx.node)
-                if ent is not None and ent[0] == sentinel:
-                    reasons = ent[1]
-                else:
-                    reasons = sqlog_check(ctx)
-                    cache[ctx.node] = (sentinel, reasons)
-                if reasons:
-                    ctx.alarm(reasons[0])
-            if after is not None and after(k, ctx, stepped):
-                return
-            while seg < len(seg_ends) and k + 1 == seg_ends[seg]:
-                if boundary is not None and boundary(seg):
-                    return
-                seg += 1
+        """Bulk-activation sweep: the generic per-node driver over
+        :meth:`step`.  The step is a static verdict check cached on the
+        stable sentinel, so an accepting batch performs no writes at
+        all, which is what lets the schedulers' quiescence/skip
+        machinery retire it wholesale."""
+        drive_batch(self.step, batch)
 
 
 def sqlog_marker_output(graph: WeightedGraph):

@@ -3,7 +3,7 @@ asynchronous schedulers with pluggable daemons, columnar register storage
 with bit accounting, and transient-fault injection."""
 
 from .bulk import BulkBatch, ColumnarBulkOps, drive_batch
-from .columnar import ColumnStore, ColumnarNodeContext, ColumnarNodeFacade
+from .columnar import ColumnStore, ColumnarNodeContext
 from .network import ALARM, Network, NodeContext, Protocol, first_alarm
 from .registers import (KIND_NAT, KIND_OPAQUE, KIND_STR, KIND_TUPLE,
                         CompiledSchema, RegisterSchema, RegisterView,
@@ -29,7 +29,7 @@ from .snapshot import (SnapshotError, capture_network, capture_run_state,
 __all__ = [
     "ALARM", "Network", "NodeContext", "Protocol", "first_alarm",
     "BulkBatch", "ColumnarBulkOps", "drive_batch",
-    "ColumnStore", "ColumnarNodeContext", "ColumnarNodeFacade",
+    "ColumnStore", "ColumnarNodeContext",
     "KIND_NAT", "KIND_OPAQUE", "KIND_STR", "KIND_TUPLE",
     "CompiledSchema", "RegisterSchema", "RegisterView",
     "bit_size", "compile_schema", "is_ghost", "nat_value", "register_bits",

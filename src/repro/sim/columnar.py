@@ -203,7 +203,7 @@ class ColumnStore:
         self.pool_typed: Dict[Any, int] = {}
         #: dense-index freelist for churned nodes: node id -> the dense
         #: row it vacated.  Columns never change length and survivors
-        #: never move, so live handles (facades, numpy views) stay valid
+        #: never move, so live handles (register views, numpy views) stay valid
         #: across crash/rejoin; a rejoining node reclaims its exact
         #: original row.
         self.detached: Dict[NodeId, int] = {}
@@ -263,7 +263,7 @@ class ColumnStore:
 
     # -- generic (index, slot) access -----------------------------------
     # The hot paths live in ColumnarNodeContext; these are the shared
-    # slow-path primitives used by name fallbacks, facades, and the
+    # slow-path primitives used by name access, register views, and the
     # memory accounting.
     def get_value(self, i: int, slot: int, default: Any = None) -> Any:
         col = self.data[slot]
@@ -506,7 +506,7 @@ class ColumnStore:
         cleared and parked on the :attr:`detached` freelist.  Column
         lengths and the dense indices of every other node are untouched,
         so live handles (contexts are rebuilt by the schedulers'
-        ``topology_changed``; facades and numpy column views need no
+        ``topology_changed``; register views and numpy column views need no
         rebuild) stay valid."""
         index = self.index
         if type(index) is list:
@@ -551,6 +551,46 @@ class ColumnStore:
             total += sum(bit_size(v) for name, v in extra.items()
                          if not is_ghost(name))
         return total
+
+    # -- name access (register views, name-addressed context calls) -----
+    # A declared name resolves to its slot; any other name lives in the
+    # node's extras dict, so undeclared state can always be planted.
+    def get_name(self, i: int, name: str, default: Any = None) -> Any:
+        slot = self.schema.slots.get(name)
+        if slot is not None:
+            return self.get_value(i, slot, default)
+        extra = self.extras[i]
+        return default if extra is None else extra.get(name, default)
+
+    def set_name(self, i: int, name: str, value: Any) -> None:
+        slot = self.schema.slots.get(name)
+        if slot is not None:
+            self.set_value(i, slot, value)
+            return
+        extra = self.extras[i]
+        if extra is None:
+            extra = self.extras[i] = {}
+        extra[name] = value
+        self.extras_dirty.add(i)
+        self.mark_node(i)
+
+    def has_name(self, i: int, name: str) -> bool:
+        slot = self.schema.slots.get(name)
+        if slot is not None:
+            return self.has_value(i, slot)
+        extra = self.extras[i]
+        return bool(extra) and name in extra
+
+    def del_name(self, i: int, name: str) -> None:
+        if not self.has_name(i, name):
+            raise KeyError(name)
+        slot = self.schema.slots.get(name)
+        if slot is not None:
+            self.unset_value(i, slot)
+            return
+        del self.extras[i][name]
+        self.extras_dirty.add(i)
+        self.mark_node(i)
 
     # -- snapshots -------------------------------------------------------
     def fork(self) -> "ColumnStore":
@@ -731,107 +771,6 @@ class ColumnStore:
                 self.stable_epoch = live.stable_epoch
 
 
-class ColumnarNodeFacade:
-    """The per-node face over a column store.
-
-    Everything that treats node registers as a per-node object — the
-    dict-compatible :class:`~repro.sim.registers.RegisterView`, fault
-    injection, markers, the bit accounting — works against this facade
-    by register name.
-    """
-
-    __slots__ = ("store", "node", "i")
-
-    def __init__(self, store: ColumnStore, node: NodeId) -> None:
-        self.store = store
-        self.node = node
-        # a list index maps dense ids to themselves, so plain
-        # subscription works for both index representations
-        self.i = store.index[node]
-
-    @property
-    def schema(self) -> CompiledSchema:
-        return self.store.schema
-
-    # -- name access ----------------------------------------------------
-    def get_name(self, name: str, default: Any = None) -> Any:
-        store = self.store
-        slot = store.schema.slots.get(name)
-        if slot is not None:
-            return store.get_value(self.i, slot, default)
-        extra = store.extras[self.i]
-        if extra is not None:
-            return extra.get(name, default)
-        return default
-
-    def set_name(self, name: str, value: Any) -> None:
-        store = self.store
-        slot = store.schema.slots.get(name)
-        if slot is not None:
-            store.set_value(self.i, slot, value)
-        else:
-            extra = store.extras[self.i]
-            if extra is None:
-                extra = store.extras[self.i] = {}
-            extra[name] = value
-            store.extras_dirty.add(self.i)
-            store.mark_node(self.i)
-
-    def del_name(self, name: str) -> None:
-        store = self.store
-        slot = store.schema.slots.get(name)
-        if slot is not None:
-            if not store.has_value(self.i, slot):
-                raise KeyError(name)
-            store.unset_value(self.i, slot)
-            return
-        extra = store.extras[self.i]
-        if extra is not None and name in extra:
-            del extra[name]
-            store.extras_dirty.add(self.i)
-            store.mark_node(self.i)
-        else:
-            raise KeyError(name)
-
-    def has_name(self, name: str) -> bool:
-        store = self.store
-        slot = store.schema.slots.get(name)
-        if slot is not None:
-            return store.has_value(self.i, slot)
-        extra = store.extras[self.i]
-        return bool(extra) and name in extra
-
-    # -- bulk -----------------------------------------------------------
-    def clear(self) -> None:
-        self.store.clear_node(self.i)
-
-    def update(self, mapping: Mapping[str, Any]) -> None:
-        for name, value in mapping.items():
-            self.set_name(name, value)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return self.store.node_dict(self.i)
-
-    def names(self) -> Iterator[str]:
-        store = self.store
-        for slot, name in enumerate(store.schema.names):
-            if store.has_value(self.i, slot):
-                yield name
-        extra = store.extras[self.i]
-        if extra:
-            yield from extra
-
-    def __len__(self) -> int:
-        store = self.store
-        n = sum(1 for slot in range(store.schema.size)
-                if store.has_value(self.i, slot))
-        extra = store.extras[self.i]
-        return n + (len(extra) if extra else 0)
-
-    def bits(self) -> int:
-        return self.store.node_bits(self.i)
-
-
 class ColumnarNodeContext:
     """The slot-addressed counterpart of
     :class:`~repro.sim.network.NodeContext`: accessors take *handles*,
@@ -844,7 +783,7 @@ class ColumnarNodeContext:
     path, the live store itself under asynchronous execution).  Every
     write flags its column dirty and sets :attr:`wrote`; the schedulers
     mark the node dirty once per activation off that flag (writes
-    outside a scheduler step — markers, fault injection, facade pokes —
+    outside a scheduler step — markers, fault injection, view pokes —
     are covered by the run-boundary full refresh, exactly as on dict
     storage).
     """
@@ -890,7 +829,7 @@ class ColumnarNodeContext:
         try:
             col = self._data[handle]
         except TypeError:     # a register name, not a slot handle
-            return self._get_name(handle, default)
+            return self.store.get_name(self._i, handle, default)
         v = col[self._i]
         t = type(col)
         if t is list:
@@ -907,7 +846,7 @@ class ColumnarNodeContext:
         try:
             col = self._nat_cols[handle]
         except TypeError:
-            return nat_value(self._get_name(handle), cap)
+            return nat_value(self.store.get_name(self._i, handle), cap)
         if col is not None:
             v = col[self._i]
             return v if 0 <= v <= cap else None
@@ -923,7 +862,7 @@ class ColumnarNodeContext:
         try:
             col = self._data[handle]
         except TypeError:
-            return decoder(self._get_name(handle))
+            return decoder(self.store.get_name(self._i, handle))
         if type(col) is PoolColumn:
             v = col[self._i]
             if v >= 0:
@@ -969,7 +908,8 @@ class ColumnarNodeContext:
         try:
             col = self._nat_cols[handle]
         except TypeError:
-            self._set_name(handle, value)
+            self.store.set_name(self._i, handle, value)
+            self.wrote = True
             return
         i = self._i
         ovf = self._ovf[handle]
@@ -1002,19 +942,13 @@ class ColumnarNodeContext:
             store.stable_epoch += 1
 
     def unset(self, handle) -> None:
+        store = self.store
         if type(handle) is not int:
-            name_slot = self.store.schema.slots.get(handle)
-            if name_slot is None:
-                extra = self.store.extras[self._i]
-                if extra and handle in extra:
-                    del extra[handle]
-                    self.store.extras_dirty.add(self._i)
-                    self.store.mark_node(self._i)
-                    self.wrote = True
-                return
-            handle = name_slot
-        if self.store.has_value(self._i, handle):
-            self.store.unset_value(self._i, handle)
+            if store.has_name(self._i, handle):
+                store.del_name(self._i, handle)
+                self.wrote = True
+        elif store.has_value(self._i, handle):
+            store.unset_value(self._i, handle)
             self.wrote = True
 
     def alarm(self, reason: str) -> None:
@@ -1027,39 +961,12 @@ class ColumnarNodeContext:
         if self.store.get_value(self._i, a) is None:
             self.set(a, reason)
 
-    # -- name fallbacks --------------------------------------------------
-    def _get_name(self, name: str, default: Any = None) -> Any:
-        slot = self.store.schema.slots.get(name)
-        if slot is not None:
-            return self.store.get_value(self._i, slot, default)
-        extra = self.store.extras[self._i]
-        if extra is not None:
-            return extra.get(name, default)
-        return default
-
-    def _set_name(self, name: str, value: Any) -> None:
-        slot = self.store.schema.slots.get(name)
-        if slot is not None:
-            self.set(slot, value)
-            return
-        extra = self.store.extras[self._i]
-        if extra is None:
-            extra = self.store.extras[self._i] = {}
-        extra[name] = value
-        self.store.extras_dirty.add(self._i)
-        self.store.mark_node(self._i)
-        self.wrote = True
-
     # -- neighbour state --------------------------------------------------
     def read(self, neighbor: NodeId, handle, default: Any = None) -> Any:
         try:
             col = self._snap_data[handle]
         except TypeError:
-            slot = self.snap.schema.slots.get(handle)
-            if slot is None:
-                extra = self.snap.extras[self._index[neighbor]]
-                return extra.get(handle, default) if extra else default
-            return self.snap.get_value(self._index[neighbor], slot, default)
+            return self.snap.get_name(self._index[neighbor], handle, default)
         v = col[self._index[neighbor]]
         t = type(col)
         if t is list:

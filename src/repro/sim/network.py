@@ -51,8 +51,8 @@ class RegisterTable(dict):
         current = dict.get(self, node)
         if isinstance(current, RegisterView) \
                 and not isinstance(value, RegisterView):
-            current.file.clear()
-            current.file.update(value)
+            current.clear()
+            current.update(value)
         else:
             dict.__setitem__(self, node, value)
 
@@ -89,14 +89,13 @@ class Network:
             from .columnar import ColumnStore as store_cls
         if self.schema == compiled and type(self.columns) is store_cls:
             return self.schema
-        from .columnar import ColumnarNodeFacade
         nodes = self.graph.nodes()
         store = store_cls(compiled, nodes)
         table = RegisterTable()
         for v in nodes:
-            facade = ColumnarNodeFacade(store, v)
-            facade.update(self.registers[v])
-            dict.__setitem__(table, v, RegisterView(facade))
+            view = RegisterView(store, v)
+            view.update(self.registers[v])
+            dict.__setitem__(table, v, view)
         self.schema = compiled
         self.columns = store
         self.registers = table
@@ -138,10 +137,9 @@ class Network:
         protocol's ``init_node``)."""
         self.graph.restore_node(v, stub["graph"])
         if self.columns is not None:
-            from .columnar import ColumnarNodeFacade
             self.columns.attach_node(v)
-            facade = ColumnarNodeFacade(self.columns, v)
-            dict.__setitem__(self.registers, v, RegisterView(facade))
+            dict.__setitem__(self.registers, v,
+                             RegisterView(self.columns, v))
         else:
             self.registers[v] = {}
 

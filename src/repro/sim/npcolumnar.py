@@ -4,7 +4,7 @@ The store keeps the *exact* storage representation of its parent —
 ``array('q')`` nat columns, :class:`PoolColumn` interning-id columns,
 boxed ``list`` columns, the sentinel encoding, the per-slot overflow
 dicts — so equality with the plain columnar backend is structural, not
-emergent: every scalar path (contexts, facades, snapshot serialize /
+emergent: every scalar path (contexts, register views, snapshot serialize /
 restore) runs the inherited code unchanged, and a snapshot written by
 this store restores into any backend (the serialized ``tobytes`` *is*
 the raw int64 buffer numpy views).  Numpy enters only through on-demand

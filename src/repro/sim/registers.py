@@ -108,7 +108,7 @@ def is_ghost(name: str) -> bool:
 def register_bits(registers: Mapping[str, Any]) -> int:
     """Total bits of the non-ghost registers of one node."""
     if isinstance(registers, RegisterView):
-        return registers.file.bits()
+        return registers.store.node_bits(registers.i)
     return sum(bit_size(v) for name, v in registers.items() if not is_ghost(name))
 
 
@@ -257,55 +257,57 @@ class RegisterFile:
 
 
 class RegisterView(MutableMapping):
-    """A dict-compatible mutable mapping over one node's registers (a
-    :class:`~repro.sim.columnar.ColumnarNodeFacade`).
+    """A dict-compatible mutable mapping over one node's row of a
+    :class:`~repro.sim.columnar.ColumnStore`.
 
     Everything that treated node registers as a plain dict — fault
     injectors, markers, reset waves, ``dict(regs)`` snapshots in tests —
     keeps working against this view; writes keep the store's dirty and
-    stable-version bookkeeping.
+    stable-version bookkeeping.  The row is resolved once: churn parks
+    a detached node's row instead of reindexing, so it stays valid.
     """
 
-    __slots__ = ("file",)
+    __slots__ = ("store", "i")
 
-    def __init__(self, file) -> None:
-        self.file = file
+    def __init__(self, store, node) -> None:
+        self.store = store
+        # a list index maps dense ids to themselves, so plain
+        # subscription works for both index representations
+        self.i = store.index[node]
 
     def __getitem__(self, name: str) -> Any:
-        v = self.file.get_name(name, UNSET)
+        v = self.store.get_name(self.i, name, UNSET)
         if v is UNSET:
             raise KeyError(name)
         return v
 
     def get(self, name: str, default: Any = None) -> Any:
-        return self.file.get_name(name, default)
+        return self.store.get_name(self.i, name, default)
 
     def __setitem__(self, name: str, value: Any) -> None:
-        self.file.set_name(name, value)
+        self.store.set_name(self.i, name, value)
 
     def __delitem__(self, name: str) -> None:
-        self.file.del_name(name)
+        self.store.del_name(self.i, name)
 
     def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self.file.has_name(name)
+        return isinstance(name, str) and self.store.has_name(self.i, name)
 
     def __iter__(self) -> Iterator[str]:
-        return self.file.names()
+        return iter(self.store.node_dict(self.i))
 
     def __len__(self) -> int:
-        return len(self.file)
+        return len(self.store.node_dict(self.i))
 
     def clear(self) -> None:
-        self.file.clear()
+        self.store.clear_node(self.i)
 
     def __repr__(self) -> str:
-        return f"RegisterView({self.file.to_dict()!r})"
+        return f"RegisterView({self.store.node_dict(self.i)!r})"
 
     def __eq__(self, other: Any) -> bool:
-        if isinstance(other, RegisterView):
-            return self.file.to_dict() == other.file.to_dict()
         if isinstance(other, Mapping):
-            return self.file.to_dict() == dict(other)
+            return self.store.node_dict(self.i) == dict(other)
         return NotImplemented
 
     def __ne__(self, other: Any) -> bool:

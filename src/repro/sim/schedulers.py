@@ -275,9 +275,7 @@ class SynchronousScheduler:
                                          self._storage, self._compiled)
         self.initialize()
         if self._compiled is not None:
-            if self.fast_path:
-                return self._run_fast_columns(max_rounds, stop_when)
-            return self._run_naive_columns(max_rounds, stop_when)
+            return self._run_columns(max_rounds, stop_when)
         if self.fast_path:
             return self._run_fast(max_rounds, stop_when)
         executed = 0
@@ -357,43 +355,18 @@ class SynchronousScheduler:
                 break
         return executed
 
-    # -- columnar paths --------------------------------------------------
-    def _run_naive_columns(self, max_rounds: int,
-                           stop_when: Optional[StopCondition]) -> int:
-        network = self.network
-        protocol = self.protocol
-        bulk_step = self._bulk_step
-        nodes = network.graph.nodes()
-        store = network.columns
-        snap, contexts = self._columnar_state()
-        if bulk_step is not None:
-            ops = self._bulk_ops_for(store, snap)
-            ctx_list = [contexts[v] for v in nodes]
-            idx_list = [c._i for c in ctx_list]
-        executed = 0
-        for _ in range(max_rounds):
-            snap.refresh_from(store, full=True)
-            store.clear_dirty()
-            if bulk_step is not None:
-                bulk_step(BulkBatch(ctx_list, idx_list, ops))
-            else:
-                for v in nodes:
-                    protocol.step(contexts[v])
-            self.rounds += 1
-            executed += 1
-            protocol.on_round_end(network, self.rounds)
-            if stop_when is not None and stop_when(network):
-                break
-        return executed
-
-    def _run_fast_columns(self, max_rounds: int,
-                          stop_when: Optional[StopCondition]) -> int:
-        """The fast path over columns: snapshot refresh is a bulk copy of
-        exactly the dirty columns (slice assignment, not per-slot loops),
-        and the quiescence skip keys off the store's conservative dirty
-        node list — sound because a node is only skipped when *no write
-        at all* happened in its closed neighbourhood last round, in which
-        case its deterministic step would rewrite its current state."""
+    # -- columnar path ---------------------------------------------------
+    def _run_columns(self, max_rounds: int,
+                     stop_when: Optional[StopCondition]) -> int:
+        """The loop over columns.  On the fast path the snapshot refresh
+        is a bulk copy of exactly the dirty columns (slice assignment,
+        not per-slot loops), and the quiescence skip keys off the
+        store's conservative dirty node list — sound because a node is
+        only skipped when *no write at all* happened in its closed
+        neighbourhood last round, in which case its deterministic step
+        would rewrite its current state.  Off the fast path (or under
+        an overridden ``on_round_end``) every round is the naive one: a
+        full refresh, then every node steps."""
         network = self.network
         protocol = self.protocol
         bulk_step = self._bulk_step
@@ -409,8 +382,9 @@ class SynchronousScheduler:
         # are not round-tracked: the first round re-snapshots and
         # re-steps everything, exactly like the naive loop.
         first = True
+        naive = not self.fast_path
         while executed < max_rounds:
-            if first:
+            if first or naive:
                 snap.refresh_from(store, full=True)
                 store.clear_dirty()
                 active: Sequence[NodeId] = nodes
@@ -972,17 +946,8 @@ class AsynchronousScheduler:
     def initialize(self) -> None:
         if self._initialized:
             return
-        if self._compiled is not None:
-            graph = self.network.graph
-            store = self.network.columns
-            for v in graph.nodes():
-                ctx = ColumnarNodeContext(self.network, v, store, None,
-                                          graph.neighbors(v))
-                self.protocol.init_node(ctx)
-        else:
-            for v in self.network.graph.nodes():
-                ctx = NodeContext(self.network, v, self.network.registers)
-                self.protocol.init_node(ctx)
+        for ctx in self._contexts().values():
+            self.protocol.init_node(ctx)
         self._initialized = True
 
     def _contexts(self) -> Dict[NodeId, object]:

@@ -130,7 +130,7 @@ def restore_network(network: Network, state: Mapping[str, Any]) -> None:
             pass  # layout drift: fall through to the neutral section
     values = state["values"]
     for v in network.graph.nodes():
-        # RegisterTable write-through: clears the node's facade in
+        # RegisterTable write-through: clears the node's view in
         # place, then installs the plain dict
         network.registers[v] = dict(values.get(v, {}))
 

@@ -22,22 +22,21 @@ shorter rotation.  Benchmark E11 quantifies the trade.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..graphs.weighted import NodeId, WeightedGraph
 from ..labels import registers as R
 from ..labels.strings import ENDP_DOWN, ENDP_UP
 from ..labels.wellforming import sorted_levels, static_check
-from ..sim.bulk import drive_batch
-from ..sim.network import NodeContext, Protocol
-from ..sim.registers import ALARM, RegisterSchema, handle_resolver
-from ..trains.budgets import BUDGET_CACHE_STEPS, Budgets, node_budgets
-from ..trains.comparison import (MODE_SYNC_WINDOW, MODE_WANT,
-                                 ComparisonComponent)
-from ..trains.train import TrainComponent, _nat, valid_piece
+from ..sim.registers import RegisterSchema
+from ..trains.train import _nat, valid_piece
 from .marker import MarkerOutput, run_marker
-from .verifier import (REG_BUDGET_CACHE, REG_VSTEP,
-                       fused_verifier_sweep)
+from .verifier import TrainVerifierProtocol
+
+# Unused here: the per-layer tracer of ``benchmarks/perf`` patches
+# these two names in this module's namespace, so they must resolve.
+from ..sim.bulk import drive_batch  # noqa: F401
+from .verifier import fused_verifier_sweep  # noqa: F401
 
 #: the replicated bottom pieces: tuple of (root, level, weight), sorted.
 REG_OWN_BOT = "ownbot"
@@ -153,135 +152,17 @@ def check_bottom_levels(ctx) -> List[str]:
     return bad
 
 
-class HybridVerifierProtocol(Protocol):
-    """Top train + local bottom checks (the memory/time knob)."""
+class HybridVerifierProtocol(TrainVerifierProtocol):
+    """Top train + local bottom checks (the memory/time knob): only the
+    Top train rotates, ``ownbot`` replicates the bottom pieces, and the
+    bottom levels verify inside the static phase."""
 
-    def __init__(self, synchronous: bool = True,
-                 comparison_mode: Optional[str] = None,
-                 static_every: int = 1) -> None:
-        self.synchronous = synchronous
-        if comparison_mode is None:
-            comparison_mode = MODE_SYNC_WINDOW if synchronous else MODE_WANT
-        self.top = TrainComponent("top", R.REG_TOP_ROOT, R.REG_TOP_COUNT,
-                                  R.REG_PIECES_TOP, synchronous)
-        # the bottom train exists only as an inert observer target; its
-        # part registers are degenerate singletons with zero pieces.
-        self.bottom = TrainComponent("bottom", R.REG_BOT_ROOT,
-                                     R.REG_BOT_COUNT, R.REG_PIECES_BOT,
-                                     synchronous)
-        self.comparison = ComparisonComponent(self.top, self.bottom,
-                                              comparison_mode,
-                                              only_top=True)
-        self.static_every = max(1, static_every)
-        self.bind_registers(None)
+    only_top = True
 
-    def register_schema(self) -> RegisterSchema:
-        schema = RegisterSchema()
-        schema.declare(ALARM, "opaque", None)
-        schema.declare(REG_VSTEP, "nat", 0)
-        schema.declare(REG_BUDGET_CACHE, "opaque", None)
-        R.declare_label_registers(schema)
+    def declare_extra_registers(self, schema: RegisterSchema) -> None:
         schema.declare(REG_OWN_BOT, "tuple", None, stable=True)
-        self.top.declare_registers(schema)
-        self.bottom.declare_registers(schema)
-        self.comparison.declare_registers(schema)
-        return schema
 
-    def bind_registers(self, compiled) -> None:
-        """See :meth:`MstVerifierProtocol.bind_registers`: besides
-        resolving handles this must reset every register-derived cache —
-        snapshot restore re-binds after replacing the registers."""
-        resolve = handle_resolver(compiled)
-        self.h_alarm = resolve(ALARM)
-        self.h_vstep = resolve(REG_VSTEP)
-        self.h_bgt = resolve(REG_BUDGET_CACHE)
-        self.top.bind_registers(compiled)
-        self.bottom.bind_registers(compiled)
-        self.comparison.bind_registers(compiled)
-        # columnar storage only: label-derived caches (see the verifier)
-        self._slot_bound = compiled is not None
-        self._static_cache = {}
-        self._budget_cache = {}
-        # bulk plane: fused component closures, keyed on the ops object
-        self._fused = None
-
-    def init_node(self, ctx: NodeContext) -> None:
-        ctx.set(self.h_alarm, None)
-        ctx.set(self.h_vstep, 0)
-        self.top.init_node(ctx)
-        self.bottom.init_node(ctx)
-        self.comparison.init_node(ctx)
-
-    def budgets_for(self, ctx: NodeContext,
-                    sentinel: Optional[int] = None,
-                    step_no: Optional[int] = None) -> Budgets:
-        cached = ctx.get(self.h_bgt)
-        if step_no is None:
-            step_no = ctx.nat(self.h_vstep, cap=1 << 30) or 0
-        if isinstance(cached, tuple) and len(cached) == 2 and \
-                isinstance(cached[1], Budgets) and \
-                step_no - cached[0] < BUDGET_CACHE_STEPS:
-            return cached[1]
-        if sentinel is not None:
-            ent = self._budget_cache.get(ctx.node)
-            if ent is not None and ent[0] == sentinel:
-                budgets = ent[1]
-            else:
-                budgets = node_budgets(ctx, self.synchronous)
-                self._budget_cache[ctx.node] = (sentinel, budgets)
-        else:
-            budgets = node_budgets(ctx, self.synchronous)
-        ctx.set(self.h_bgt, (step_no, budgets))
-        return budgets
-
-    def _static_alarms(self, ctx, sentinel: Optional[int]) -> List[str]:
-        """Static + replicated-bottom checks: both are deterministic in
-        the closed neighbourhood's labels (incl. ``ownbot``), so they are
-        recomputed only when the stable sentinel moves."""
-        if sentinel is None:
-            return static_check(ctx) + check_bottom_levels(ctx)
-        ent = self._static_cache.get(ctx.node)
-        if ent is not None and ent[0] == sentinel:
-            return ent[1]
-        reasons = static_check(ctx) + check_bottom_levels(ctx)
-        self._static_cache[ctx.node] = (sentinel, reasons)
-        return reasons
-
-    def step(self, ctx: NodeContext) -> None:
-        step_no = (ctx.nat(self.h_vstep, cap=1 << 30) or 0) + 1
-        ctx.set(self.h_vstep, step_no)
-        sentinel = ctx.stable_sentinel() if self._slot_bound else None
-        alarms: List[str] = []
-        if step_no % self.static_every == 0:
-            alarms.extend(self._static_alarms(ctx, sentinel))
-        budgets = self.budgets_for(ctx, sentinel, step_no)
-        held_top, _held_bot = self.comparison.held_levels(ctx)
-        alarms.extend(self.top.step(ctx, budgets,
-                                    hold_broadcast=held_top is not None,
-                                    sentinel=sentinel))
-        self.comparison.serve_turn(ctx)
-        alarms.extend(self.comparison.step(ctx, budgets, sentinel))
-        if alarms:
-            ctx.alarm(alarms[0])
-
-    #: conflict-free asynchronous batches may fuse (see repro.sim.bulk)
-    bulk_conflict_free = True
-    #: coalesced batches supported: the shared fused sweep drives
-    #: segments in order and replays ``boundary`` between them
-    bulk_segments = True
-
-    def bulk_step(self, batch) -> None:
-        """Bulk-activation sweep: the shared fused verifier sweep with
-        only the Top train (bottom levels verify inside the static
-        phase via the replicated pieces), fused under either license —
-        synchronous columnar rounds or conflict-free asynchronous
-        batches; see
-        :func:`repro.verification.verifier.fused_verifier_sweep` for
-        the fusion licenses and equivalence contract."""
-        ops = batch.ops
-        if ops is None or not ops.fused or (
-                not batch.conflict_free and
-                (batch.gate is not None or batch.after is not None)):
-            drive_batch(self.step, batch)
-            return
-        fused_verifier_sweep(self, batch, (self.top,), self.comparison)
+    def _checks(self, ctx) -> List[str]:
+        # both are deterministic in the closed neighbourhood's labels
+        # (incl. ``ownbot``), so the base caches them on the sentinel
+        return static_check(ctx) + check_bottom_levels(ctx)

@@ -21,6 +21,11 @@ The protocol is parameterized by the execution model:
 
 Alarms latch in the ``alarm`` register with a reason string.
 
+The protocol surface lives in :class:`TrainVerifierProtocol`;
+:class:`MstVerifierProtocol` and the hybrid scheme's
+:class:`~repro.verification.hybrid.HybridVerifierProtocol` are its two
+sibling subclasses.
+
 The protocol declares a register schema (labels, both trains, the
 comparison mechanism, its own working registers), so the schedulers back
 its networks with per-register columns by default; see
@@ -66,9 +71,8 @@ def _bulk_stats(proto):
 
 
 def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
-    """The shared fused bulk sweep of the train verifiers (the full
-    verifier passes both trains, the hybrid only Top — one driver so
-    the two sweeps cannot drift apart).
+    """The fused bulk sweep of :class:`TrainVerifierProtocol` over its
+    ``trains`` (both for the full verifier, only Top for the hybrid).
 
     With fused column ops licensed — a synchronous round on columnar
     storage, or an asynchronous conflict-free batch (live columns,
@@ -486,8 +490,14 @@ class _VectorSweep:
                 ctx.alarm(first[0])
 
 
-class MstVerifierProtocol(Protocol):
-    """The complete verifier of Sections 5–8."""
+class TrainVerifierProtocol(Protocol):
+    """The train verifiers' shared protocol surface.  Subclasses set
+    only which trains rotate (:attr:`only_top`), their 1-round checks
+    (:meth:`_checks`) and any registers declared after the labels."""
+
+    #: only the Top train rotates and the Ask cycle covers top levels;
+    #: the Bottom train stays an inert observer target
+    only_top = False
 
     def __init__(self, synchronous: bool = True,
                  comparison_mode: Optional[str] = None,
@@ -495,15 +505,15 @@ class MstVerifierProtocol(Protocol):
         self.synchronous = synchronous
         if comparison_mode is None:
             comparison_mode = MODE_SYNC_WINDOW if synchronous else MODE_WANT
-        if synchronous and comparison_mode != MODE_SYNC_WINDOW:
-            # want-modes also run under a synchronous scheduler (ablation)
-            pass
         self.top = TrainComponent("top", REG_TOP_ROOT, REG_TOP_COUNT,
                                   REG_PIECES_TOP, synchronous)
         self.bottom = TrainComponent("bottom", REG_BOT_ROOT, REG_BOT_COUNT,
                                      REG_PIECES_BOT, synchronous)
+        self.trains = (self.top,) if self.only_top \
+            else (self.top, self.bottom)
         self.comparison = ComparisonComponent(self.top, self.bottom,
-                                              comparison_mode)
+                                              comparison_mode,
+                                              only_top=self.only_top)
         self.static_every = max(1, static_every)
         self.bind_registers(None)
 
@@ -514,10 +524,19 @@ class MstVerifierProtocol(Protocol):
         schema.declare(REG_VSTEP, "nat", 0)
         schema.declare(REG_BUDGET_CACHE, "opaque", None)
         declare_label_registers(schema)
+        self.declare_extra_registers(schema)
         self.top.declare_registers(schema)
         self.bottom.declare_registers(schema)
         self.comparison.declare_registers(schema)
         return schema
+
+    def declare_extra_registers(self, schema: RegisterSchema) -> None:
+        """Hook: registers declared right after the labels."""
+
+    def _checks(self, ctx) -> List[str]:
+        """Hook: the 1-round checks, deterministic in the closed
+        neighbourhood's labels."""
+        raise NotImplementedError
 
     def bind_registers(self, compiled) -> None:
         """Resolve register handles and reset every cache derived from
@@ -586,11 +605,11 @@ class MstVerifierProtocol(Protocol):
         neighbourhood changed (they are deterministic in exactly that
         scope, so an unchanged sentinel implies an unchanged verdict)."""
         if sentinel is None:
-            return static_check(ctx)
+            return self._checks(ctx)
         ent = self._static_cache.get(ctx.node)
         if ent is not None and ent[0] == sentinel:
             return ent[1]
-        reasons = static_check(ctx)
+        reasons = self._checks(ctx)
         self._static_cache[ctx.node] = (sentinel, reasons)
         return reasons
 
@@ -604,13 +623,11 @@ class MstVerifierProtocol(Protocol):
             alarms.extend(self._static_alarms(ctx, sentinel))
 
         budgets = self.budgets_for(ctx, sentinel, step_no)
-        held_top, held_bot = self.comparison.held_levels(ctx)
-        alarms.extend(self.top.step(ctx, budgets,
-                                    hold_broadcast=held_top is not None,
-                                    sentinel=sentinel))
-        alarms.extend(self.bottom.step(ctx, budgets,
-                                       hold_broadcast=held_bot is not None,
-                                       sentinel=sentinel))
+        for train, held in zip(self.trains,
+                               self.comparison.held_levels(ctx)):
+            alarms.extend(train.step(ctx, budgets,
+                                     hold_broadcast=held is not None,
+                                     sentinel=sentinel))
         self.comparison.serve_turn(ctx)
         alarms.extend(self.comparison.step(ctx, budgets, sentinel))
 
@@ -627,7 +644,7 @@ class MstVerifierProtocol(Protocol):
 
     def bulk_step(self, batch) -> None:
         """One whole scheduler batch (the bulk-activation plane): the
-        shared fused sweep over both trains when fusion is licensed —
+        shared fused sweep over :attr:`trains` when fusion is licensed —
         a synchronous columnar round, or a conflict-free asynchronous
         batch — and the generic per-node fallback driver otherwise
         (dict storage, unlicensed live batches).
@@ -638,5 +655,11 @@ class MstVerifierProtocol(Protocol):
                 (batch.gate is not None or batch.after is not None)):
             drive_batch(self.step, batch)
             return
-        fused_verifier_sweep(self, batch, (self.top, self.bottom),
-                             self.comparison)
+        fused_verifier_sweep(self, batch, self.trains, self.comparison)
+
+
+class MstVerifierProtocol(TrainVerifierProtocol):
+    """The complete verifier of Sections 5–8: both trains rotate."""
+
+    def _checks(self, ctx) -> List[str]:
+        return static_check(ctx)

@@ -14,8 +14,7 @@ from repro.sim import (FaultInjector, LocalityBatchDaemon, Network,
                       RegisterSchema, RegisterView, SynchronousScheduler,
                       register_bits)
 from repro.sim.columnar import (BOX_S, ColumnStore, ColumnarNodeContext,
-                                ColumnarNodeFacade, NONE_S, PoolColumn,
-                                UNSET_S)
+                                NONE_S, PoolColumn, UNSET_S)
 from repro.sim.registers import compile_schema
 from repro.verification import make_network
 from repro.verification.verifier import MstVerifierProtocol
@@ -94,15 +93,14 @@ def test_pool_column_interns_and_boxes():
 
 def test_facade_and_view_mapping_semantics():
     store, compiled = _store()
-    facade = ColumnarNodeFacade(store, 1)
-    view = RegisterView(facade)
+    view = RegisterView(store, 1)
     view["count"] = 4
     view["label"] = "abc"
     view["ghost_free"] = "extra"          # undeclared -> extras
     assert dict(view) == {"count": 4, "label": "abc",
                           "ghost_free": "extra"}
     assert len(view) == 3 and "count" in view
-    assert register_bits(view) == view.file.bits()
+    assert register_bits(view) == store.node_bits(1)
     del view["count"]
     assert "count" not in view
     with pytest.raises(KeyError):
@@ -132,8 +130,8 @@ def test_conservative_dirty_marking():
     ctx.set(compiled.slot("count"), 0)     # same value as default: still
     assert ctx.wrote                       # a write (conservative)
     assert store.dirty_cols[compiled.slot("count")]
-    facade = ColumnarNodeFacade(store, 2)
-    facade.set_name("count", 3)            # facade writes mark the node
+    view = RegisterView(store, 2)
+    view["count"] = 3                      # view writes mark the node
     assert 2 in store.dirty_node_list
     store.clear_dirty()
     assert not store.dirty_node_list

@@ -46,6 +46,22 @@ class TestHybridCompleteness:
             assert levels == expect
 
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "hybrid async completeness bug: a premature 'WANT: server never "
+        "displayed the requested piece' alarm at settle round 205"))
+    def test_async_permutation_settle_is_silent(self):
+        """Regression cell for the hybrid's asynchronous completeness
+        bug (the train verifier is clean on the same cell).  Strict: the
+        fix must flip it to a pass."""
+        from repro.engine import ScenarioSpec, axis, run_scenario
+        result = run_scenario(ScenarioSpec(
+            topology=axis("random", n=40, extra=72),
+            protocol=axis("hybrid"), fault=axis("corrupt"),
+            schedule=axis("permutation"), seed=0))
+        assert result.violation is None, (result.settle_rounds,
+                                          result.alarm_reasons)
+
+
 class TestHybridDetection:
     def test_bottom_lie_detected_in_one_round(self):
         """The headline: bottom-fragment faults drop to 1-round detection."""

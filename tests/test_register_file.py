@@ -1,6 +1,6 @@
 """Unit tests for register schemas and one node's register file: the
 dict-compatible :class:`~repro.sim.registers.RegisterView` over a
-columnar facade, and the slot-addressed context reads beside it.
+column-store row, and the slot-addressed context reads beside it.
 
 The mapping views must be indistinguishable from plain dicts; the nat
 coercion, decode caches and stable-version counters are derived state
@@ -12,8 +12,8 @@ import pickle
 import pytest
 
 from repro.graphs.weighted import WeightedGraph
-from repro.sim import (ColumnarNodeContext, ColumnarNodeFacade, ColumnStore,
-                       Network, RegisterSchema, RegisterView, compile_schema,
+from repro.sim import (ColumnarNodeContext, ColumnStore, Network,
+                       RegisterSchema, RegisterView, compile_schema,
                        register_bits)
 
 
@@ -29,7 +29,7 @@ def _schema():
 def _node():
     """A one-node column store and the register view over its node."""
     store = ColumnStore(_schema(), [0])
-    return store, RegisterView(ColumnarNodeFacade(store, 0))
+    return store, RegisterView(store, 0)
 
 
 def _ctx(store):
