@@ -50,7 +50,8 @@ from ..labels.registers import (REG_DELIM, REG_JMASK, REG_PARENT_ID,
 from ..labels.wellforming import level_is_bottom, sorted_levels
 from ..sim.columnar import BOX_S, NONE_S, PoolColumn, SENT_CEIL
 from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, PLAIN_TYPES, PoolIdCache,
-                              csr_span, csr_take, idx_of, seg_any, view64)
+                              csr_span, csr_take, idx_of, numpy_or_none,
+                              seg_any, view64)
 from ..sim.registers import NO_DECODE, UNSET, handle_resolver
 from .budgets import Budgets, compute_budgets
 
@@ -71,6 +72,43 @@ CAR_BAD = -(1 << 51)
 _KEY_CAP = 1 << 40
 #: ``act_pid`` holds id + 1 in int32; larger ids are simply not cached
 _ACT_PID_CAP = (1 << 31) - 2
+
+#: levels a planned slot write may account: ``seen | 1 << level`` stays
+#: a plain nat (below the store's ``INT_HI`` = 2**61)
+_PLAN_LEVELS = 61
+
+#: per-(row, level) slot codes of ``_VectorTrainKernel.codes``: how
+#: accounting a piece of that level at that row sets the membership
+#: flag and whether its root-consistency check may alarm (0: not yet
+#: derived; see :func:`_slot_code`)
+SC_NONE = 1      # flag False, no alarm
+SC_TOP = 2       # top train: flag True, no alarm
+SC_TOP1 = 3      # top, ``roots[level] == "1"``: alarms unless z is me
+SC_TOP0 = 4      # top, ``roots[level] == "0"``: alarms if z is me
+SC_OWN = 5       # bottom, "1": flag iff z is me
+SC_INHERIT = 6   # bottom, "0": the parent's flag; alarms if z is me too
+SC_ODD = 7       # ``roots`` is a str subclass: replay
+
+
+def _slot_verdict(code: int, zeq: bool, pflag: bool) -> int:
+    """The flag (0/1) of accounting a piece at a row of slot code
+    ``code`` — ``zeq``: the piece's root is the row's node, ``pflag``:
+    the parent's flag — or 2 when the scalar body would alarm (or the
+    code cannot tell): :meth:`TrainComponent.membership_flag` and the
+    root checks of :meth:`TrainComponent._account_piece`, tabulated."""
+    if code == SC_NONE:
+        return 0
+    if code == SC_TOP:
+        return 1
+    if code == SC_TOP1:
+        return 1 if zeq else 2
+    if code == SC_TOP0:
+        return 2 if zeq else 1
+    if code == SC_OWN:
+        return 1 if zeq else 0
+    if code == SC_INHERIT:
+        return (2 if zeq else 1) if pflag else 0
+    return 2
 
 
 def _nat(x: Any, cap: int = 1 << 30) -> Optional[int]:
@@ -276,6 +314,28 @@ class TrainComponent:
         if roots[level] == "0":
             return bool(parent_flag)
         return False
+
+    def slot_code(self, ctx, level: int) -> int:
+        """The ``SC_*`` code of accounting a piece of ``level`` at this
+        node: :meth:`membership_flag` and the root checks of
+        :meth:`_account_piece` with the piece's root and the parent's
+        flag left open (see :func:`_slot_verdict`)."""
+        roots = ctx.get(self.h_roots)
+        if type(roots) is not str:
+            # a str subclass may index and compare unlike a str
+            return SC_ODD if isinstance(roots, str) else SC_NONE
+        if level >= len(roots):
+            return SC_NONE
+        cls = level_is_bottom(ctx.nat(self.h_jmask) or 0,
+                              ctx.nat(self.h_delim) or 0, level)
+        if cls is None or cls != (self.kind == "bottom"):
+            return SC_NONE
+        rc = roots[level]
+        if self.kind == "top":
+            return SC_TOP1 if rc == "1" else SC_TOP0 if rc == "0" \
+                else SC_TOP
+        return SC_OWN if rc == "1" else SC_INHERIT if rc == "0" \
+            else SC_NONE
 
     def needed_mask(self, ctx) -> int:
         """Levels this node must see flagged in this train's rotations."""
@@ -933,8 +993,9 @@ class TrainComponent:
         children, then taking a child's car or waiting for one),
         subtree completions and cycle wraps — a broadcast adopt, and a
         part root's drain of its car into its broadcast slot.  Their
-        exact write sequences are vetted at classify time and executed
-        after the watchdog write.  Everything else (new-cycle
+        final register values are vetted and computed at classify time
+        and written as masked slice-stores after the watchdog write.
+        Everything else (new-cycle
         restarts, epoch adoption, boxed or custom-``==`` junk, alarms
         — anything the masks cannot prove) replays the exact scalar
         fused body.  Equivalence is
@@ -962,19 +1023,23 @@ class _VectorTrainKernel:
     The reads of the child traffic — the children's cars and ``done``
     flags, own and parent ``tak`` — go through pool-id attribute caches
     shared with the other train's kernel, and the activation car a
-    scan writes resolves to its pool id through ``act_pid``.  New-cycle
-    restarts, rows under epoch adoption, rows whose reads hit boxed
+    scan writes resolves to its pool id through ``act_pid``.  An adopt
+    or drain reads its piece's serial off the same caches (or, for an
+    own piece, off ``oser``) and its verdict off two tables the Python
+    fill completes on a miss: the per-(row, level) slot ``codes``
+    (cleared by ``rebuild``) and the per-row decoded ``last`` keys;
+    the piece's pool ids live in the shared :class:`_PieceTable`.
+    New-cycle restarts, rows under epoch adoption, rows whose reads hit boxed
     overflow or custom-``==`` junk, and anything the masks cannot
     decide stay non-trivial and replay the scalar fused body verbatim.
     """
 
     __slots__ = ("comp", "store", "snap", "vd", "vs", "act_cache",
                  "obs_cache",
-                 "car_cache", "tak_cache", "act_pid",
+                 "car_cache", "tak_cache", "act_pid", "pieces",
                  "pidx", "idle", "bad", "coff", "cflat", "nch", "n_own",
-                 "ooff", "oflat", "ohash", "ctxs", "ccs", "needs",
-                 "w_bseq", "w_seen", "w_cnt",
-                 "w_wd", "_adopt_memo", "_root_memo")
+                 "ooff", "oflat", "oser", "ctxs", "ccs", "needs",
+                 "codes", "verdict", "lkey", "ll", "lr")
 
     def __init__(self, comp, ops, topo):
         self.comp = comp
@@ -986,13 +1051,16 @@ class _VectorTrainKernel:
         # and refreshes and restores write them in place
         cols = (comp.h_ep, comp.h_wd, comp.h_act, comp.h_cyc,
                 comp.h_done, comp.h_bseq, comp.h_bbuf, comp.h_out,
-                comp.h_src, comp.h_tak, comp.h_seq)
+                comp.h_src, comp.h_tak, comp.h_seq, comp.h_seen,
+                comp.h_cnt, comp.h_last)
         self.vd = {h: view64(store.data[h]) for h in cols}
         self.vs = {h: view64(ops.snap.data[h]) for h in cols}
-        self.w_bseq = store.make_nat_writer(comp.h_bseq)
-        self.w_seen = store.make_nat_writer(comp.h_seen)
-        self.w_cnt = store.make_nat_writer(comp.h_cnt)
-        self.w_wd = store.make_nat_writer(comp.h_wd)
+        np = numpy_or_none()
+        self.verdict = np.array(
+            [_slot_verdict(c, z, p) for c in range(SC_ODD + 1)
+             for z in (False, True) for p in (False, True)], np.int8)
+        pieces = self.pieces = topo.shared(
+            "train.pieces", lambda: _PieceTable(store))
 
         def act_attrs(val):
             # mirrors conv()'s activation-car check: (who is named,
@@ -1003,12 +1071,20 @@ class _VectorTrainKernel:
             return (IDX_NOT, -1)
 
         def obs_attrs(val):
-            return (1 if decode_observation(val) is not None else 0,)
+            # decodable; the piece's serial * 2 + the flag (-1: none)
+            obs = decode_observation(val)
+            if obs is None:
+                return (0, -1)
+            s = pieces.serial(obs.piece)
+            return (1, -1 if s < 0 else 2 * s + obs.flag)
 
         def car_attrs(val):
-            # a car's sequence key, CAR_BAD when it does not decode
+            # a car's sequence key, CAR_BAD when it does not decode; its
+            # piece's serial
             car = _decode_car(val)
-            return (CAR_BAD if car is None else _seq_key(car[0]),)
+            if car is None:
+                return (CAR_BAD, -1)
+            return (_seq_key(car[0]), pieces.serial(car[1]))
 
         def tak_attrs(val):
             # an ack (who, seq key); a value that is no 2-tuple equals
@@ -1023,9 +1099,9 @@ class _VectorTrainKernel:
         self.act_cache = shared(
             "train.act", lambda: PoolIdCache(store, 2, act_attrs))
         self.obs_cache = shared(
-            "train.obs", lambda: PoolIdCache(store, 1, obs_attrs))
+            "train.obs", lambda: PoolIdCache(store, 2, obs_attrs))
         self.car_cache = shared(
-            "train.car", lambda: PoolIdCache(store, 1, car_attrs))
+            "train.car", lambda: PoolIdCache(store, 2, car_attrs))
         self.tak_cache = shared(
             "train.tak", lambda: PoolIdCache(store, 2, tak_attrs))
         self.act_pid = None
@@ -1038,12 +1114,18 @@ class _VectorTrainKernel:
         self.n_own = None
         self.ooff = None
         self.oflat = None
-        self.ohash = None
+        self.oser = None
         self.ctxs = None
         self.ccs = None
         self.needs = None
-        self._adopt_memo = {}
-        self._root_memo = {}
+        self.codes = None
+        # the rotation key each row's ``last`` cell holds, by pool id
+        # (``lkey``; -1 matches no cell): its level ``ll`` (KEY_ODD
+        # when the value is no plain-int key) and root ``lr``
+        n = topo.n
+        self.lkey = np.full(n, -1, np.int64)
+        self.ll = np.zeros(n, np.int64)
+        self.lr = np.zeros(n, np.int64)
 
     def rebuild(self, np, topo) -> None:
         """Refresh label-derived row attributes (called when the joint
@@ -1059,9 +1141,8 @@ class _VectorTrainKernel:
         n_own = np.zeros(n, np.int64)
         ooff = np.zeros(n + 1, np.int64)
         oflat = []
-        ohash = []
-        ccs = [None] * n
-        needs = [0] * n
+        ccs = np.full(n, -1, np.int64)      # -1: no count claim
+        needs = np.zeros(n, np.int64)
         child_rows = []
         for i in range(n):
             ctx = topo.ctxs[i]
@@ -1081,14 +1162,9 @@ class _VectorTrainKernel:
             idle[i] = count_claim == 0 and needed == 0
             n_own[i] = len(own)
             ooff[i + 1] = ooff[i] + len(own)
-            for pc in own:
-                oflat.append(pc)
-                try:
-                    hash(pc)        # a planned emission must intern
-                    ohash.append(True)
-                except Exception:
-                    ohash.append(False)
-            ccs[i] = count_claim
+            oflat.extend(own)
+            if count_claim is not None:
+                ccs[i] = count_claim
             needs[i] = needed
             crow = []
             try:
@@ -1112,14 +1188,14 @@ class _VectorTrainKernel:
         self.n_own = n_own
         self.ooff = ooff
         self.oflat = oflat
-        self.ohash = np.array(ohash, bool) if ohash \
-            else np.zeros(0, bool)
+        serial = self.pieces.serial
+        self.oser = np.fromiter((serial(pc) for pc in oflat), np.int64,
+                                count=len(oflat))
         self.ctxs = topo.ctxs
         self.ccs, self.needs = ccs, needs
-        # the vetting memos read stable labels (roots, jmask, own
-        # pieces); a stable-epoch move may change any of them
-        self._adopt_memo = {}
-        self._root_memo = {}
+        # the slot codes read stable labels (roots, jmask, delim); a
+        # stable-epoch move may change any of them
+        self.codes = np.zeros(n * _PLAN_LEVELS, np.int8)
         # activation-car ids + 1 per (child row, cycle), 0 = unknown;
         # dense rows keep their node for the store's lifetime, so this
         # is a pool-id cache like the others
@@ -1128,8 +1204,9 @@ class _VectorTrainKernel:
             lambda: np.zeros(n * (SEQ_MOD + 1), np.int32))
 
     def classify(self, np, ia, row_of, na, rr, hold, traffic):
-        """(trivial-mask, broadcast-done-mask, apply, adopt-plans) for
-        the batch rows ``ia``.
+        """(trivial-mask, broadcast-done-mask, apply, slot plan) for
+        the batch rows ``ia``; the plan (a :class:`_SlotPlan`, or None)
+        holds the planned adopts and part-root drains.
 
         ``na`` and ``rr`` are the per-row node-alarm and root-reset
         budgets (-1 where unknown, which simply fails the watchdog
@@ -1138,18 +1215,20 @@ class _VectorTrainKernel:
         and ``done`` flags and the acks (see :meth:`_conv_outcomes`);
         the sweep sets it for batches large enough to amortize its
         cost (``_VectorSweep.TRAFFIC_MIN`` rows).
-        ``apply(rows)`` performs the one masked watchdog write (plus
-        any planned convergecast transitions, part-root drains and
-        adopts) for the row *positions* the orchestrator kept — an
-        int64 index array into ``ia``, so the cost is O(|rows|).
+        ``apply(rows)`` performs the masked writes — the watchdog's,
+        then any planned convergecast transitions, then the planned
+        adopts' and part-root drains' slot writes — for the row
+        *positions* the orchestrator kept: an int64 index array into
+        ``ia``, so the cost is O(|rows|).
 
         The broadcast-done mask marks rows whose *broadcast half* is
         proven silent (writes nothing, raises no alarm) or fully
         planned as an adopt, even though the row as a whole is not
         trivial — the replay loop steps those rows with
         ``hold_broadcast=True``, skipping the child scan and adopt
-        logic the scalar body would re-derive, and then executes the
-        row's adopt plan (if any) so the writes land in scalar order.
+        logic the scalar body would re-derive, and then writes the
+        row's planned adopt (if any, :meth:`exec_row`) so the writes
+        land in scalar order.
         Epoch adoption and the root-reset branch return before the
         broadcast, so the flag is vacuous (and harmless) there; roots
         never set it (their broadcast half drains the car their own
@@ -1218,8 +1297,7 @@ class _VectorTrainKernel:
                                      cyc, oc, traffic)
         conv_ok = oc != CV_REPLAY
 
-        pending = {}
-        bseq = None
+        bseq = adopt = drain = rtriv = obs_sp = pbi = psr = None
         if hold is True:
             bc_triv = np.ones(m, bool)
             bc_done = np.zeros(m, bool)
@@ -1236,41 +1314,22 @@ class _VectorTrainKernel:
             any_mism = seg_any((cb <= SENT_CEIL)
                                | (cb != bseq[e_node]), e_node, m)
             pb = vs[comp.h_bbuf][pj]
-            obs_ok = self.obs_cache.sync(pb)[0]
+            obs_ok, obs_sp = self.obs_cache.sync(pb)
             b_pool = (pb >= 0) & (pb < self.obs_cache.filled)
-            pobs_valid = b_pool & (obs_ok[np.where(b_pool, pb, 0)] == 1)
+            pbi = np.where(b_pool, pb, 0)
+            pobs_valid = b_pool & (obs_ok[pbi] == 1)
             psr = vs[comp.h_bseq][pj]
             advance = ((psr >= 0) & (psr <= SEQ_MOD) & (psr != bseq)
                        & pobs_valid)
             bc_triv = ~any_box & (any_mism
                                   | (~advance & (pb != BOX_S)))
-            # the broadcast-adopt fast path: every child in step, the
-            # parent's slot holds a decodable observation one sequence
-            # ahead — the scalar body would adopt it and account the
-            # piece.  Rows whose adopt is provably alarm-free and free
-            # of junk comparisons get the exact write sequence planned
-            # here and executed after the prologue (masked wd write or
-            # scalar replay with the broadcast held); the rest replay.
+            # the broadcast adopt: every child in step, the parent's
+            # slot holds a decodable observation one sequence ahead —
+            # the scalar body would adopt it and account the piece
             adopt = (parented & epoch_ok & ~any_box & ~any_mism
                      & advance)
             if hold is not False:    # per-row hold mask (Want mode)
                 adopt &= ~hold
-            if adopt.any():
-                pending = self._plan_adopts(np.flatnonzero(adopt),
-                                            ia, pb, psr)
-                if pending:
-                    planned = np.zeros(m, bool)
-                    planned[list(pending)] = True
-                    bc_triv = bc_triv | planned
-            # proven-handled broadcast for parented rows, regardless of
-            # what the prologue or convergecast do (they touch none of
-            # the gate's reads before the broadcast would run)
-            bc_done = parented & bc_triv
-            if hold is not False:
-                bc_triv = hold | bc_triv
-
-        triv = parented & epoch_ok & wd_ok & conv_ok & bc_triv
-        drains = {}
         if root.any():
             # a root's broadcast is decidable unless a child's slot is
             # boxed; it drains ``out`` when every child is in step and
@@ -1289,10 +1348,29 @@ class _VectorTrainKernel:
             rtriv = root & bc_gate & conv_ok
             drain = rtriv & bc_runs & ((oc == CV_QUIET) | (oc == CV_EMIT)
                                        | (oc == CV_TAKE))
-            if drain.any():
-                drains, rejected = self._plan_roots(
-                    np.flatnonzero(drain), ia, cv, bseq)
-                rtriv[rejected] = False
+        # adopts and drains whose slot write is provably alarm-free and
+        # free of junk comparisons get their final values planned here
+        # and written after the prologue and convergecast (masked
+        # writes, or per row behind a replay with the broadcast held);
+        # a rejected adopt replays, a rejected drain its whole root step
+        sp = None
+        if (adopt is not None and adopt.any()) or \
+                (drain is not None and drain.any()):
+            sp = self._plan_candidates(np, ia, adopt, drain, obs_sp, pbi,
+                                       psr, bseq, cv)
+            if adopt is not None:
+                bc_triv |= sp.apos >= 0
+            if drain is not None:
+                rtriv &= ~drain | (sp.pos >= 0)
+        if hold is not True:
+            # proven-handled broadcast for parented rows, regardless of
+            # what the prologue or convergecast do (they touch none of
+            # the gate's reads before the broadcast would run)
+            bc_done = parented & bc_triv
+            if hold is not False:
+                bc_triv = hold | bc_triv
+        triv = parented & epoch_ok & wd_ok & conv_ok & bc_triv
+        if rtriv is not None:
             triv |= rtriv
         ovf = store.overflow[comp.h_wd]
         if ovf:
@@ -1302,33 +1380,35 @@ class _VectorTrainKernel:
                 if r >= 0:
                     triv[r] = False
 
+        # the watchdog's final value: bumped (idle rows skip it), then
+        # reset by a good rotation boundary
+        wd_fin, wd_w = wd_new, ~idle
+        if sp is not None and sp.reset.any():
+            r = sp.k[sp.reset]
+            wd_fin = wd_new.copy()
+            wd_fin[r] = 0
+            wd_w[r] = True
         h_wd = comp.h_wd
         dc = store.dirty_cols
-        exec_adopt = self._exec_adopt
-        exec_drain = self._exec_drain
         exec_conv = self._exec_conv
+        exec_slots = self._exec_slots
 
         def apply(rows):
-            sel = rows[~idle[rows]]
+            sel = rows[wd_w[rows]]
             if len(sel):
-                vd[h_wd][ia[sel]] = wd_new[sel]
+                vd[h_wd][ia[sel]] = wd_fin[sel]
                 dc[h_wd] = 1
             if cv is not None:
                 # scalar order inside the step: the convergecast's
-                # writes land after the watchdog bump ...
+                # writes land before the broadcast's drain clears ``out``
                 exec_conv(np, rows, cv)
-            if pending or drains:
-                kept = set(rows.tolist())
-                # ... and before the broadcast's drain or adopt (whose
-                # accounting may reset the freshly bumped watchdog)
-                for k, ent in drains.items():
-                    if k in kept:
-                        exec_drain(ent)
-                for k, ent in pending.items():
-                    if k in kept:
-                        exec_adopt(ent)
+            if sp is not None:
+                j = sp.pos[rows]
+                j = j[j >= 0]
+                if len(j):
+                    exec_slots(np, sp, j)
 
-        return triv, bc_done, apply, pending
+        return triv, bc_done, apply, sp
 
     def _conv_outcomes(self, np, ia, live, root, pj, cyc, oc, traffic):
         """Evaluate ``_step_convergecast`` past its activation check
@@ -1351,8 +1431,8 @@ class _VectorTrainKernel:
           (``CV_EXH``: post ``done``, or wrap a root's cycle).
 
         Boxed reads, junk cars, sequence numbers or acks whose ``==``
-        the masks do not model, and unhashable own pieces stay
-        ``CV_REPLAY``.  Without ``traffic`` the outcomes that read the
+        the masks do not model, and own pieces without a
+        :class:`_PieceTable` serial stay ``CV_REPLAY``.  Without ``traffic`` the outcomes that read the
         children's registers or the parent's ack — acks, ack waits,
         and every child visit — stay ``CV_REPLAY`` too.  The work runs
         over the live rows only, compressed, with one sync per
@@ -1404,8 +1484,9 @@ class _VectorTrainKernel:
             eff = eff | ack
         emit = eff & (ci < 0)
         if emit.any():
-            # an unhashable own piece could not intern: scalar
-            emit &= self.ohash[np.where(emit, self.ooff[iL] + src, 0)]
+            # only a piece with a serial (exact ints, so hashable) is
+            # planned to intern; any other own piece replays
+            emit &= self.oser[np.where(emit, self.ooff[iL] + src, 0)] >= 0
         kind[emit] = CV_EMIT
         exh = eff & (ci >= nch)
         kind[exh] = CV_EXH
@@ -1560,200 +1641,337 @@ class _VectorTrainKernel:
             if len(c):
                 put(comp.h_cyc, iL[c], (cv.cycL[c] + 1) % SEQ_MOD)
 
-    def _plan_adopts(self, rows, ia, pb, psr):
-        """Vet the adopt-candidate rows for the exact-write fast path.
-
-        A row qualifies only when the full adopt — membership flag,
-        root-consistency checks, boundary comparison, and the interning
-        of the new slot values — is provably alarm-free and touches no
-        value whose comparison or hash the masks cannot trust (boxed
-        overflow, junk tuples, unhashable weights); everything else is
-        left for the scalar replay.  Returns ``{row: plan}`` for
-        :meth:`_exec_adopt`."""
-        store = self.store
-        pool = store.pool_values
-        memos = store.decode_memo
-        memo_for = store.memo_for
-        h_bbuf = self.comp.h_bbuf
-        vet, plan = self._vet_slot, self._slot_plan
-        # the static half of the vetting — decode, membership flag,
-        # root-consistency, hashability — is a pure function of the
-        # row's stable labels and the slot's pool id, so it memoizes
-        # on (row, id) until the stable epoch moves (rebuild clears);
-        # only the boundary compare and sequence math are per call
-        amemo = self._adopt_memo
-        pending = {}
-        for k in rows.tolist():
-            i = int(ia[k])
-            v = int(pb[k])
-            mkey = (i, v)
-            ent = amemo.get(mkey, NO_DECODE)
-            if ent is NO_DECODE:
-                memo = memos[h_bbuf]
-                try:
-                    pobs = memo[v]
-                except (TypeError, IndexError):
-                    pobs = NO_DECODE
-                if pobs is NO_DECODE:
-                    pobs = decode_observation(pool[v])
-                    memo_for(h_bbuf, v)[v] = pobs
-                ent = amemo[mkey] = vet(i, pobs.piece, pobs.flag)
-            if ent is None:
-                continue
-            ent = plan(i, ent, ((int(psr[k]) - 1) % SEQ_MOD + 1) % SEQ_MOD)
-            if ent is not None:
-                pending[k] = ent
-        return pending
-
-    def _plan_roots(self, rows, ia, cv, bseq):
-        """Vet the part-root drains: the broadcast consuming the car the
-        root's convergecast leaves in ``out`` — the pending one, a fresh
+    def _plan_candidates(self, np, ia, adopt, drain, obs_sp, pbi, psr,
+                         bseq, cv):
+        """Gather each candidate's piece serial, parent flag and new
+        sequence number for :meth:`_plan_slots`: an adopt's from the
+        parent's observation, a part root's drain's from the car its
+        convergecast leaves in ``out`` — the pending one, a fresh
         emission or a taken child car (all decodable, by
-        :meth:`_conv_outcomes`) — into the root's own slot must pass
-        the adopt vetting, with the root's membership flag computed
-        against no parent.  Returns ``({row: plan}, rejected rows)``;
-        plans are for :meth:`_exec_drain`."""
-        pool = self.store.pool_values
-        oflat, ooff = self.oflat, self.ooff
-        vet, plan = self._vet_slot, self._slot_plan
-        # memoized like the adopts, by (row, piece): a root drains the
-        # few pieces of its part over and over, each in many cars
-        rmemo = self._root_memo
-        drains = {}
-        rejected = []
-        for k, j in zip(rows.tolist(), cv.L.searchsorted(rows).tolist()):
-            i = int(ia[k])
-            o = cv.kind[j]
-            if o == CV_EMIT:
-                piece = oflat[int(ooff[i]) + int(cv.src[j])]
-            else:
-                v = cv.out_v[j] if o == CV_QUIET else cv.car[j]
-                piece = pool[int(v)][1]
-            # the memo keeps only the flag: ==-equal pieces (a weight 3
-            # and a weight 3.0) vet alike, but the slot and rotation key
-            # must be built from this very piece
-            flag = rmemo.get((i, piece), NO_DECODE)
-            if flag is NO_DECODE:
-                ent = vet(i, piece, False)
-                flag = rmemo[(i, piece)] = None if ent is None else ent[1]
-            ent = None if flag is None else plan(
-                i, (piece, flag, piece[1], piece[0]),
-                (int(bseq[k]) + 1) % SEQ_MOD)
-            if ent is None:
-                rejected.append(k)
-            else:
-                drains[k] = ent
-        return drains, rejected
+        :meth:`_conv_outcomes`), with the flag computed against no
+        parent."""
+        ks, sers, pflags, nbseqs, drains = [], [], [], [], []
+        if adopt is not None:
+            k = np.flatnonzero(adopt)
+            s2 = obs_sp[pbi[k]]
+            ks.append(k)
+            sers.append(np.where(s2 >= 0, s2 >> 1, -1))
+            pflags.append(s2 & 1)
+            nbseqs.append(((psr[k] - 1) % SEQ_MOD + 1) % SEQ_MOD)
+            drains.append(np.zeros(len(k), bool))
+        if drain is not None:
+            k = np.flatnonzero(drain)
+            j = cv.L.searchsorted(k)
+            kind = cv.kind[j]
+            car = cv.out_v[j]
+            if cv.car is not None:
+                car = np.where(kind == CV_TAKE, cv.car[j], car)
+            ser = self.car_cache.arrs[1][np.where(car >= 0, car, 0)]
+            emit = kind == CV_EMIT
+            if emit.any():
+                pos = np.where(emit, self.ooff[ia[k]] + cv.src[j], 0)
+                ser = np.where(emit, self.oser[pos], ser)
+            ks.append(k)
+            sers.append(ser)
+            pflags.append(np.zeros(len(k), np.int64))
+            nbseqs.append((bseq[k] + 1) % SEQ_MOD)
+            drains.append(np.ones(len(k), bool))
+        cat = np.concatenate
+        return self._plan_slots(np, ia, cat(ks), cat(sers), cat(pflags),
+                                cat(nbseqs), cat(drains))
 
-    def _vet_slot(self, i, piece, parent_flag):
-        """The static half of a slot write's vetting: ``(piece, flag,
-        level, root)`` when accounting ``piece`` at row ``i`` provably
-        raises no root-consistency alarm and the new slot interns
-        cleanly, else None (the scalar body owns the row)."""
-        store = self.store
-        ctx = self.ctxs[i]
-        level, root = piece[1], piece[0]
-        flag = self.comp.membership_flag(ctx, piece, parent_flag)
-        h_roots = self.comp.h_roots
-        rv = store.data[h_roots][i]
-        roots = store.pool_values[rv] if rv > SENT_CEIL else (
-            store.overflow[h_roots][i] if rv == BOX_S else None)
-        if flag and isinstance(roots, str) and level < len(roots):
-            rc = roots[level]
-            if (rc == "1" and root != ctx.node) or \
-                    (rc == "0" and root == ctx.node):
-                return None         # would alarm
-        try:
-            hash(piece)
-        except Exception:
-            return None
-        return (piece, flag, level, root)
+    def _plan_slots(self, np, ia, k, ser, pflag, nbseq, drain):
+        """Plan the slot writes of the candidate batch positions ``k``
+        (``ser``: the piece's serial in :class:`_PieceTable`, -1 when
+        it has none; ``pflag``: the parent's flag; ``nbseq``: the new
+        sequence number; ``drain``: part-root drains, which also clear
+        ``out``) as every register's final value: the new slot, the
+        sequence number, the rotation key, and the accounting of
+        ``_account_piece`` — ``seen``, ``cnt``, the sync latch and the
+        watchdog reset of a good boundary.
 
-    def _slot_plan(self, i, vetted, nbseq):
-        """The write plan of a vetted slot at row ``i`` (see
-        :meth:`_exec_adopt`), or None when the rotation-boundary
-        compare would touch junk: a boxed or non-key ``last``."""
-        level, root = vetted[2], vetted[3]
-        lv = self.store.data[self.comp.h_last][i]
-        if lv == BOX_S:
-            return None
-        last = self.store.pool_values[lv] if lv > SENT_CEIL else None
-        if last is None:
-            boundary = False
-        elif type(last) is tuple and len(last) == 2 and \
-                type(last[0]) is int and type(last[1]) is int:
-            boundary = (level, root) <= last
-        else:
-            return None
-        return (i, vetted, boundary, nbseq, self.ccs[i], self.needs[i])
-
-    def _exec_drain(self, ent):
-        """Apply one planned part-root drain: the broadcast consumes
-        the car, then writes and accounts the new slot exactly as an
-        adopt does."""
-        i = ent[0]
-        store = self.store
-        h_out = self.comp.h_out
-        ovf = store.overflow[h_out]
-        if ovf:
-            ovf.pop(i, None)
-        store.data[h_out][i] = NONE_S
-        store.dirty_cols[h_out] = 1
-        self._exec_adopt(ent)
-
-    def _exec_adopt(self, ent):
-        """Apply one planned adopt: the exact write sequence of the
-        scalar broadcast's adopt branch plus ``account`` (alarm-free by
-        :meth:`_plan_adopts`), via the store's own writers."""
-        i, vetted, boundary, nbseq, cc, nd = ent
-        piece, flag, level, root = vetted
+        A candidate is planned only when the whole write is provably
+        alarm-free and reads nothing whose comparison the arrays
+        cannot model: its piece has a serial (exact ints), the row's
+        slot code and the piece's root give a no-alarm verdict, ``last``
+        is unset, None or a plain-int key, and a boundary row's sync
+        latch is a plain bool (or unset).  The slot codes and the
+        ``last`` keys are looked up in tables that the Python fill
+        completes on a miss.  Returns the :class:`_SlotPlan`."""
         comp = self.comp
+        vd = self.vd
+        pt = self.pieces
+        i = ia[k]
+        has = ser >= 0
+        s = np.where(has, ser, 0)
+        lvl = pt.lv[s]
+        cell = i * _PLAN_LEVELS + lvl
+        code = self.codes[cell]
+        miss = has & (code == 0)
+        if miss.any():
+            self._fill_codes(np.unique(cell[miss]))
+            code = self.codes[cell]
+        v = self.verdict[code * 4 + (pt.zi[s] == i) * 2 + pflag]
+        flag = v == 1
+        # the rotation boundary: (level, root) <= last
+        cur = vd[comp.h_last][i]
+        pooled = cur > SENT_CEIL
+        miss = pooled & (self.lkey[i] != cur)
+        if miss.any():
+            self._fill_last(i[miss], cur[miss])
+        ll = self.ll[i]
+        z = pt.z[s]
+        ok = has & (v < 2) & (cur != BOX_S) & ~(pooled & (ll == KEY_ODD))
+        bnd = pooled & ((lvl < ll) | ((lvl == ll) & (z <= self.lr[i])))
+        synced = np.zeros(len(k), bool)
+        b = np.flatnonzero(ok & bnd)
+        if len(b):
+            # a boundary reads the sync latch: only plain bools (and an
+            # unset latch) have a truth value the plan may take
+            col = self.store.data[comp.h_sync]
+            for t, row in zip(b.tolist(), i[b].tolist()):
+                x = col[row]
+                if x is True:
+                    synced[t] = True
+                elif not (x is False or x is None or x is UNSET):
+                    ok[t] = False
+        sv = vd[comp.h_seen][i]
+        seen = np.where((sv >= 0) & (sv <= _NAT_CAP), sv, 0)
+        cv = vd[comp.h_cnt][i]
+        cnt = np.where((cv >= 0) & (cv <= 1 << 20), cv, 0)
+        cc = self.ccs[i]
+        good = ~synced | (((self.needs[i] & ~seen) == 0)
+                          & ((cc < 0) | (cnt == cc)))
+        bit = np.left_shift(1, lvl)
+        keep = np.flatnonzero(ok)
+        sp = _SlotPlan()
+        sp.k = k[keep]
+        sp.i = i[keep]
+        sp.ser = ser[keep]
+        sp.flag = flag = flag[keep]
+        sp.lvl = lvl[keep]
+        sp.z = z[keep]
+        sp.nbseq = nbseq[keep]
+        sp.bnd = bnd = bnd[keep]
+        seen = seen[keep]
+        bit = bit[keep]
+        sp.seen = np.where(bnd, np.where(flag, bit, 0),
+                           np.where(flag, seen | bit, -1))
+        sp.cnt = np.where(bnd, 1, cnt[keep] + 1)
+        sp.reset = bnd & good[keep]
+        sp.drain = drain[keep]
+        s = s[keep]
+        sp.slot = pt.slot[s, flag.astype(np.int64)] - 1
+        sp.key = pt.key[s] - 1
+        sp.pos = np.full(len(ia), -1, np.int64)
+        sp.pos[sp.k] = np.arange(len(keep))
+        sp.apos = sp.pos.copy()
+        sp.apos[sp.k[sp.drain]] = -1
+        sp._rows = None
+        return sp
+
+    def _fill_codes(self, cells) -> None:
+        """Derive the slot codes of the (row, level) ``cells``."""
+        codes, ctxs, code = self.codes, self.ctxs, self.comp.slot_code
+        for c in cells.tolist():
+            i, level = divmod(c, _PLAN_LEVELS)
+            codes[c] = code(ctxs[i], level)
+
+    def _fill_last(self, rows, ids) -> None:
+        """Decode the rotation keys of the ``last`` cells ``ids``."""
+        pool = self.store.pool_values
+        lkey, ll, lr = self.lkey, self.ll, self.lr
+        for i, v in zip(rows.tolist(), ids.tolist()):
+            last = pool[v]
+            lkey[i] = v
+            if type(last) is tuple and len(last) == 2 and \
+                    type(last[0]) is int and type(last[1]) is int and \
+                    -_KEY_CAP < last[0] < _KEY_CAP and \
+                    -_KEY_CAP < last[1] < _KEY_CAP:
+                ll[i], lr[i] = last
+            else:
+                ll[i] = KEY_ODD
+
+    def _pool_ids(self, np, sp, j):
+        """The slot and rotation-key pool ids of plan entries ``j``,
+        interning those the plan did not find pooled."""
+        slot, key = sp.slot[j], sp.key[j]
+        miss = np.flatnonzero((slot < 0) | (key < 0))
+        if len(miss):
+            ids = self.pieces.ids
+            for t, s, f in zip(miss.tolist(), sp.ser[j[miss]].tolist(),
+                               sp.flag[j[miss]].tolist()):
+                slot[t], key[t] = ids(s, f)
+        return slot, key
+
+    def _latch_sync(self, rows) -> None:
+        """Set the sync latch of ``rows`` (an opaque list column)."""
         store = self.store
-        data = store.data
-        h_bbuf, h_last, h_sync = comp.h_bbuf, comp.h_last, comp.h_sync
-        overflow = store.overflow
-        dc = store.dirty_cols
-        ovf = overflow[h_bbuf]
-        if ovf:
-            ovf.pop(i, None)
-        data[h_bbuf][i] = store.intern((piece, flag))
-        dc[h_bbuf] = 1
-        self.w_bseq(i, nbseq)
-        if boundary:
-            good = True
-            sync_col = data[h_sync]
-            v = sync_col[i]
-            if v is not UNSET and v:
-                v = data[comp.h_seen][i]
-                seen = v if 0 <= v <= _NAT_CAP else 0
-                if nd & ~seen:
-                    good = False
-                v = data[comp.h_cnt][i]
-                cnt = v if 0 <= v <= (1 << 20) else 0
-                if cc is not None and cnt != cc:
-                    good = False
-            sync_col[i] = True
-            dec = store.decoded[h_sync]
+        h = self.comp.h_sync
+        col = store.data[h]
+        dec = store.decoded[h]
+        for i in rows:
+            col[i] = True
             if dec is not None:
                 dec[i] = NO_DECODE
-            dc[h_sync] = 1
-            self.w_seen(i, (1 << level) if flag else 0)
-            self.w_cnt(i, 1)
-            if good:
-                self.w_wd(i, 0)
-        else:
-            if flag:
-                v = data[comp.h_seen][i]
-                seen = v if 0 <= v <= _NAT_CAP else 0
-                self.w_seen(i, seen | (1 << level))
-            v = data[comp.h_cnt][i]
-            cnt = v if 0 <= v <= (1 << 20) else 0
-            self.w_cnt(i, cnt + 1)
-        ovf = overflow[h_last]
-        if ovf:
-            ovf.pop(i, None)
-        data[h_last][i] = store.intern((level, root))
-        dc[h_last] = 1
+        store.dirty_cols[h] = 1
+
+    def _exec_slots(self, np, sp, j) -> None:
+        """Apply plan entries ``j`` as masked column writes — every
+        register's final value but the watchdog's, which ``apply``
+        folds into its own write."""
+        comp = self.comp
+        put = self._put
+        i = sp.i[j]
+        slot, key = self._pool_ids(np, sp, j)
+        put(comp.h_bbuf, i, slot)
+        put(comp.h_bseq, i, sp.nbseq[j])
+        bnd = sp.bnd[j]
+        if bnd.any():
+            self._latch_sync(i[bnd].tolist())
+        seen = sp.seen[j]
+        w = seen >= 0
+        if w.any():
+            put(comp.h_seen, i[w], seen[w])
+        put(comp.h_cnt, i, sp.cnt[j])
+        put(comp.h_last, i, key)
+        self.lkey[i] = key
+        self.ll[i] = sp.lvl[j]
+        self.lr[i] = sp.z[j]
+        d = sp.drain[j]
+        if d.any():
+            put(comp.h_out, i[d], NONE_S)
+
+    def exec_row(self, sp, j) -> None:
+        """Apply plan entry ``j`` of a row the sweep replays, right
+        after its scalar body ran with the broadcast held: the final
+        values of :meth:`_exec_slots`, one cell at a time, and the
+        watchdog reset of a good boundary over whatever the prologue
+        wrote."""
+        (i, ser, flag, lvl, z, nbseq, bnd, seen, cnt, reset, slot,
+         key) = sp.row(j)
+        if slot < 0 or key < 0:
+            slot, key = self.pieces.ids(ser, flag)
+        comp = self.comp
+        store = self.store
+        data, overflow, dc = store.data, store.overflow, store.dirty_cols
+        cells = [(comp.h_bbuf, slot), (comp.h_bseq, nbseq),
+                 (comp.h_cnt, cnt), (comp.h_last, key)]
+        if seen >= 0:
+            cells.append((comp.h_seen, seen))
+        if reset:
+            cells.append((comp.h_wd, 0))
+        for h, val in cells:
+            ovf = overflow[h]
+            if ovf:
+                ovf.pop(i, None)
+            data[h][i] = val
+            dc[h] = 1
+        if bnd:
+            self._latch_sync((i,))
+        self.lkey[i] = key
+        self.ll[i] = lvl
+        self.lr[i] = z
+
+
+class _PieceTable:
+    """The pieces a planned slot write may carry, by serial number:
+    ``(root, level, weight)`` triples of exact ``int`` fields (the
+    weight may also be None, as the spanning tree's own top piece has
+    it) with a level below ``_PLAN_LEVELS`` and a root inside the key
+    range.  Exact types make ``==``-equal pieces equal in shape too, so
+    they share a serial and every pool id; a bool or float twin, or any
+    other type, gets no serial (-1) and its row replays.  Per serial:
+    the level ``lv``, the root ``z`` and the dense row it names ``zi``
+    (:func:`idx_of`), and the pool ids + 1 (0: not pooled yet) of the
+    slots ``(piece, False)``/``(piece, True)`` and of the rotation key
+    ``(level, root)``, filled when a write interns them — the pool is
+    append-only, so a known id is what ``intern`` returns forever.
+    Shared by both trains' kernels."""
+
+    __slots__ = ("store", "index", "pieces", "lv", "zi", "z", "slot",
+                 "key")
+
+    def __init__(self, store) -> None:
+        np = numpy_or_none()
+        self.store = store
+        self.index = {}
+        self.pieces = []
+        self.lv = np.zeros(64, np.int64)
+        self.zi = np.zeros(64, np.int64)
+        self.z = np.zeros(64, np.int64)
+        self.slot = np.zeros((64, 2), np.int64)
+        self.key = np.zeros(64, np.int64)
+
+    def serial(self, piece) -> int:
+        if type(piece) is not tuple or len(piece) != 3:
+            return -1
+        z, level, w = piece
+        if type(z) is not int or type(level) is not int or \
+                (w is not None and type(w) is not int) or \
+                not 0 <= level < _PLAN_LEVELS or \
+                not -_KEY_CAP < z < _KEY_CAP:
+            return -1
+        s = self.index.get(piece)
+        if s is None:
+            s = self.index[piece] = len(self.pieces)
+            self.pieces.append(piece)
+            if s == len(self.lv):
+                np = numpy_or_none()
+                for name in ("lv", "zi", "z", "slot", "key"):
+                    a = getattr(self, name)
+                    b = np.zeros((2 * len(a),) + a.shape[1:], np.int64)
+                    b[:len(a)] = a
+                    setattr(self, name, b)
+            self.lv[s] = level
+            self.zi[s] = idx_of(self.store, z)
+            self.z[s] = z
+        return s
+
+    def ids(self, s: int, flag: bool):
+        """The pool ids of serial ``s``'s slot ``(piece, flag)`` and
+        rotation key, interned on first use."""
+        piece = self.pieces[s]
+        f = 1 if flag else 0
+        p = int(self.slot[s, f]) - 1
+        if p < 0:
+            p = self.store.intern((piece, bool(flag)))
+            self.slot[s, f] = p + 1
+        q = int(self.key[s]) - 1
+        if q < 0:
+            q = self.store.intern((piece[1], piece[0]))
+            self.key[s] = q + 1
+        return p, q
+
+
+class _SlotPlan:
+    """One classification's planned slot writes (built by
+    :meth:`_VectorTrainKernel._plan_slots`, applied by
+    :meth:`~_VectorTrainKernel._exec_slots`, or by
+    :meth:`~_VectorTrainKernel.exec_row` for a replayed row).  ``pos``
+    maps each batch row to its entry (-1: none), ``apos`` likewise for
+    adopts only (a replayed part root runs its own drain); every other
+    array is over the entries: ``k`` (batch positions), ``i`` (dense
+    rows), ``ser`` (piece serials), ``flag``, ``lvl`` and ``z`` (the
+    rotation key), ``nbseq``, ``bnd`` (a rotation boundary, which sets
+    the sync latch), ``seen`` (-1: untouched), ``cnt``, ``reset`` (the
+    watchdog resets), ``drain`` (``out`` is cleared) and
+    ``slot``/``key`` (pool ids of the new slot and rotation key, -1
+    until interned)."""
+
+    __slots__ = ("pos", "apos", "k", "i", "ser", "flag", "lvl", "z",
+                 "nbseq", "bnd", "seen", "cnt", "reset", "drain", "slot",
+                 "key", "_rows")
+
+    def row(self, j):
+        """Entry ``j`` as plain Python values, for the per-row write."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(zip(*(a.tolist() for a in (
+                self.i, self.ser, self.flag, self.lvl, self.z, self.nbseq,
+                self.bnd, self.seen, self.cnt, self.reset, self.slot,
+                self.key))))
+        return rows[j]
 
 
 class _ConvPlan:

@@ -290,8 +290,10 @@ class _VectorSweep:
 
     #: below this many rows the classification overhead beats the
     #: savings, so the batch runs the scalar fused bodies instead
-    #: (conflict-free segments are often small; coalescing keeps the
-    #: segments of a settled async patrol near ~130 rows)
+    #: (conflict-free segments are often small: a settled async patrol
+    #: of ``random_connected_graph(2000, 3600, seed=21)`` under
+    #: ``ConflictFreeDaemon(seed=7)`` sweeps 20-22 coalesced segments
+    #: per round, sized 1-233 rows, median ~94, a quarter under 48)
     MIN_BATCH = 48
     #: below this many rows the sweep leaves the trains' child traffic
     #: to the scalar replay: planning it costs ~0.3 ms of small-array
@@ -435,8 +437,11 @@ class _VectorSweep:
         tc = trivs[-1].tolist()
         b0 = bc_dones[0].tolist()
         b1 = bc_dones[1].tolist() if tr1 is not None else None
-        p0 = adopts[0]
-        p1 = adopts[1] if tr1 is not None else None
+        # per-row writes of the adopts planned for replayed rows
+        s0 = adopts[0]
+        s1 = adopts[1] if tr1 is not None else None
+        p0 = s0.apos.tolist() if s0 is not None else None
+        p1 = s1.apos.tolist() if s1 is not None else None
         kerns = self.train_kerns
         htm, hbm = holds
         if want:
@@ -466,20 +471,18 @@ class _VectorSweep:
                 h0 = h1 = False
             if not t0[k]:
                 a = tr0(ctx, budgets, h0 or b0[k], sentinel)
-                ent = p0.get(k)
-                if ent is not None and not h0:
+                if p0 is not None and p0[k] >= 0 and not h0:
                     # the planned adopt lands after the prologue and
                     # convergecast, exactly where the scalar broadcast
                     # would have written it (a live hold cancels it,
                     # as it cancels the whole broadcast)
-                    kerns[0]._exec_adopt(ent)
+                    kerns[0].exec_row(s0, p0[k])
                 if a and not first:
                     first = a
             if t1 is not None and not t1[k]:
                 a = tr1(ctx, budgets, h1 or b1[k], sentinel)
-                ent = p1.get(k)
-                if ent is not None and not h1:
-                    kerns[1]._exec_adopt(ent)
+                if p1 is not None and p1[k] >= 0 and not h1:
+                    kerns[1].exec_row(s1, p1[k])
                 if a and not first:
                     first = a
             if not tc[k]:

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.graphs.generators import random_connected_graph
 from repro.labels.registers import (REG_BOT_ROOT, REG_PARENT_ID,
                                     REG_PIECES_BOT, REG_PIECES_TOP,
-                                    REG_TOP_ROOT)
+                                    REG_ROOTS, REG_TOP_ROOT)
 from repro.sim import (AsynchronousScheduler, ConflictFreeDaemon,
                        FaultInjector, SynchronousScheduler,
                        TiledConflictFreeDaemon)
@@ -31,6 +31,8 @@ from repro.sim.columnar import (BOX_S, NONE_S, SENT_CEIL, UNSET_S,
 from repro.sim.npcolumnar import (NumpyFallbackWarning, PoolIdCache,
                                   _reset_fallback_warning, numpy_or_none)
 from repro.verification import make_network
+from repro.verification.hybrid import (HybridVerifierProtocol,
+                                       run_hybrid_marker)
 from repro.verification.verifier import MstVerifierProtocol, _VectorSweep
 
 #: fused share of rows on the honest n=500 patrol of
@@ -314,13 +316,58 @@ TRAFFIC_JUNK = (
         (v, "act", (float(kids[0]), r[v]["cyc"]))]),
 )
 
+
+def _twin(piece):
+    """``piece`` with its weight as a float: ``==`` to it, unlike it in
+    type (the slot and rotation key must be built from this very
+    piece), or None when the weight is no int."""
+    if isinstance(piece, tuple) and len(piece) == 3 and \
+            type(piece[2]) is int:
+        return (piece[0], piece[1], float(piece[2]))
+    return None
+
+
+def _advance(v, par, p, regs, slot):
+    """The parent's slot holds ``slot`` one sequence number ahead of
+    ``v``'s: ``v`` adopts it on its next step (once its own children
+    are in step)."""
+    return [(par, p + "bbuf", slot),
+            (par, p + "bseq", ((regs[v][p + "bseq"] or 0) + 1) % 64)]
+
+
+#: plantings on one part-parented node ``v`` (parent ``par``, train
+#: prefix ``p``) into the inputs of its next broadcast adopt: its
+#: accounting counters, sync latch and rotation key, its ``roots``
+#: label, and its parent's slot
+ADOPT_JUNK = (
+    lambda v, par, p, regs: [(v, p + "seen", 1 << 40)],
+    lambda v, par, p, regs: [(v, p + "seen", -3)],
+    lambda v, par, p, regs: [(v, p + "seen", True)],
+    lambda v, par, p, regs: [(v, p + "cnt", 1 << 21)],
+    lambda v, par, p, regs: [(v, p + "cnt", True)],
+    lambda v, par, p, regs: [(v, p + "sync", 1)],
+    lambda v, par, p, regs: [(v, p + "sync", "yes")],
+    lambda v, par, p, regs: [(v, p + "last", (1.5, 2))],
+    lambda v, par, p, regs: [(v, p + "last", (3,))],
+    lambda v, par, p, regs: [(v, p + "last", (True, 0))],
+    lambda v, par, p, regs: [(v, p + "last", [0, 0])],
+    lambda v, par, p, regs: [(v, REG_ROOTS, "1")],
+    lambda v, par, p, regs: _advance(v, par, p, regs,
+                                     ((par, 0, [1]), True)),
+    lambda v, par, p, regs: _advance(v, par, p, regs, (
+        _twin((regs[par][p + "bbuf"] or (None,))[0])
+        or (par, 0, 3.0), True)),
+)
+
 _TRAINS = (("bt_", REG_BOT_ROOT, REG_PIECES_BOT),
            ("tt_", REG_TOP_ROOT, REG_PIECES_TOP))
 
 #: the deterministic plantings: every recipe, cycling over the inner
-#: nodes of both part forests
+#: nodes (traffic) or the parented nodes (adopt) of both part forests
 TRAFFIC_PLANTS = [(pick, t, (pick + 7 * t) % len(TRAFFIC_JUNK))
                   for t in range(2) for pick in range(40)]
+ADOPT_PLANTS = [(pick, t, (pick + 5 * t) % len(ADOPT_JUNK))
+                for t in range(2) for pick in range(3, 60, 2)]
 
 
 def _part_tree(net, reg_root):
@@ -345,6 +392,8 @@ def _plant_traffic_junk(net, plants):
         prefix, reg_root, pieces = _TRAINS[t]
         parent, kids = _part_tree(net, reg_root)
         inner = [v for v in net.graph.nodes() if kids[v]]
+        if not inner:       # the hybrid's inert bottom train
+            continue
         v = inner[pick % len(inner)]
         own = regs[v][pieces]
         read = {v: {"cyc": regs[v][prefix + "cyc"],
@@ -354,9 +403,27 @@ def _plant_traffic_junk(net, plants):
             regs[node][prefix + suffix] = val
 
 
+def _plant_adopt_junk(net, plants):
+    """Apply ``(pick, train, recipe)`` plantings: ``pick`` selects a
+    part-parented node of that train's part forest."""
+    regs = net.registers
+    for pick, t, recipe in plants:
+        prefix, reg_root, _pieces = _TRAINS[t]
+        parent, _kids = _part_tree(net, reg_root)
+        nodes = sorted(parent)
+        if not nodes:
+            continue
+        v = nodes[pick % len(nodes)]
+        for node, name, val in ADOPT_JUNK[recipe](v, parent[v], prefix,
+                                                  regs):
+            regs[node][name] = val
+
+
 def _plant_junk(net, junk):
     if junk == "traffic":
         _plant_traffic_junk(net, TRAFFIC_PLANTS)
+    elif junk == "adopt":
+        _plant_adopt_junk(net, ADOPT_PLANTS)
     else:
         _plant_root_junk(net)
 
@@ -378,33 +445,42 @@ def _floors(floor):
                                TRAFFIC_MIN=floor)
 
 
-def _sync_pair(g, mode):
+def _sync_pair(g, mode, proto_cls=MstVerifierProtocol):
     """(vector sweep, scalar fused sweep) synchronous pair: numpy
     storage against the scalar fused sweep of plain columnar
-    storage."""
+    storage, on the protocol's own honest labels."""
+    marker = run_hybrid_marker(g) \
+        if proto_cls is HybridVerifierProtocol else None
     pair = []
     for storage in ("numpy", "columnar"):
-        net = make_network(g)
-        proto = MstVerifierProtocol(synchronous=True, comparison_mode=mode)
+        net = make_network(g, marker)
+        proto = proto_cls(synchronous=True, comparison_mode=mode)
         pair.append((net, SynchronousScheduler(
             net, proto, storage=storage, bulk=True)))
     return pair
 
 
-@pytest.mark.parametrize("junk", [False, True, "traffic"])
-@pytest.mark.parametrize("mode", ["sync-window", "want"])
-def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
+@pytest.mark.parametrize("junk", [False, True, "traffic", "adopt"])
+@pytest.mark.parametrize("mode, proto_cls", [
+    pytest.param(mode, cls, id=prefix + mode)
+    for prefix, cls in (("", MstVerifierProtocol),
+                        ("hybrid-", HybridVerifierProtocol))
+    for mode in ("sync-window", "want")])
+def test_vector_sweep_store_equals_scalar_fused(mode, proto_cls, junk,
+                                                campaign_seed):
     """After every synchronous round the vector sweep (floors of 2, so
     child traffic is planned) leaves the store exactly as the scalar
     fused sweep of plain columnar storage does:
     every column, the pool's contents, the overflow and the dirty
     flags — from a cold start through the settled patrol, and around
-    junk planted into part-root rows (the root plan's inputs) or into
-    the registers the child-traffic plans read (``TRAFFIC_JUNK``)."""
+    junk planted into part-root rows (the root plan's inputs), into
+    the registers the child-traffic plans read (``TRAFFIC_JUNK``) or
+    into a parented row's adopt inputs (``ADOPT_JUNK``).  The hybrid
+    verifier runs the only-Top kernel (one train kernel per sweep)."""
     if numpy_or_none() is None:
         pytest.skip("numpy unavailable")
     g = random_connected_graph(96, 170, seed=campaign_seed % 911 + 3)
-    pair = _sync_pair(g, mode)
+    pair = _sync_pair(g, mode, proto_cls)
     with _floors(2):
         _lockstep(pair, 45, (mode, "honest"))
         if junk:
@@ -414,7 +490,7 @@ def test_vector_sweep_store_equals_scalar_fused(mode, junk, campaign_seed):
     assert pair[0][1].protocol.bulk_stats["rows_fused"] > 0
 
 
-@pytest.mark.parametrize("junk", [False, True, "traffic"])
+@pytest.mark.parametrize("junk", [False, True, "traffic", "adopt"])
 @pytest.mark.parametrize("daemon, floor", [
     pytest.param(ConflictFreeDaemon, None, id="None"),
     pytest.param(ConflictFreeDaemon, 2, id="2"),
@@ -450,19 +526,23 @@ def test_async_vector_sweep_store_equals_scalar_fused(daemon, floor, junk,
         assert pair[0][1].protocol.bulk_stats["rows_fused"] > 0
 
 
+def _plants(recipes):
+    return st.tuples(st.integers(0, 1 << 16), st.integers(0, 1),
+                     st.integers(0, len(recipes) - 1))
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(plants=st.lists(st.tuples(st.integers(0, 1 << 16),
-                                 st.integers(0, 1),
-                                 st.integers(0, len(TRAFFIC_JUNK) - 1)),
-                       min_size=1, max_size=8),
+@given(plants=st.lists(_plants(TRAFFIC_JUNK), min_size=1, max_size=8),
+       adopts=st.lists(_plants(ADOPT_JUNK), max_size=8),
        warm=st.integers(3, 24),
        want=st.booleans())
-def test_traffic_junk_property(plants, warm, want):
+def test_traffic_junk_property(plants, adopts, warm, want):
     """Generated plantings on a small instance: hypothesis draws the
-    rows, the trains, the junk recipes, when they land, and the
-    comparison mode; the vector sweep (floors of 1) must leave the
-    store exactly as the scalar fused sweep after every round."""
+    rows, the trains, the junk recipes (``TRAFFIC_JUNK`` and
+    ``ADOPT_JUNK``), when they land, and the comparison mode; the
+    vector sweep (floors of 1) must leave the store exactly as the
+    scalar fused sweep after every round."""
     if numpy_or_none() is None:
         pytest.skip("numpy unavailable")
     g = random_connected_graph(36, 64, seed=13)
@@ -472,7 +552,8 @@ def test_traffic_junk_property(plants, warm, want):
             sched.run(warm)
         for net, _ in pair:
             _plant_traffic_junk(net, plants)
-        _lockstep(pair, 12, plants)
+            _plant_adopt_junk(net, adopts)
+        _lockstep(pair, 12, (plants, adopts))
 
 
 def test_sync_tier_mix_floor():
