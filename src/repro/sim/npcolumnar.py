@@ -254,6 +254,18 @@ class PoolIdCache:
                 for a, d in zip(self.arrs, defaults)]
 
 
+def put_rows(store: ColumnStore, slot: int, rows, vals) -> None:
+    """Slice-store plain ints (nats, sentinels or pool ids) into
+    column ``slot`` at the dense ``rows``: the scalar writers' overflow
+    pop and dirty mark, minus the per-row calls."""
+    ovf = store.overflow[slot]
+    if ovf:
+        for i in rows.tolist():
+            ovf.pop(i, None)
+    view64(store.data[slot])[rows] = vals
+    store.dirty_cols[slot] = 1
+
+
 def int64_or_none(x: Any) -> Optional[int]:
     """``x`` when it is a *plain* int representable in int64 headroom
     (excluding bool — ``True == 1`` must not alias), else None."""

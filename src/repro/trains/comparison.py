@@ -41,14 +41,15 @@ from ..labels.registers import (REG_DELIM, REG_ENDP, REG_JMASK,
                                 REG_PARENT_ID, REG_PARENTS, REG_ROOTS)
 from ..labels.strings import ENDP_DOWN, ENDP_UP
 from ..labels.wellforming import sorted_levels
-from ..sim.columnar import BOX_S, NONE_S, PoolColumn, SENT_CEIL
+from ..sim.columnar import (BOX_S, INT_HI, NONE_S, PoolColumn, SENT_CEIL,
+                            UNSET_S)
 from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, SHOW_NONE, WL_NEVER,
                               WL_ODD, PoolIdCache, csr_take, idx_of,
-                              seg_any, view64)
+                              put_rows, seg_any, view64)
 from ..sim.registers import NO_DECODE, handle_resolver
 from .budgets import Budgets
 from .train import (TrainComponent, TrainObservation, decode_observation,
-                    valid_piece, _nat, _NAT_CAP)
+                    valid_piece, _nat, _NAT_CAP, _PieceTable)
 
 #: comparison modes
 MODE_SYNC_WINDOW = "sync-window"
@@ -964,11 +965,28 @@ class ComparisonComponent:
         masks over the J-mask / broadcast-slot / ``Want`` columns plus
         per-pool-id attribute lookups (piece validity, level, weight
         class), with float64 edge-weight compares guarded to the range
-        where they are exact.  Anything else — acquire, advance,
-        events, alarms, boxed junk, odd ``==`` semantics — replays the
-        scalar fused body.
+        where they are exact.  The acquire cycle — waiting for the
+        target level's flagged piece in the node's own slots, acquiring
+        it, advancing to the next level — is planned as masked writes
+        too.  Anything else — events, alarms, rows whose train replays,
+        boxed junk, odd ``==`` semantics — replays the scalar fused
+        body.
         """
         return _VectorCmpKernel(self, ops, topo)
+
+
+#: levels of the vector kernel's (row, level) tables; a J-mask is a
+#: nat of at most 31 bits, and Ask levels go to 62 (see ``_prologue``)
+_CMP_LEVELS = 64
+#: ``_VectorCmpKernel.cand`` cells: C1's candidate as a CSR edge
+#: position, or one of these
+CAND_NONE = -1   # no candidate (u0 is None)
+CAND_ODD = -2    # a candidate the arrays cannot model: replay
+CAND_UNSET = -3  # not derived yet
+#: ``_VectorCmpKernel.rcode`` cells: the acquire's root check
+RC_NONE = 1      # silent
+RC_ONE = 2       # ``roots[level] == "1"``: alarms unless z is me
+RC_ODD = 3       # ``roots`` is a str subclass: replay
 
 
 #: float64 bit pattern as an int64 (PoolIdCache cells are int64)
@@ -983,10 +1001,21 @@ class _VectorCmpKernel:
     is the Want mode's vectorized :meth:`~ComparisonComponent.held_levels`
     — it returns per-row hold flags for the train classifiers plus a
     soundness mask (rows whose hold could not be proven go scalar).
+
+    Besides the held-ask paths, both modes plan the acquire cycle as
+    masked writes of every register's final value: the *wait* for the
+    target level's flagged piece, its *acquire* and the *advance* to
+    the next level.  Their label-derived inputs are per-row tables:
+    each row's level rotation (a CSR over ``lv_off``/``lv_flat``,
+    rebuilt per stable epoch) and, per (row, level) cell, the
+    candidate edge of C1 as a CSR edge position (``cand``) and the
+    ``roots`` verdict of the acquire's root check (``rcode``), filled
+    on a miss by the scalar fill code and cleared by ``rebuild``.
     """
 
     __slots__ = ("comp", "store", "snap", "topo", "ask_cache",
-                 "show_cache", "want_cache", "lvl_empty", "_want_ids")
+                 "show_cache", "want_cache", "pieces", "nlev", "lv_off",
+                 "lv_flat", "cand", "rcode", "_want_ids")
 
     def __init__(self, comp, ops, topo):
         self.comp = comp
@@ -994,6 +1023,8 @@ class _VectorCmpKernel:
         self.snap = ops.snap
         self.topo = topo
         store = ops.store
+        pieces = self.pieces = topo.shared(
+            "train.pieces", lambda: _PieceTable(store))
 
         # shared identity interns: two pieces (or fragment roots) get
         # the same id iff they compare equal under the scalar body's
@@ -1004,11 +1035,11 @@ class _VectorCmpKernel:
         # same semantics, including same-object NaN weights.  An
         # unhashable weight falls out as id -1 (never equal: scalar).
         frags: dict = {}
-        pieces: dict = {}
+        ids: dict = {}
 
         def _piece_id(p):
             try:
-                return pieces.setdefault(p, len(pieces))
+                return ids.setdefault(p, len(ids))
             except TypeError:
                 return -1
 
@@ -1034,14 +1065,15 @@ class _VectorCmpKernel:
                     _piece_id(tuple(val)))
 
         def show_attrs(val):
-            # (level, fragment id, piece id) a show exposes to
-            # _neighbor_piece, or (SHOW_NONE, -1, -1)
+            # (level, fragment id, piece id, piece serial) a show
+            # exposes to _neighbor_piece and _try_acquire, or
+            # (SHOW_NONE, -1, -1, -1)
             d = decode_observation(val)
             if d is not None and d.flag:
                 p = d.piece
                 return (p[1], frags.setdefault(p[0], len(frags)),
-                        _piece_id(tuple(p)))
-            return (SHOW_NONE, -1, -1)
+                        _piece_id(tuple(p)), pieces.serial(p))
+            return (SHOW_NONE, -1, -1, -1)
 
         def want_attrs(val):
             # (who the request names, its level) under plain ==
@@ -1069,9 +1101,10 @@ class _VectorCmpKernel:
             return (IDX_NOT, WL_NEVER)
 
         self.ask_cache = PoolIdCache(store, 6, ask_attrs)
-        self.show_cache = PoolIdCache(store, 3, show_attrs)
+        self.show_cache = PoolIdCache(store, 4, show_attrs)
         self.want_cache = PoolIdCache(store, 2, want_attrs)
-        self.lvl_empty = None
+        self.nlev = self.lv_off = self.lv_flat = None
+        self.cand = self.rcode = None
         # per-row memo of the last interned Want filing: a waiting
         # client re-files the same (server, level) for many sweeps, and
         # the pool id of a value never changes, so the memo needs no
@@ -1079,12 +1112,13 @@ class _VectorCmpKernel:
         self._want_ids = None
 
     def rebuild(self, np, topo) -> None:
-        """Refresh the level-rotation emptiness flags, filling the
-        label cache with the exact fused-prologue fill code."""
+        """Refresh the level rotations, filling the label cache with
+        the exact fused-prologue fill code, and clear the (row, level)
+        tables."""
         comp = self.comp
         cache = comp._label_cache
         n = topo.n
-        lvl_empty = np.zeros(n, bool)
+        rows = []
         for i in range(n):
             ctx = topo.ctxs[i]
             sentinel = ctx.stable_sentinel()
@@ -1092,14 +1126,63 @@ class _VectorCmpKernel:
             if ent is None or ent[0] != sentinel:
                 ent = (sentinel, comp._levels(ctx), {})
                 cache[ctx.node] = ent
-            lvl_empty[i] = not ent[1]
-        self.lvl_empty = lvl_empty
+            rows.append(ent[1])
+        nlev = self.nlev = np.fromiter(map(len, rows), np.int64, count=n)
+        self.lv_off = np.zeros(n + 1, np.int64)
+        np.cumsum(nlev, out=self.lv_off[1:])
+        self.lv_flat = np.fromiter((lv for r in rows for lv in r),
+                                   np.int64, count=int(self.lv_off[-1]))
+        self.cand = np.full(n * _CMP_LEVELS, CAND_UNSET, np.int64)
+        self.rcode = np.zeros(n * _CMP_LEVELS, np.int8)
+
+    # -- label tables ------------------------------------------------------
+    def _cells(self, np, i, lvl):
+        """``(cand, rcode)`` of the (row, level) cells ``i``, ``lvl``
+        (levels below ``_CMP_LEVELS``), filling the misses."""
+        cells = i * _CMP_LEVELS + lvl
+        c = self.cand[cells]
+        miss = c == CAND_UNSET
+        if miss.any():
+            self._fill_cells(np, np.unique(cells[miss]))
+            c = self.cand[cells]
+        return c, self.rcode[cells]
+
+    def _fill_cells(self, np, cells) -> None:
+        """Derive the (row, level) ``cells`` from the labels with the
+        scalar fill code: C1's candidate ``u0`` as the position of its
+        edge in the row's CSR segment (``CAND_NONE`` for None,
+        ``CAND_ODD`` for a value the arrays cannot model), and whether
+        ``roots[level]`` is ``"1"``."""
+        comp, topo, store = self.comp, self.topo, self.store
+        nodes, off, flat = store.nodes, topo.off, topo.flat
+        for cell in cells.tolist():
+            i, level = divmod(cell, _CMP_LEVELS)
+            ctx = topo.ctxs[i]
+            roots = ctx.get(comp.h_roots)
+            if type(roots) is not str:
+                # a str subclass may index and compare unlike a str
+                rc = RC_ODD if isinstance(roots, str) else RC_NONE
+            else:
+                rc = RC_ONE if level < len(roots) and roots[level] == "1" \
+                    else RC_NONE
+            u0 = comp._candidate_neighbor_uncached(ctx, level)
+            pos = CAND_NONE
+            if u0 is not None:
+                pos = CAND_ODD
+                j = idx_of(store, u0)
+                if j >= 0 and type(u0) is type(nodes[j]):
+                    a = int(off[i])
+                    hit = np.flatnonzero(flat[a:int(off[i + 1])] == j)
+                    if len(hit):
+                        pos = a + int(hit[0])
+            self.cand[cell] = pos
+            self.rcode[cell] = rc
 
     # -- shared prologue ---------------------------------------------------
     def _prologue(self, np, ia):
         comp, store = self.comp, self.store
         data = store.data
-        empty = self.lvl_empty[ia]
+        empty = self.nlev[ia] == 0
         wd_v = view64(data[comp.h_wd])[ia]
         wd_new = np.where((wd_v >= 0) & (wd_v <= _NAT_CAP), wd_v, 0) + 1
         av = view64(data[comp.h_ask])[ia]
@@ -1107,6 +1190,7 @@ class _VectorCmpKernel:
         a_pool = (av >= 0) & (av < self.ask_cache.filled)
         api = np.where(a_pool, av, 0)
         ask_ok = a_pool & (asks[0][api] == 1)
+        ask_none = (av == NONE_S) | (av == UNSET_S)
         lvl = asks[1][api]
         # int64 shifts are defined only to 63; real levels are 0..256
         # and a level above 62 cannot set a bit of a <=_NAT_CAP J-mask,
@@ -1116,68 +1200,193 @@ class _VectorCmpKernel:
         wflt = asks[3][api].view(np.float64)
         afid = np.where(ask_ok, asks[4][api], -1)
         apid = np.where(ask_ok, asks[5][api], -1)
-        return empty, wd_new, ask_ok, lvl, lvl_ok, wk, wflt, afid, apid
+        return (empty, wd_new, ask_ok, ask_none, lvl, lvl_ok, wk, wflt,
+                afid, apid)
 
-    def _show_levels(self, np, cols):
-        """Per input column of broadcast-slot pool ids: the shown level
-        (or SHOW_NONE) plus the show's fragment and piece intern ids
-        (or -1)."""
-        shows = self.show_cache.sync(*cols)
-        filled = self.show_cache.filled
+    def _show_levels(self, np, cols, k=1):
+        """Per input column of broadcast-slot pool ids, the first ``k``
+        of: the shown level (SHOW_NONE: no flagged show), the show's
+        fragment and piece intern ids (-1: none)."""
+        arrs = self.show_cache.sync(*cols)
         out = []
         for c in cols:
-            pooled = (c >= 0) & (c < filled)
+            pooled = c >= 0
             ci = np.where(pooled, c, 0)
-            out.append((np.where(pooled, shows[0][ci], SHOW_NONE),
-                        np.where(pooled, shows[1][ci], -1),
-                        np.where(pooled, shows[2][ci], -1)))
+            out.append([np.where(pooled, a[ci], d)
+                        for a, d in zip(arrs[:k], (SHOW_NONE, -1, -1))])
         return out
 
-    def _kill_overflow_rows(self, triv, row_of, slots):
-        store = self.store
-        for h in slots:
-            ovf = store.overflow[h]
-            if ovf:
-                for node_i in ovf:
-                    r = row_of[node_i]
-                    if r >= 0:
-                        triv[r] = False
+    # -- the acquire cycle -------------------------------------------------
+    def _plan_acquire(self, np, ia, free, trains):
+        """``(wait, acquire, serial)`` over the batch rows: of the rows
+        ``free`` (no Ask, watchdog under budget), those whose
+        ``_try_acquire`` provably finds no flagged piece at the target
+        level ``levels[idx % len(levels)]`` in either train's own slot,
+        and those that provably acquire one without an alarm, with the
+        acquired piece's serial.  The slots read are the ones each
+        train leaves this step (``trains``: per stepping train, its
+        final trivial mask and slot plan): its planned adopt or drain
+        write, or its unchanged cell.  Rows whose train replays, boxed
+        cells and pieces without a serial stay residual."""
+        m = len(ia)
+        wait = np.zeros(m, bool)
+        acq = np.zeros(m, bool)
+        ser = np.full(m, -1, np.int64)
+        for triv, _sp in trains:
+            free = free & triv
+        f = np.flatnonzero(free)
+        if not len(f):
+            return wait, acq, ser
+        comp, topo, pt = self.comp, self.topo, self.pieces
+        data = self.store.data
+        i = ia[f]
+        # both trains' own cells as one (2, |f|) array: the top
+        # train's row first, as _try_acquire scans them
+        cells = np.stack([view64(data[t.h_bbuf])[i]
+                          for t in (comp.top, comp.bottom)])
+        arrs = self.show_cache.sync(cells.ravel())
+        pooled = cells >= 0
+        ci = np.where(pooled, cells, 0)
+        lv = np.where(pooled, arrs[0][ci], SHOW_NONE)
+        sr = arrs[3][ci]            # read only where lv is a level
+        box = cells == BOX_S
+        for t, (_triv, sp) in enumerate(trains):
+            if sp is None:
+                continue
+            p = sp.pos[f]
+            k = np.flatnonzero(p >= 0)
+            if len(k):
+                j = p[k]
+                s = sp.ser[j]
+                lv[t, k] = np.where(sp.flag[j], pt.lv[s], SHOW_NONE)
+                sr[t, k] = s
+                box[t, k] = False
+        iv = view64(data[comp.h_idx])[i]
+        idx = np.where((iv >= 0) & (iv <= _NAT_CAP), iv, 0)
+        tgt = self.lv_flat[self.lv_off[i] + idx % self.nlev[i]]
+        at = lv == tgt
+        top = at[0]
+        hit = top | at[1]
+        ok = ~(box[0] | box[1])
+        s = np.where(top, sr[0], sr[1])
+        a = ok & hit & (s >= 0)
+        if a.any():
+            k = np.flatnonzero(a)
+            sk, ik = s[k], i[k]
+            cand, rc = self._cells(np, ik, tgt[k])
+            cp = np.where(cand >= 0, cand, 0)
+            # the root check alarms when roots[level] == "1" names
+            # another root; C1 when the candidate edge's weight is not
+            # the piece's (a NaN weight stands for None or inexact)
+            a[k] = ((rc == RC_NONE) | ((rc == RC_ONE) & (pt.zi[sk] == ik))) \
+                & ((cand == CAND_NONE) | ((cand >= 0) & topo.w_exact[cp]
+                                          & (topo.wts[cp] == pt.wt[sk])))
+        wait[f] = ok & ~hit
+        acq[f] = a
+        ser[f] = s
+        return wait, acq, ser
+
+    def _plan_advance(self, np, ia, adv):
+        """``(ok, idx, rot)`` for the rows ``adv`` about to run
+        ``_advance``: the rows whose ``_rot`` increment is a plain int
+        write (or who do not wrap), the new level index, and the new
+        ``_rot`` (-1: untouched); ``idx`` and ``rot`` are None when no
+        row advances."""
+        k = np.flatnonzero(adv)
+        if not len(k):
+            return adv, None, None
+        m = len(ia)
+        ok = np.zeros(m, bool)
+        idx = np.zeros(m, np.int64)
+        rot = np.full(m, -1, np.int64)
+        data = self.store.data
+        i = ia[k]
+        nl = self.nlev[i]
+        iv = view64(data[self.comp.h_idx])[i]
+        x = np.where((iv >= 0) & (iv <= _NAT_CAP), iv, 0) % nl
+        wrap = x + 1 >= nl
+        rv = view64(data[self.comp.h_rot])[i]
+        raw = (rv > SENT_CEIL) & (rv < INT_HI - 1)
+        ok[k] = ~wrap | raw | (rv == NONE_S) | (rv == UNSET_S)
+        idx[k] = (x + 1) % nl
+        rot[k] = np.where(wrap, np.where(raw, rv + 1, 1), -1)
+        return ok, idx, rot
+
+    def _make_apply(self, ia, wd_new, aw, acq, ser, adv, adv_idx, adv_rot,
+                    wd_rows):
+        """The planned writes of the acquire cycle for the kept row
+        positions: the watchdog of ``wd_rows``, the acquires' Ask
+        (interned as the write lands), hold-down and service counters,
+        and the advances' eight registers."""
+        comp, store = self.comp, self.store
+        pt = self.pieces
+
+        def apply(rows):
+            sel = rows[wd_rows[rows]]
+            if len(sel):
+                put_rows(store, comp.h_wd, ia[sel], wd_new[sel])
+            sel = rows[acq[rows]]
+            if len(sel):
+                ri = ia[sel]
+                put_rows(store, comp.h_ask, ri, pt.piece_ids(ser[sel]))
+                put_rows(store, comp.h_wait, ri, aw[sel])
+                put_rows(store, comp.h_nbr, ri, 0)
+                put_rows(store, comp.h_svc, ri, 0)
+            sel = rows[adv[rows]] if adv_idx is not None else ()
+            if len(sel):
+                ri = ia[sel]
+                rot = adv_rot[sel]
+                w = rot >= 0
+                if w.any():
+                    put_rows(store, comp.h_rot, ri[w], rot[w])
+                put_rows(store, comp.h_idx, ri, adv_idx[sel])
+                for h in (comp.h_ask, comp.h_want):
+                    put_rows(store, h, ri, NONE_S)
+                for h in (comp.h_wait, comp.h_nbr, comp.h_svc, comp.h_wd):
+                    put_rows(store, h, ri, 0)
+
+        return apply
 
     # -- classifiers -------------------------------------------------------
-    def classify(self, np, ia, row_of, aa, sv):
-        """``(trivial-mask, apply)`` for the batch rows ``ia``.
+    def classify(self, np, ia, aa, sv, aw, trains):
+        """``(trivial-mask, apply)`` for the batch rows ``ia``; ``aa``,
+        ``sv`` and ``aw`` are the per-row ask-alarm, service and
+        ask-window budgets, ``trains`` each stepping train's final
+        ``(trivial-mask, slot plan)``.
 
         ``apply(rows)`` performs the trivial writes for the row
         *positions* kept (an int64 index array into ``ia``, O(|rows|))."""
         if self.comp.mode == MODE_SYNC_WINDOW:
-            return self._classify_sync(np, ia, row_of, aa)
-        return self._classify_want(np, ia, row_of, aa, sv)
+            return self._classify_sync(np, ia, aa, aw, trains)
+        return self._classify_want(np, ia, aa, sv, aw, trains)
 
-    def _classify_sync(self, np, ia, row_of, aa):
+    def _classify_sync(self, np, ia, aa, aw, trains):
         comp, store, snap = self.comp, self.store, self.snap
         data, sdata = store.data, snap.data
         topo = self.topo
         m = len(ia)
-        empty, wd_new, ask_ok, lvl, lvl_ok, wk, wflt, afid, apid = \
-            self._prologue(np, ia)
+        (empty, wd_new, ask_ok, ask_none, lvl, lvl_ok, wk, wflt, afid,
+         apid) = self._prologue(np, ia)
         wait_v = view64(data[comp.h_wait])[ia]
         wait = np.where((wait_v >= 0) & (wait_v <= _NAT_CAP), wait_v, 0)
-        cond = (wd_new <= aa) & ask_ok & lvl_ok & (wait > 1)
-        # per-edge replay of _sync_compare_all's silent paths: a
-        # neighbour inside the level must display the *same* piece and
-        # not be the cached candidate (else AGREE/C1 could fire); an
-        # outgoing edge must pass the weight check exactly.  Anything
-        # undecidable — boxed slots, odd weights, an uncached candidate
-        # — forces the scalar body.
-        e_node, e_pos = csr_take(topo.off, ia)
+        wd_ok = ~empty & (wd_new <= aa)
+        held = np.flatnonzero(wd_ok & ask_ok & lvl_ok)
+        # per-edge replay of _sync_compare_all's silent paths over the
+        # rows holding an Ask: a neighbour inside the level must
+        # display the *same* piece and not be the candidate (else
+        # AGREE/C1 could fire); an outgoing edge must pass the weight
+        # check exactly.  Anything undecidable — boxed slots, odd
+        # weights, an odd candidate — forces the scalar body.
+        hi = ia[held]
+        hl = lvl[held]
+        e_node, e_pos = csr_take(topo.off, hi)
         ej = topo.flat[e_pos]
         jm = view64(sdata[comp.h_jmask])[ej]
-        lvl_e = lvl[e_node]
-        sh = np.where((lvl_e >= 0) & (lvl_e <= 62), lvl_e, 0)
-        u_has = (jm >= 0) & (jm <= _NAT_CAP) & (((jm >> sh) & 1) == 1)
+        lvl_e = hl[e_node]
+        u_has = (jm >= 0) & (jm <= _NAT_CAP) & (((jm >> lvl_e) & 1) == 1)
         tb = view64(sdata[comp.top.h_bbuf])[ej]
         bb = view64(sdata[comp.bottom.h_bbuf])[ej]
-        (st, tf, tp), (sb, bf, bp) = self._show_levels(np, (tb, bb))
+        (st, tf, tp), (sb, bf, bp) = self._show_levels(np, (tb, bb), 3)
         ebox = u_has & ((tb == BOX_S) | (bb == BOX_S))
         # the scalar scan takes the top train's show first
         obs_top = u_has & (st == lvl_e)
@@ -1185,61 +1394,52 @@ class _VectorCmpKernel:
         obs = obs_top | obs_bot
         sfid = np.where(obs_top, tf, bf)
         spid = np.where(obs_top, tp, bp)
-        same_frag = obs & (sfid == afid[e_node]) & (sfid >= 0)
-        same_piece = (spid >= 0) & (spid == apid[e_node])
-        out_ok = (wk[e_node] == 1) & topo.w_exact[e_pos] \
-            & ~(topo.wts[e_pos] < wflt[e_node])
-        # C1 needs the per-(node, level) candidate: read the scalar
-        # body's own cache; a cache miss stays scalar (and fills it)
-        u0i = np.full(m, -1, np.int64)
-        u0_miss = np.zeros(m, bool)
-        if same_frag.any():
-            need = seg_any(same_frag, e_node, m)
-            cache = comp._label_cache
-            MISS = comp._MISS
-            ctxs = topo.ctxs
-            for r in np.flatnonzero(need):
-                r = int(r)
-                ent = cache.get(ctxs[int(ia[r])].node)
-                u0 = MISS if ent is None \
-                    else ent[2].get(int(lvl[r]), MISS)
-                if u0 is MISS:
-                    u0_miss[r] = True
-                elif u0 is not None:
-                    u0x = idx_of(store, u0)
-                    if u0x == IDX_ODD:
-                        u0_miss[r] = True   # odd ==: scalar decides
-                    else:
-                        u0i[r] = u0x
+        h_afid, h_apid = afid[held], apid[held]
+        same_frag = obs & (sfid == h_afid[e_node]) & (sfid >= 0)
+        same_piece = (spid >= 0) & (spid == h_apid[e_node])
+        h_wk, h_wflt = wk[held], wflt[held]
+        out_ok = (h_wk[e_node] == 1) & topo.w_exact[e_pos] \
+            & ~(topo.wts[e_pos] < h_wflt[e_node])
+        # C1 compares each same-fragment neighbour with the candidate
+        u0j = np.full(len(held), -1, np.int64)
+        u0_odd = np.zeros(len(held), bool)
+        need = np.flatnonzero(seg_any(same_frag, e_node, len(held)))
+        if len(need):
+            cand, _rc = self._cells(np, hi[need], hl[need])
+            u0_odd[need] = cand == CAND_ODD
+            u0j[need] = np.where(cand >= 0,
+                                 topo.flat[np.where(cand >= 0, cand, 0)],
+                                 -1)
         bad = ebox \
             | (~u_has & ~out_ok) \
             | (obs & ~same_frag & ~out_ok) \
-            | (same_frag & (~same_piece | u0_miss[e_node]
-                            | (ej == u0i[e_node])))
-        triv = empty | (cond & ~seg_any(bad, e_node, m))
-        self._kill_overflow_rows(triv, row_of, (comp.h_wd, comp.h_wait))
-
-        h_wd, h_wait = comp.h_wd, comp.h_wait
-        dc = store.dirty_cols
+            | (same_frag & (~same_piece | u0_odd[e_node]
+                            | (ej == u0j[e_node])))
+        quiet = np.zeros(m, bool)
+        quiet[held] = ~seg_any(bad, e_node, len(held))
+        hold = quiet & (wait > 1)
+        adv, adv_idx, adv_rot = self._plan_advance(np, ia, quiet & (wait <= 1))
+        wt, acq, ser = self._plan_acquire(np, ia, wd_ok & ask_none, trains)
+        triv = empty | hold | adv | wt | acq
+        base = self._make_apply(ia, wd_new, aw, acq, ser, adv,
+                                adv_idx, adv_rot, hold | wt | acq)
+        h_wait = comp.h_wait
 
         def apply(rows):
-            sel = rows[~empty[rows]]
+            base(rows)
+            sel = rows[hold[rows]]
             if len(sel):
-                ri = ia[sel]
-                view64(data[h_wd])[ri] = wd_new[sel]
-                dc[h_wd] = 1
-                view64(data[h_wait])[ri] = wait[sel] - 1
-                dc[h_wait] = 1
+                put_rows(store, h_wait, ia[sel], wait[sel] - 1)
 
         return triv, apply
 
-    def _classify_want(self, np, ia, row_of, aa, sv):
+    def _classify_want(self, np, ia, aa, sv, aw, trains):
         comp, store, snap = self.comp, self.store, self.snap
         data, sdata = store.data, snap.data
         topo = self.topo
         m = len(ia)
-        empty, wd_new, ask_ok, lvl, lvl_ok, wk, wflt, _afid, _apid = \
-            self._prologue(np, ia)
+        (empty, wd_new, ask_ok, ask_none, lvl, lvl_ok, wk, wflt, _afid,
+         _apid) = self._prologue(np, ia)
         if int(topo.off[-1]) == 0:
             # no edges anywhere: every non-empty row advances (scalar)
             return empty.copy(), (lambda rows: None)
@@ -1253,33 +1453,37 @@ class _VectorCmpKernel:
         u_has = (jm >= 0) & (jm <= _NAT_CAP) & (((jm >> sh) & 1) == 1)
         tb = view64(sdata[comp.top.h_bbuf])[j]
         bb = view64(sdata[comp.bottom.h_bbuf])[j]
-        (st, _, _), (sb, _, _) = self._show_levels(np, (tb, bb))
+        (st,), (sb,) = self._show_levels(np, (tb, bb))
         ebox = u_has & ((tb == BOX_S) | (bb == BOX_S))
         obs_found = u_has & ((st == lvl) | (sb == lvl))
         out_bad = (wk != 1) | ~topo.w_exact[pos] | (topo.wts[pos] < wflt)
         svc_v = view64(data[comp.h_svc])[ia]
         svc_new = np.where((svc_v >= 0) & (svc_v <= _NAT_CAP),
                            svc_v, 0) + 1
-        cond = ~empty & (wd_new <= aa) & ask_ok & lvl_ok & in_rng & ~ebox
+        wd_ok = ~empty & (wd_new <= aa)
+        cond = wd_ok & ask_ok & lvl_ok & in_rng & ~ebox
         # branch B: the served neighbour is outside the level and no
         # outgoing check can alarm -> bump wd, advance nbr, clear svc
         triv_b = cond & ~u_has & ~out_bad
         # branch F: the neighbour claims the level but shows no piece
         # yet -> file the Want, bump the service watchdog (under budget)
         triv_f = cond & u_has & ~obs_found & (svc_new <= sv)
-        self._kill_overflow_rows(
-            triv_b, row_of, (comp.h_wd, comp.h_nbr, comp.h_svc))
-        triv = empty | triv_b | triv_f
+        # every neighbour served: the level advances
+        adv, adv_idx, adv_rot = self._plan_advance(
+            np, ia, wd_ok & ask_ok & ~in_rng)
+        wt, acq, ser = self._plan_acquire(np, ia, wd_ok & ask_none, trains)
+        triv = empty | triv_b | triv_f | adv | wt | acq
+        base = self._make_apply(ia, wd_new, aw, acq, ser, adv,
+                                adv_idx, adv_rot, triv_b | wt | acq)
 
-        h_wd, h_nbr, h_svc, h_want = (comp.h_wd, comp.h_nbr,
-                                      comp.h_svc, comp.h_want)
-        dc = store.dirty_cols
+        h_nbr, h_svc, h_want = comp.h_nbr, comp.h_svc, comp.h_want
         nodes = store.nodes
         overflow = store.overflow
         intern = store.intern
         pooled_id = store.pooled_id
         want_col = data[h_want]
-        w_wd = store.make_nat_writer(h_wd)
+        dc = store.dirty_cols
+        w_wd = store.make_nat_writer(comp.h_wd)
         w_svc = store.make_nat_writer(h_svc)
 
         # resolve the filings' pool ids up front (most filings re-assert
@@ -1316,15 +1520,12 @@ class _VectorCmpKernel:
             want_ids[f_rows] = ids
 
         def apply(rows):
+            base(rows)
             b = rows[triv_b[rows]]
             if len(b):
                 ri = ia[b]
-                view64(data[h_wd])[ri] = wd_new[b]
-                dc[h_wd] = 1
-                view64(data[h_nbr])[ri] = idx[b] + 1
-                dc[h_nbr] = 1
-                view64(data[h_svc])[ri] = 0
-                dc[h_svc] = 1
+                put_rows(store, h_nbr, ri, idx[b] + 1)
+                put_rows(store, h_svc, ri, 0)
             f = rows[triv_f[rows]]
             if len(f):
                 # the Want filing lands through the store's canonical
@@ -1346,7 +1547,7 @@ class _VectorCmpKernel:
         return triv, apply
 
     # -- Want-mode hold flags ---------------------------------------------
-    def held(self, np, ia, row_of):
+    def held(self, np, ia):
         """(held_ok, hold_top, hold_bot): per-row "is a show held" for
         the train classifiers, with held_ok False where boxed slots or
         odd equality semantics leave the answer to the scalar body."""
@@ -1368,7 +1569,7 @@ class _VectorCmpKernel:
                                          | (mine & (wl == WL_ODD))))
         tb = view64(store.data[comp.top.h_bbuf])[ia]       # own, live
         bb = view64(store.data[comp.bottom.h_bbuf])[ia]
-        (st, _, _), (sb, _, _) = self._show_levels(np, (tb, bb))
+        (st,), (sb,) = self._show_levels(np, (tb, bb))
         obox = (tb == BOX_S) | (bb == BOX_S)
         ht = seg_any(mine & (wl == st[e_node]), e_node, m)
         hb = seg_any(mine & (wl == sb[e_node]), e_node, m)

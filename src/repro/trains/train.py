@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, List, Optional, Tuple
 
 from ..labels.registers import (REG_DELIM, REG_JMASK, REG_PARENT_ID,
@@ -50,8 +51,8 @@ from ..labels.registers import (REG_DELIM, REG_JMASK, REG_PARENT_ID,
 from ..labels.wellforming import level_is_bottom, sorted_levels
 from ..sim.columnar import BOX_S, NONE_S, PoolColumn, SENT_CEIL
 from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, PLAIN_TYPES, PoolIdCache,
-                              csr_span, csr_take, idx_of, numpy_or_none,
-                              seg_any, view64)
+                              VecTopo, csr_span, csr_take, idx_of,
+                              numpy_or_none, put_rows, seg_any, view64)
 from ..sim.registers import NO_DECODE, UNSET, handle_resolver
 from .budgets import Budgets, compute_budgets
 
@@ -76,6 +77,8 @@ _ACT_PID_CAP = (1 << 31) - 2
 #: levels a planned slot write may account: ``seen | 1 << level`` stays
 #: a plain nat (below the store's ``INT_HI`` = 2**61)
 _PLAN_LEVELS = 61
+#: piece weights whose float64 compares against edge weights are exact
+_W_EXACT = VecTopo.W_EXACT
 
 #: per-(row, level) slot codes of ``_VectorTrainKernel.codes``: how
 #: accounting a piece of that level at that row sets the membership
@@ -149,6 +152,19 @@ def decode_observation(buf: Any) -> Optional[TrainObservation]:
     if isinstance(buf, tuple) and len(buf) == 2 and valid_piece(buf[0]):
         return TrainObservation(piece=buf[0], flag=bool(buf[1]))
     return None
+
+
+def _is_boundary(key: Tuple, last: Any) -> bool:
+    """Whether accounting the piece of rotation key ``key`` closes a
+    rotation: ``key <= last``.  A ``last`` that is no tuple, or whose
+    comparison with the key raises (``(level, "x")``: an int root
+    against a str), marks no boundary."""
+    if not isinstance(last, tuple):
+        return False
+    try:
+        return key <= tuple(last)
+    except TypeError:
+        return False
 
 
 def _seq_key(x: Any) -> int:
@@ -542,8 +558,7 @@ class TrainComponent:
         alarms: List[str] = []
         key = piece_key(piece)
         last = ctx.get(self.h_last)
-        boundary = (isinstance(last, tuple) and key <= tuple(last)) \
-            if last is not None else False
+        boundary = _is_boundary(key, last)
 
         roots = ctx.get(self.h_roots)
         level = piece[1]
@@ -804,8 +819,7 @@ class TrainComponent:
             v = last_col[i]
             last = pool[v] if v > SENT_CEIL else (
                 overflow[h_last][i] if v == BOX_S else None)
-            boundary = (isinstance(last, tuple) and key <= tuple(last)) \
-                if last is not None else False
+            boundary = _is_boundary(key, last)
             v = roots_col[i]
             roots = pool[v] if v > SENT_CEIL else (
                 overflow[h_roots][i] if v == BOX_S else None)
@@ -1563,18 +1577,6 @@ class _VectorTrainKernel:
                 ids[t] = p
         return ids
 
-    def _put(self, h, rows_i, vals) -> None:
-        """Slice-store plain ints (nats or pool ids) into column ``h``
-        at the rows ``rows_i``: the writers' overflow pop and dirty
-        mark, minus the per-row calls."""
-        store = self.store
-        ovf = store.overflow[h]
-        if ovf:
-            for i in rows_i.tolist():
-                ovf.pop(i, None)
-        self.vd[h][rows_i] = vals
-        store.dirty_cols[h] = 1
-
     def _exec_conv(self, np, rows, cv) -> None:
         """Apply the planned convergecast writes of the kept row
         positions ``rows``: the final value of every register the
@@ -1587,7 +1589,7 @@ class _VectorTrainKernel:
         kind = cv.kind
         comp = self.comp
         store = self.store
-        put = self._put
+        put = partial(put_rows, store)
         iL = cv.iL
         kk = kind[k]
         if cv.ack is not None:
@@ -1821,7 +1823,7 @@ class _VectorTrainKernel:
         register's final value but the watchdog's, which ``apply``
         folds into its own write."""
         comp = self.comp
-        put = self._put
+        put = partial(put_rows, self.store)
         i = sp.i[j]
         slot, key = self._pool_ids(np, sp, j)
         put(comp.h_bbuf, i, slot)
@@ -1883,14 +1885,16 @@ class _PieceTable:
     they share a serial and every pool id; a bool or float twin, or any
     other type, gets no serial (-1) and its row replays.  Per serial:
     the level ``lv``, the root ``z`` and the dense row it names ``zi``
-    (:func:`idx_of`), and the pool ids + 1 (0: not pooled yet) of the
-    slots ``(piece, False)``/``(piece, True)`` and of the rotation key
-    ``(level, root)``, filled when a write interns them — the pool is
+    (:func:`idx_of`), the weight ``wt`` as a float64 (NaN for None or
+    an int too large to compare exactly), and the pool ids + 1 (0: not
+    pooled yet) of the slots ``(piece, False)``/``(piece, True)``, of
+    the rotation key ``(level, root)`` and of the piece itself (an
+    acquired ``Ask``), filled when a write interns them — the pool is
     append-only, so a known id is what ``intern`` returns forever.
-    Shared by both trains' kernels."""
+    Shared by both trains' kernels and the comparison's."""
 
-    __slots__ = ("store", "index", "pieces", "lv", "zi", "z", "slot",
-                 "key")
+    __slots__ = ("store", "index", "pieces", "lv", "zi", "z", "wt",
+                 "slot", "key", "own")
 
     def __init__(self, store) -> None:
         np = numpy_or_none()
@@ -1900,8 +1904,10 @@ class _PieceTable:
         self.lv = np.zeros(64, np.int64)
         self.zi = np.zeros(64, np.int64)
         self.z = np.zeros(64, np.int64)
+        self.wt = np.zeros(64, np.float64)
         self.slot = np.zeros((64, 2), np.int64)
         self.key = np.zeros(64, np.int64)
+        self.own = np.zeros(64, np.int64)
 
     def serial(self, piece) -> int:
         if type(piece) is not tuple or len(piece) != 3:
@@ -1918,15 +1924,28 @@ class _PieceTable:
             self.pieces.append(piece)
             if s == len(self.lv):
                 np = numpy_or_none()
-                for name in ("lv", "zi", "z", "slot", "key"):
+                for name in ("lv", "zi", "z", "wt", "slot", "key",
+                             "own"):
                     a = getattr(self, name)
-                    b = np.zeros((2 * len(a),) + a.shape[1:], np.int64)
+                    b = np.zeros((2 * len(a),) + a.shape[1:], a.dtype)
                     b[:len(a)] = a
                     setattr(self, name, b)
             self.lv[s] = level
             self.zi[s] = idx_of(self.store, z)
             self.z[s] = z
+            self.wt[s] = float(w) if w is not None and \
+                -_W_EXACT < w < _W_EXACT else float("nan")
         return s
+
+    def piece_ids(self, sers):
+        """The pool ids of the pieces of serials ``sers`` (an int64
+        array), interning those not pooled yet."""
+        ids = self.own[sers] - 1
+        for t in (ids < 0).nonzero()[0].tolist():
+            s = int(sers[t])
+            ids[t] = self.store.intern(self.pieces[s])
+            self.own[s] = ids[t] + 1
+        return ids
 
     def ids(self, s: int, flag: bool):
         """The pool ids of serial ``s``'s slot ``(piece, flag)`` and

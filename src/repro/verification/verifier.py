@@ -43,6 +43,7 @@ from ..labels.registers import (REG_BOT_COUNT, REG_BOT_ROOT,
                                 declare_label_registers)
 from ..labels.wellforming import static_check
 from ..sim.bulk import drive_batch
+from ..sim.columnar import INT_HI, INT_LO
 from ..sim.network import NodeContext, Protocol
 from ..sim.npcolumnar import VecTopo, numpy_or_none
 from ..sim.registers import ALARM, RegisterSchema, handle_resolver
@@ -232,32 +233,15 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
             return
 
 
-def _budget_rows(np, bgts, step_nos):
-    """Per-row budget thresholds ``(na, rr, aa, sv, ok)`` — node
-    alarm, root reset, ask alarm, service — from the gathered ghost
-    budget caches; -1 (and ``ok`` False) where a row's cache is not
-    valid for its step.  Row by row: id-keying Budgets objects would
-    be unsound across gc reuse, and the attribute reads are cheap."""
-    na, rr, aa, sv, ok = [], [], [], [], []
-    horizon = BUDGET_CACHE_STEPS
-    for c, sno in zip(bgts, step_nos):
-        if isinstance(c, tuple) and len(c) == 2 and \
-                isinstance(c[1], Budgets) and sno - c[0] < horizon:
-            b = c[1]
-            ok.append(True)
-            na.append(b.node_alarm)
-            rr.append(b.root_reset)
-            aa.append(b.ask_alarm)
-            sv.append(b.service)
-        else:
-            ok.append(False)
-            na.append(-1)
-            rr.append(-1)
-            aa.append(-1)
-            sv.append(-1)
-    return (np.array(na, np.int64), np.array(rr, np.int64),
-            np.array(aa, np.int64), np.array(sv, np.int64),
-            np.array(ok, bool))
+#: the budget thresholds the vector classifiers read, in the order
+#: :meth:`_VectorSweep._budgets` returns them
+_BUDGET_FIELDS = ("node_alarm", "root_reset", "ask_alarm", "service",
+                  "ask_window")
+#: kinds of a memoized ghost budget cache: no ``(step, Budgets)`` pair
+#: (stale on every step), a plain-int step (horizon checked as an
+#: array), any other step (horizon checked in Python)
+_BK_NONE, _BK_PLAIN, _BK_ODD = 0, 1, 2
+_I62 = 1 << 62
 
 
 class _VectorSweep:
@@ -282,10 +266,9 @@ class _VectorSweep:
 
     Per-row label-derived attributes (part topology, level rotations,
     static-check verdicts) rebuild when the joint stable epoch moves —
-    the same sentinel discipline the scalar caches key on.  Budget
-    thresholds come only from rows whose ghost budget cache is valid
-    for this step; a stale row goes residual, where ``budgets_for``
-    refreshes the ghost register exactly as the scalar sweep would.
+    the same sentinel discipline the scalar caches key on.  Stale ghost
+    budget caches are refreshed up front (:meth:`_budgets`), so every
+    row classifies against the budgets its scalar body would use.
     """
 
     #: below this many rows the classification overhead beats the
@@ -326,6 +309,16 @@ class _VectorSweep:
         self.key = None
         self.statics_empty = None
         self.row_of = None
+        # per dense row: the last ghost budget cache seen (held alive,
+        # so its id stays unique), its id, kind, step and thresholds
+        np = numpy_or_none()
+        n = ops.store.n
+        self.b_obj = [None] * n
+        self.b_id = np.zeros(n, np.int64)
+        self.b_kind = np.zeros(n, np.int8)
+        self.b_step = np.zeros(n, np.int64)
+        self.b_thr = np.full((len(_BUDGET_FIELDS), n), -1, np.int64)
+        self.b_ok = np.zeros(n, bool)
 
     def _rebuild(self, np) -> None:
         proto = self.proto
@@ -366,13 +359,14 @@ class _VectorSweep:
         row_of[ia] = np.arange(m, dtype=np.int64)
         stat_ok = self.statics_empty[ia].copy()
         se = proto.static_every
+        snos = np.fromiter(step_nos, np.int64, count=m)
         if se > 1:
-            snos = np.fromiter(step_nos, np.int64, count=m)
             stat_ok |= (snos % se) != 0
-        na, rr, aa, sv, bgok = _budget_rows(np, bgts, step_nos)
+        na, rr, aa, sv, aw, bgok = self._budgets(np, ia, ctx_list,
+                                                 step_nos, snos, bgts)
         traffic = m >= self.TRAFFIC_MIN
         if self.want:
-            held_ok, ht, hb = self.comp_kern.held(np, ia, row_of)
+            held_ok, ht, hb = self.comp_kern.held(np, ia)
             holds = (ht, hb)
         else:
             held_ok = None
@@ -391,7 +385,8 @@ class _VectorSweep:
             bc_dones.append(bc_done)
             applies.append(apply)
             adopts.append(pend)
-        ctriv, capply = self.comp_kern.classify(np, ia, row_of, aa, sv)
+        ctriv, capply = self.comp_kern.classify(
+            np, ia, aa, sv, aw, list(zip(trivs, adopts)))
         trivs.append(ctriv)
         applies.append(capply)
         any_triv = False
@@ -416,6 +411,65 @@ class _VectorSweep:
                           held_ok)
         return True
 
+    def _budgets(self, np, ia, ctx_list, step_nos, snos, bgts):
+        """Per-row budget thresholds ``(na, rr, aa, sv, aw, ok)`` —
+        node alarm, root reset, ask alarm, service, ask window — for
+        the batch rows ``ia``, after refreshing every stale ghost
+        budget cache with ``budgets_for``: the write the scalar body
+        makes before any train step, and one no other row reads, so it
+        may land first.  ``bgts`` is updated in place.  -1 (and ``ok``
+        False) where a row's cache holds a threshold that is no plain
+        int a nat column stores as is (the ask window is written).
+
+        A row's decoded cache is memoized with the cache object, which
+        the memo holds alive: its ``id`` cannot be reused meanwhile, so
+        an unchanged id proves the batch holds the same tuple, and only
+        rows whose cache changed (once per refresh) decode in Python.
+        The horizon check is an array compare."""
+        m = len(ia)
+        ids = np.fromiter(map(id, bgts), np.int64, count=m)
+        memo = self._memo_budget
+        for k in np.flatnonzero(ids != self.b_id[ia]).tolist():
+            memo(int(ia[k]), bgts[k])
+        kind = self.b_kind[ia]
+        stale = (kind == _BK_NONE) | ((kind == _BK_PLAIN) & (
+            snos - self.b_step[ia] >= BUDGET_CACHE_STEPS))
+        for k in np.flatnonzero(kind == _BK_ODD).tolist():
+            if not step_nos[k] - bgts[k][0] < BUDGET_CACHE_STEPS:
+                stale[k] = True
+        if stale.any():
+            proto = self.proto
+            budgets_for = proto.budgets_for
+            h_bgt = proto.h_bgt
+            for k in np.flatnonzero(stale).tolist():
+                ctx = ctx_list[k]
+                budgets_for(ctx, ctx.stable_sentinel(), step_nos[k])
+                c = bgts[k] = ctx.get(h_bgt)
+                memo(int(ia[k]), c)
+        thr = self.b_thr[:, ia]
+        return (*thr, self.b_ok[ia])
+
+    def _memo_budget(self, i, c) -> None:
+        """Decode the ghost budget cache ``c`` of dense row ``i``."""
+        self.b_obj[i] = c
+        self.b_id[i] = id(c)
+        self.b_thr[:, i] = -1
+        self.b_ok[i] = False
+        if not (isinstance(c, tuple) and len(c) == 2 and
+                isinstance(c[1], Budgets)):
+            self.b_kind[i] = _BK_NONE
+            return
+        s = c[0]
+        if type(s) is int and -_I62 < s < _I62:
+            self.b_kind[i] = _BK_PLAIN
+            self.b_step[i] = s
+        else:
+            self.b_kind[i] = _BK_ODD
+        vals = [getattr(c[1], f) for f in _BUDGET_FIELDS]
+        if all(type(x) is int and INT_LO < x < INT_HI for x in vals):
+            self.b_thr[:, i] = vals
+            self.b_ok[i] = True
+
     def _run_partial(self, resid, ctx_list, step_nos, bgts, trivs,
                      bc_dones, adopts, holds, held_ok) -> None:
         """Replay the scalar fused bodies for every non-trivial
@@ -423,13 +477,11 @@ class _VectorSweep:
         the already-applied components skipped."""
         proto = self.proto
         statics = proto._static_alarms
-        budgets_for = proto.budgets_for
         se = proto.static_every
         tr0, tr1 = self.tr0, self.tr1
         comp_step = self.comp_step
         held = self.held
         want = self.want
-        horizon = BUDGET_CACHE_STEPS
         # plain-list views: per-element indexing of numpy bool arrays
         # costs more than the loop bodies it gates
         t0 = trivs[0].tolist()
@@ -454,13 +506,7 @@ class _VectorSweep:
             step_no = step_nos[k]
             sentinel = ctx.stable_sentinel()
             first = statics(ctx, sentinel) if step_no % se == 0 else None
-            cached = bgts[k]
-            if isinstance(cached, tuple) and len(cached) == 2 and \
-                    isinstance(cached[1], Budgets) and \
-                    step_no - cached[0] < horizon:
-                budgets = cached[1]
-            else:
-                budgets = budgets_for(ctx, sentinel, step_no)
+            budgets = bgts[k][1]    # valid: refreshed by _budgets
             if want:
                 if held_ok[k]:
                     h0, h1 = htm[k], hbm[k]

@@ -8,7 +8,7 @@ from repro.labels import registers as R
 from repro.labels.wellforming import sorted_levels
 from repro.sim import Network, SynchronousScheduler
 from repro.trains.budgets import compute_budgets
-from repro.trains.train import piece_key, valid_piece
+from repro.trains.train import SEQ_MOD, piece_key, valid_piece
 from repro.verification import make_network, run_marker
 from repro.verification.verifier import MstVerifierProtocol
 
@@ -125,3 +125,41 @@ def test_single_node_network_quiet():
     protocol = MstVerifierProtocol(synchronous=True)
     SynchronousScheduler(network, protocol).run(100)
     assert not network.alarms()
+
+
+@pytest.mark.parametrize("storage", ["dict", "columnar"])
+def test_incomparable_last_is_no_boundary(storage):
+    """A ``last`` register holding ``(level, "x")`` cannot be compared
+    with a rotation key of that level (an int root against a str).  The
+    accounting treats it as "no boundary", like a ``last`` that is no
+    tuple: the step does not raise, and ``last`` is rewritten to the
+    accounted piece's key.  A part leaf is made to adopt a piece of
+    ``level`` on the next round (its parent's slot one sequence ahead)."""
+    g = random_connected_graph(20, 32, seed=21)
+    network = make_network(g, run_marker(g))
+    protocol = MstVerifierProtocol(synchronous=True)
+    sched = SynchronousScheduler(network, protocol, storage=storage,
+                                 fast_path=storage != "dict")
+    sched.run(80)
+    regs = network.registers
+    parent = {v: regs[v][R.REG_PARENT_ID] for v in g.nodes()
+              if regs[v][R.REG_PARENT_ID] in g.neighbors(v)
+              and regs[regs[v][R.REG_PARENT_ID]][R.REG_TOP_ROOT]
+              == regs[v][R.REG_TOP_ROOT]}
+    leaves = [v for v in sorted(parent) if v not in parent.values()]
+    assert leaves
+    planted = {}
+    for v in leaves:
+        buf = regs[v]["tt_bbuf"]
+        if not (isinstance(buf, tuple) and valid_piece(buf[0])):
+            continue
+        piece = buf[0]
+        p = parent[v]
+        regs[p]["tt_bbuf"] = (piece, True)
+        regs[p]["tt_bseq"] = ((regs[v]["tt_bseq"] or 0) + 1) % SEQ_MOD
+        regs[v]["tt_last"] = (piece[1], "x")
+        planted[v] = piece
+    assert planted
+    sched.run(1)
+    for v, piece in planted.items():
+        assert regs[v]["tt_last"] == piece_key(piece), v
