@@ -40,8 +40,8 @@ Dimensions on verifier workloads:
   ``independent``) pre-declares batches with pairwise disjoint closed
   neighbourhoods, which licenses the fused columnar kernels on the
   live (daemon-driven) path — one ``array('q')`` counter sweep per
-  batch, column-inlined trains, and the fused Want-mode comparison
-  kernels (``make_bulk_want``/``make_bulk_held``) — against the
+  batch, column-inlined trains, and the fused comparison kernels in
+  Want mode (``make_bulk_step``/``make_bulk_held``) — against the
   scalar asynchronous columnar loop under the *same* daemon.
   Interleaved best-of-repeats at n=500 and n=2000; floors asserted at
   1.15x, shortfall vs the 1.3x target documented.

@@ -37,7 +37,7 @@ The plane has three layers:
   (``tests/test_bulk_plane.py`` proves bulk == scalar on every backend
   under every scheduler kind).
 
-Fusion licenses: ``batch.ops.fused`` is True only when the scheduler
+Fusion licenses: ``batch.ops`` is non-None only when the scheduler
 guarantees that (a) no activation of the batch can observe a
 batchmate's write, and (b) the batch cannot be aborted between
 activations.  Under those two facts, hoisting *own-register* writes of
@@ -210,23 +210,19 @@ class ColumnarBulkOps:
     """Fused batch primitives over a :class:`~repro.sim.columnar.ColumnStore`.
 
     Handed to protocols by the *synchronous* schedulers on columnar
-    storage (``fused=True``: neighbour reads come from ``snap``, the
-    batch cannot abort mid-round), and by the asynchronous scheduler
-    with ``snap=None`` (so ``snap is store``: reads are live) on
-    batches carrying the ``conflict_free`` license — the only
-    asynchronous batches that may fuse.  The per-value semantics of
-    every primitive replicate the scalar context API exactly —
-    including sentinel encodings, boxed-overflow junk, and
-    stable-version bookkeeping — so fusing is a pure reordering of
+    storage (neighbour reads come from ``snap``, the batch cannot abort
+    mid-round), and by the asynchronous scheduler with ``snap=None``
+    (so ``snap is store``: reads are live) on batches carrying the
+    ``conflict_free`` license — the only asynchronous batches that may
+    fuse.  Being handed ops *is* the fusion license (see the module
+    docstring): an unlicensed batch carries ``ops=None``.  The
+    per-value semantics of every primitive replicate the scalar context
+    API exactly — including sentinel encodings, boxed-overflow junk,
+    and stable-version bookkeeping — so fusing is a pure reordering of
     own-register writes.
     """
 
     __slots__ = ("store", "snap")
-
-    #: fusion license (see module docstring); the asynchronous
-    #: scheduler passes ops only on conflict-free batches, so an
-    #: unlicensed live batch cannot fuse by construction.
-    fused = True
 
     def __init__(self, store, snap=None) -> None:
         self.store = store

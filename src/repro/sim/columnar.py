@@ -444,8 +444,8 @@ class ColumnStore:
         overflow pop/re-box, dirty-column mark).  The bulk plane's
         fused sweeps (:meth:`TrainComponent.make_bulk_step
         <repro.trains.train.TrainComponent.make_bulk_step>`,
-        :meth:`ComparisonComponent.make_bulk_sync
-        <repro.trains.comparison.ComparisonComponent.make_bulk_sync>`)
+        :meth:`ComparisonComponent.make_bulk_step
+        <repro.trains.comparison.ComparisonComponent.make_bulk_step>`)
         bind one per written column; per-context ``wrote`` flags are
         the caller's contract (``batch.wrote_all``)."""
         col = self.data[slot]

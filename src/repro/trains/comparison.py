@@ -34,22 +34,20 @@ on dict storage, an integer slot under a compiled register schema.
 from __future__ import annotations
 
 import struct
-from array import array
-from typing import Any, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..labels.registers import (REG_DELIM, REG_ENDP, REG_JMASK,
                                 REG_PARENT_ID, REG_PARENTS, REG_ROOTS)
 from ..labels.strings import ENDP_DOWN, ENDP_UP
 from ..labels.wellforming import sorted_levels
-from ..sim.columnar import (BOX_S, INT_HI, NONE_S, PoolColumn, SENT_CEIL,
-                            UNSET_S)
+from ..sim.columnar import BOX_S, INT_HI, NONE_S, SENT_CEIL, UNSET_S
 from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, SHOW_NONE, WL_NEVER,
                               WL_ODD, PoolIdCache, csr_take, idx_of,
                               put_rows, seg_any, view64)
 from ..sim.registers import NO_DECODE, handle_resolver
 from .budgets import Budgets
 from .train import (TrainComponent, TrainObservation, decode_observation,
-                    valid_piece, _nat, _NAT_CAP, _PieceTable)
+                    valid_piece, _NAT_CAP, _PieceTable)
 
 #: comparison modes
 MODE_SYNC_WINDOW = "sync-window"
@@ -473,44 +471,44 @@ class ComparisonComponent:
     # ------------------------------------------------------------------
     # the bulk-activation plane (repro.sim.bulk)
     # ------------------------------------------------------------------
-    def make_bulk_sync(self, ops):
-        """A column-fused variant of :meth:`step` for the synchronous
-        window mode, for the bulk plane.
+    def make_bulk_step(self, ops):
+        """A column-fused variant of :meth:`step`, for the bulk plane.
 
         The Ask/Show comparison is the verifier's read-mostliest phase:
-        per held level it reads every neighbour's J-mask and broadcast
-        slots and writes only its own watchdog/wait counters.  The
-        fused closure inlines those reads to direct (snapshot) column
-        indexing — pooled observations resolve through the shared
-        per-pool-id decode memo, edge weights through a per-node map
-        built once per ops — while the infrequent transitions
-        (acquire, advance, candidate lookup) stay on the scalar
-        helpers.  Same control flow, same junk coercions, same writes
-        in the same order as :meth:`step`; write-tracking contract as
-        in :meth:`TrainComponent.make_bulk_step`.  Returns None unless
-        the mode is sync-window and the layout is the expected columnar
-        one (callers then fall back to the scalar :meth:`step`).
+        per held level it reads the neighbours' J-masks and broadcast
+        slots and writes only its own counters.  The closure inlines
+        those reads to direct column indexing against whatever store
+        the ops designate — the round snapshot under the synchronous
+        license, the live columns under the asynchronous
+        *conflict-free* license (``snap is store``), where no batchmate
+        is within the closed-neighbourhood radius.  Pooled observations
+        resolve through the shared per-pool-id decode memo, edge
+        weights through a per-node map built once per ops; the
+        infrequent transitions (acquire, advance, candidate fill) stay
+        on the scalar helpers.
+
+        One body serves every mode, as in :meth:`step`: the event
+        E(v, u, j) — C1, C2 and the Claim-8.3 agreement — is written
+        once and scans every neighbour in the synchronous window, or
+        only the served neighbour in the Want handshake.  Same control
+        flow, same junk coercions, same writes in the same order as
+        :meth:`step`; write-tracking contract as in
+        :meth:`TrainComponent.make_bulk_step
+        <repro.trains.train.TrainComponent.make_bulk_step>`.
         """
-        if self.mode != MODE_SYNC_WINDOW or \
-                not getattr(ops, "fused", False) or \
-                type(self.h_ask) is not int:
-            return None
+        sync = self.mode == MODE_SYNC_WINDOW
+        simple = self.mode == MODE_WANT_SIMPLE
         store = ops.store
         snap = ops.snap
         data = store.data
         sdata = snap.data
-        h_ask, h_wd, h_wait = self.h_ask, self.h_wd, self.h_wait
+        h_ask, h_wait, h_want = self.h_ask, self.h_wait, self.h_want
         h_jmask = self.h_jmask
         h_tb, h_bb = self.top.h_bbuf, self.bottom.h_bbuf
-        stable = store.schema.stable_mask
-        if type(data[h_ask]) is not PoolColumn or \
-                any(type(data[h]) is not array for h in (h_wd, h_wait)) \
-                or type(sdata[h_jmask]) is not array or \
-                any(type(sdata[h]) is not PoolColumn
-                    for h in (h_tb, h_bb)) or \
-                any(stable[h] for h in (h_ask, h_wd, h_wait)):
-            return None
-        ask_col, wd_col, wait_col = data[h_ask], data[h_wd], data[h_wait]
+        ask_col, wd_col, wait_col = data[h_ask], data[self.h_wd], \
+            data[h_wait]
+        want_col, nbr_col, svc_col = data[h_want], data[self.h_nbr], \
+            data[self.h_svc]
         s_jmask, s_tb, s_bb = sdata[h_jmask], sdata[h_tb], sdata[h_bb]
         pool = store.pool_values
         overflow = store.overflow
@@ -518,16 +516,29 @@ class ComparisonComponent:
         none_decode = store.none_decode  # shared with the snapshot
         memos = store.decode_memo        # shared with the snapshot
         memo_for = store.memo_for
+        intern = store.intern
         dc = store.dirty_cols
         cache = self._label_cache
         # fused nat writes via the store's canonical writer closures
         # (one source of truth for the array-write encoding)
-        w_wd = store.make_nat_writer(h_wd)
+        w_wd = store.make_nat_writer(self.h_wd)
         w_wait = store.make_nat_writer(h_wait)
+        w_nbr = store.make_nat_writer(self.h_nbr)
+        w_svc = store.make_nat_writer(self.h_svc)
         #: per-node neighbour-weight maps (topology is immutable, so
         #: caching edge weights for the closure's lifetime is pure)
         weight_maps: dict = {}
         MISS = self._MISS
+
+        def w_want(i, val):
+            # the pooled branch of ctx.set for the Want register (a
+            # well-formed (server, level) tuple or None — both
+            # internable, so no unhashable branch is needed here)
+            ovf = overflow[h_want]
+            if ovf:
+                ovf.pop(i, None)
+            want_col[i] = NONE_S if val is None else intern(val)
+            dc[h_want] = 1
 
         def fused(ctx, budgets, sentinel):
             i = ctx._i
@@ -561,7 +572,17 @@ class ComparisonComponent:
             if ask is None:
                 self._try_acquire(ctx, levels, budgets, alarms)
                 return alarms
-            # -- _sync_compare_all, inlined -----------------------------
+            nbrs = ctx.neighbors
+            if sync:
+                scan = range(len(nbrs))
+            else:
+                # _async_serve_one: only the served neighbour
+                v = nbr_col[i]
+                idx = v if 0 < v <= _NAT_CAP else 0
+                if idx >= len(nbrs):
+                    self._advance(ctx, levels)
+                    return alarms
+                scan = (idx,)
             z, level, weight = ask
             bit = 1 << level
             u0 = cands.get(level, MISS)
@@ -571,10 +592,11 @@ class ComparisonComponent:
             wmap = weight_maps.get(node)
             if wmap is None:
                 wmap = weight_maps[node] = {
-                    u: ctx.weight(u) for u in ctx.neighbors}
-            nbrs = ctx.neighbors
+                    u: ctx.weight(u) for u in nbrs}
             nbr_idx = ctx._nbr_idx
-            for k in range(len(nbrs)):
+            obs = None
+            for k in scan:
+                # -- the event E(v, u, level): _compare_with, inlined
                 u = nbrs[k]
                 j = nbr_idx[k]
                 v = s_jmask[j]
@@ -605,7 +627,22 @@ class ComparisonComponent:
                             obs = d
                             break
                     if obs is None:
-                        continue        # no event for this neighbour
+                        if sync:
+                            continue    # no event for this neighbour
+                        # no event yet: file the Want, bump the service
+                        # watchdog, alarm on a starving server
+                        w_want(i, (u, level))
+                        v = svc_col[i]
+                        svc = (v if 0 <= v <= _NAT_CAP else 0) + 1
+                        w_svc(i, svc)
+                        scale = max(1, ctx.degree) if simple else 1
+                        if svc > budgets.service * scale:
+                            alarms.append("WANT: server never displayed "
+                                          "the requested piece")
+                            w_want(i, None)
+                            w_nbr(i, idx + 1)
+                            w_svc(i, 0)
+                        return alarms
                     if obs.piece[0] == z:
                         if tuple(obs.piece) != tuple(ask):
                             alarms.append("AGREE: same fragment, "
@@ -627,215 +664,18 @@ class ComparisonComponent:
                 if violated:
                     alarms.append("C2: outgoing edge lighter than the "
                                   "claimed minimum")
-            v = wait_col[i]
-            wait = v if 0 <= v <= _NAT_CAP else 0
-            if wait <= 1:
-                self._advance(ctx, levels)
-            else:
-                w_wait(i, wait - 1)
-            return alarms
-
-        return fused
-
-    def make_bulk_want(self, ops):
-        """A column-fused variant of :meth:`step` for the asynchronous
-        Want mode, for the bulk plane — the kernel that takes the
-        comparison mechanism off the synchronous-only fused path.
-
-        Same shape as :meth:`make_bulk_sync`, generalized to gather
-        from whatever column store the ops designate: under the
-        synchronous fusion license ``ops.snap`` is the round snapshot;
-        under the asynchronous *conflict-free* license the scheduler
-        passes ``snap=store``, so the very same closure reads
-        neighbours live — which the license makes unobservable (no
-        batchmate is within the closed-neighbourhood radius).  The hot
-        serve-one body (neighbour J-mask, displayed-piece lookup
-        through the shared decode memo, the ``Want`` filing and service
-        watchdog) is inlined to direct column indexing; the infrequent
-        transitions (acquire, advance, candidate lookup) stay on the
-        scalar helpers.  Same control flow, same junk coercions, same
-        writes in the same order as :meth:`step`; write-tracking
-        contract as in :meth:`TrainComponent.make_bulk_step`.  Returns
-        None unless the mode is ``want`` or the serialized
-        ``want-simple`` ablation (whose only client-side difference is
-        the degree-scaled service budget) and the layout is the
-        expected columnar one.
-        """
-        if self.mode not in (MODE_WANT, MODE_WANT_SIMPLE) or \
-                not getattr(ops, "fused", False) or \
-                type(self.h_ask) is not int:
-            return None
-        simple = self.mode == MODE_WANT_SIMPLE
-        store = ops.store
-        snap = ops.snap
-        data = store.data
-        sdata = snap.data
-        h_ask, h_wd, h_want = self.h_ask, self.h_wd, self.h_want
-        h_nbr, h_svc = self.h_nbr, self.h_svc
-        h_jmask = self.h_jmask
-        h_tb, h_bb = self.top.h_bbuf, self.bottom.h_bbuf
-        stable = store.schema.stable_mask
-        if type(data[h_ask]) is not PoolColumn or \
-                type(data[h_want]) is not PoolColumn or \
-                any(type(data[h]) is not array
-                    for h in (h_wd, h_nbr, h_svc)) or \
-                type(sdata[h_jmask]) is not array or \
-                any(type(sdata[h]) is not PoolColumn
-                    for h in (h_tb, h_bb)) or \
-                any(stable[h] for h in (h_ask, h_want, h_wd, h_nbr,
-                                        h_svc)):
-            return None
-        ask_col, want_col, wd_col = data[h_ask], data[h_want], data[h_wd]
-        nbr_col, svc_col = data[h_nbr], data[h_svc]
-        s_jmask, s_tb, s_bb = sdata[h_jmask], sdata[h_tb], sdata[h_bb]
-        pool = store.pool_values
-        overflow = store.overflow
-        soverflow = snap.overflow
-        none_decode = store.none_decode  # shared with the snapshot
-        memos = store.decode_memo        # shared with the snapshot
-        memo_for = store.memo_for
-        intern = store.intern
-        dc = store.dirty_cols
-        cache = self._label_cache
-        w_wd = store.make_nat_writer(h_wd)
-        w_nbr = store.make_nat_writer(h_nbr)
-        w_svc = store.make_nat_writer(h_svc)
-        #: per-node neighbour-weight maps (static topology; see
-        #: make_bulk_sync)
-        weight_maps: dict = {}
-        MISS = self._MISS
-
-        def _w_want(i, val):
-            # the pooled branch of ctx.set for the Want register (a
-            # well-formed (server, level) tuple or None — both
-            # internable, so no unhashable branch is needed here)
-            ovf = overflow[h_want]
-            if ovf:
-                ovf.pop(i, None)
-            want_col[i] = NONE_S if val is None else intern(val)
-            dc[h_want] = 1
-
-        def _obs_at(j, s_col, h, level):
-            # _neighbor_piece's per-train half: u's displayed piece at
-            # ``level``, through the shared per-pool-id decode memo
-            v = s_col[j]
-            if v >= 0:
-                m = memos[h]
-                try:
-                    d = m[v]
-                except (TypeError, IndexError):
-                    d = NO_DECODE
-                if d is NO_DECODE:
-                    d = decode_observation(pool[v])
-                    memo_for(h, v)[v] = d
-            elif v == BOX_S:
-                d = decode_observation(soverflow[h][j])
-            else:
-                d = none_decode[h]
-                if d is NO_DECODE:
-                    d = none_decode[h] = decode_observation(None)
-            if d is not None and d.flag and d.piece[1] == level:
-                return d
-            return None
-
-        def fused(ctx, budgets, sentinel):
-            i = ctx._i
-            node = ctx.node
-            ent = cache.get(node)
-            if ent is None or ent[0] != sentinel:
-                ent = (sentinel, self._levels(ctx), {})
-                cache[node] = ent
-            levels = ent[1]
-            cands = ent[2]
-            self._cur_cands = cands
-            alarms: List[str] = []
-            if not levels:
-                return alarms
-            v = wd_col[i]
-            wd = (v if 0 <= v <= _NAT_CAP else 0) + 1
-            w_wd(i, wd)
-            if wd > budgets.ask_alarm:
-                alarms.append("ask: no comparison progress within budget")
-                w_wd(i, 0)
-            v = ask_col[i]
-            ask = pool[v] if v > SENT_CEIL else (
-                overflow[h_ask][i] if v == BOX_S else None)
-            if ask is not None and not valid_piece(ask):
-                ovf = overflow[h_ask]
-                if ovf:
-                    ovf.pop(i, None)
-                ask_col[i] = NONE_S
-                dc[h_ask] = 1
-                ask = None
-            if ask is None:
-                self._try_acquire(ctx, levels, budgets, alarms)
-                return alarms
-            # -- _async_serve_one, inlined ------------------------------
-            z, level, weight = ask
-            nbrs = ctx.neighbors
-            v = nbr_col[i]
-            idx = v if 0 < v <= _NAT_CAP else 0
-            if idx >= len(nbrs):
-                self._advance(ctx, levels)
-                return alarms
-            u = nbrs[idx]
-            j = ctx._nbr_idx[idx]
-            v = s_jmask[j]
-            obs = None
-            if 0 <= v <= _NAT_CAP and v & (1 << level):
-                # u claims the level: look for its displayed piece
-                obs = _obs_at(j, s_tb, h_tb, level) or \
-                    _obs_at(j, s_bb, h_bb, level)
-                if obs is None:
-                    # no event yet: file the Want, bump the service
-                    # watchdog, alarm on a starving server
-                    _w_want(i, (u, level))
-                    v = svc_col[i]
-                    svc = (v if 0 <= v <= _NAT_CAP else 0) + 1
-                    w_svc(i, svc)
-                    scale = max(1, ctx.degree) if simple else 1
-                    if svc > budgets.service * scale:
-                        alarms.append("WANT: server never displayed the "
-                                      "requested piece")
-                        _w_want(i, None)
-                        w_nbr(i, idx + 1)
-                        w_svc(i, 0)
-                    return alarms
-            # the event E(v, u, level): _compare_with, inlined
-            u0 = cands.get(level, MISS)
-            if u0 is MISS:
-                u0 = self._candidate_neighbor_uncached(ctx, level)
-                cands[level] = u0
-            if obs is not None and obs.piece[0] == z:
-                if tuple(obs.piece) != tuple(ask):
-                    alarms.append("AGREE: same fragment, different piece "
-                                  "(Claim 8.3)")
-                if u0 == u:
-                    alarms.append("C1: candidate edge is internal to its "
-                                  "fragment")
-            else:
-                # u outside the fragment (or outside the level):
-                # _outgoing_checks
-                wmap = weight_maps.get(node)
-                if wmap is None:
-                    wmap = weight_maps[node] = {
-                        w: ctx.weight(w) for w in nbrs}
-                if weight is None:
-                    alarms.append("C2: the whole-tree fragment has an "
-                                  "outgoing edge")
+            if sync:
+                v = wait_col[i]
+                wait = v if 0 <= v <= _NAT_CAP else 0
+                if wait <= 1:
+                    self._advance(ctx, levels)
                 else:
-                    try:
-                        violated = wmap[u] < weight
-                    except TypeError:
-                        alarms.append("C2: incomparable weights in piece")
-                        violated = False
-                    if violated:
-                        alarms.append("C2: outgoing edge lighter than "
-                                      "the claimed minimum")
-            if obs is not None:
-                _w_want(i, None)
-            w_nbr(i, idx + 1)
-            w_svc(i, 0)
+                    w_wait(i, wait - 1)
+            else:
+                if obs is not None:
+                    w_want(i, None)
+                w_nbr(i, idx + 1)
+                w_svc(i, 0)
             return alarms
 
         return fused
@@ -851,12 +691,10 @@ class ComparisonComponent:
         the conflict-free asynchronous license).  Exact transcription
         of the scalar scan — including the ``want-simple`` server's
         round-robin filter, which reads only the neighbour whose turn
-        it is; returns None unless the mode is ``want`` /
-        ``want-simple`` and the layout is the expected columnar one.
+        it is.  Returns None in the synchronous window mode, whose
+        servers never hold a piece.
         """
-        if self.mode not in (MODE_WANT, MODE_WANT_SIMPLE) or \
-                not getattr(ops, "fused", False) or \
-                type(self.h_want) is not int:
+        if self.mode == MODE_SYNC_WINDOW:
             return None
         simple = self.mode == MODE_WANT_SIMPLE
         store = ops.store
@@ -866,10 +704,6 @@ class ComparisonComponent:
         h_want = self.h_want
         h_turn = self.h_turn
         h_tb, h_bb = self.top.h_bbuf, self.bottom.h_bbuf
-        if type(sdata[h_want]) is not PoolColumn or \
-                any(type(data[h]) is not PoolColumn for h in (h_tb, h_bb)) \
-                or (simple and type(data[h_turn]) is not array):
-            return None
         turn_col = data[h_turn]
         s_want = sdata[h_want]
         tb_col, bb_col = data[h_tb], data[h_bb]

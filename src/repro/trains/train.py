@@ -41,7 +41,6 @@ write-time-cached ``nat`` coercion.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, List, Optional, Tuple
@@ -49,7 +48,7 @@ from typing import Any, List, Optional, Tuple
 from ..labels.registers import (REG_DELIM, REG_JMASK, REG_PARENT_ID,
                                 REG_ROOTS)
 from ..labels.wellforming import level_is_bottom, sorted_levels
-from ..sim.columnar import BOX_S, NONE_S, PoolColumn, SENT_CEIL
+from ..sim.columnar import BOX_S, NONE_S, SENT_CEIL
 from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, PLAIN_TYPES, PoolIdCache,
                               VecTopo, csr_span, csr_take, idx_of,
                               numpy_or_none, put_rows, seg_any, view64)
@@ -616,11 +615,11 @@ class TrainComponent:
         sentinel) -> List[str]`` that executes the exact scalar step —
         same control flow, same junk coercions, same writes in the same
         order — with every context accessor inlined to direct column
-        indexing against ``ops.store``/``ops.snap``.  Licensed only by
-        fused ops (synchronous batches: neighbour reads hit the
-        snapshot, no mid-batch aborts); returns None when the layout is
-        not the expected columnar one, so callers fall back to the
-        scalar :meth:`step`.
+        indexing against ``ops.store``/``ops.snap``.  Any bulk ops
+        license it (a synchronous round: neighbour reads hit the
+        snapshot; a conflict-free asynchronous batch: live reads no
+        batchmate can observe); the column types follow from the
+        schema kinds, so the closure always applies.
 
         Write tracking: fused writes mark columns dirty but skip the
         per-context ``wrote`` flag — the calling protocol's bulk sweep
@@ -629,8 +628,6 @@ class TrainComponent:
         Equivalence is proven by ``tests/test_bulk_plane.py`` (full
         register traces, including planted junk in nat/tuple columns).
         """
-        if not getattr(ops, "fused", False) or type(self.h_out) is not int:
-            return None
         store = ops.store
         snap = ops.snap
         data = store.data
@@ -641,16 +638,6 @@ class TrainComponent:
         h_bseq, h_bbuf, h_seen = self.h_bseq, self.h_bbuf, self.h_seen
         h_last, h_cnt, h_sync = self.h_last, self.h_cnt, self.h_sync
         h_wd, h_ep, h_roots = self.h_wd, self.h_ep, self.h_roots
-        nat_slots = (h_src, h_cyc, h_done, h_seq, h_bseq, h_seen, h_cnt,
-                     h_wd, h_ep)
-        pool_slots = (h_out, h_act, h_tak, h_bbuf, h_last, h_roots)
-        stable = store.schema.stable_mask
-        if any(type(data[h]) is not array for h in nat_slots) or \
-                any(type(data[h]) is not PoolColumn for h in pool_slots) \
-                or type(data[h_sync]) is not list or \
-                any(stable[h] for h in nat_slots + pool_slots[:-1]) or \
-                stable[h_sync]:
-            return None
         out_col, src_col, cyc_col = data[h_out], data[h_src], data[h_cyc]
         done_col, act_col, tak_col = data[h_done], data[h_act], data[h_tak]
         seq_col, bseq_col, bbuf_col = (data[h_seq], data[h_bseq],
@@ -1018,9 +1005,8 @@ class TrainComponent:
         it applies.
 
         Returns an object with ``rebuild``/``classify`` (see
-        ``_VectorSweep``); call only when :meth:`make_bulk_step`
-        returned a closure (same layout preconditions) and numpy is
-        available.
+        ``_VectorSweep``); call only on a numpy store with numpy
+        importable.
         """
         return _VectorTrainKernel(self, ops, topo)
 

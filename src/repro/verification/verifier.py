@@ -81,12 +81,13 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
     advance in one ``array('q')`` sweep, the budget ghost registers are
     gathered once per batch, and the per-node bodies run with the
     dispatch layers hoisted out of the loop: column-fused train and
-    comparison steps (:meth:`TrainComponent.make_bulk_step
+    comparison steps and the Want-mode hold scan
+    (:meth:`TrainComponent.make_bulk_step
     <repro.trains.train.TrainComponent.make_bulk_step>`,
-    :meth:`ComparisonComponent.make_bulk_sync
-    <repro.trains.comparison.ComparisonComponent.make_bulk_sync>`, with
-    scalar adapters where a component declines to fuse), no
-    intermediate alarm-list splicing.  Everything executes the exact
+    :meth:`ComparisonComponent.make_bulk_step
+    <repro.trains.comparison.ComparisonComponent.make_bulk_step>`,
+    :meth:`~repro.trains.comparison.ComparisonComponent.make_bulk_held`),
+    no intermediate alarm-list splicing.  Everything executes the exact
     scalar ``step`` sequence per node — including the alarm priority
     order statics > trains in order > comparison — so the sweep is
     bit-for-bit equivalent (``tests/test_bulk_plane.py``).
@@ -110,37 +111,20 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
     budgets_for = proto.budgets_for
     fused = proto._fused
     if fused is None or fused[0] is not ops:
-        raw_steps = tuple(t.make_bulk_step(ops) for t in trains)
-        steps = tuple(
-            f if f is not None else
-            (lambda ctx, b, h, s, _t=train: _t.step(ctx, b, h,
-                                                    sentinel=s))
-            for train, f in zip(trains, raw_steps))
-        cmp_fused = comparison.make_bulk_sync(ops)
-        if cmp_fused is None:
-            cmp_fused = comparison.make_bulk_want(ops)
-        comp_step = cmp_fused if cmp_fused is not None \
-            else comparison.step
-        held_fused = comparison.make_bulk_held(ops)
-        held = held_fused if held_fused is not None \
-            else comparison.held_levels
-        # the vector tier sits strictly above full fusion: a numpy
-        # store, numpy importable, every component fused, and a mode
+        steps = tuple(t.make_bulk_step(ops) for t in trains)
+        comp_step = comparison.make_bulk_step(ops)
+        held = comparison.make_bulk_held(ops)   # None: nothing is held
+        # the vector tier: a numpy store, numpy importable, and a mode
         # whose per-node bodies the classifiers model (want-simple's
-        # serialized server stays scalar)
+        # serialized server stays on the fused bodies)
         vec = None
         if (getattr(ops.store, "numpy_tier", False)
                 and numpy_or_none() is not None
-                and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)
-                and all(f is not None for f in raw_steps)
-                and cmp_fused is not None
-                and (comparison.mode == MODE_SYNC_WINDOW
-                     or held_fused is not None)):
-            vec = _VectorSweep(proto, trains, comparison, ops,
-                               raw_steps, cmp_fused, held_fused)
+                and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
+            vec = _VectorSweep(proto, trains, comparison, ops, steps,
+                               comp_step, held)
         fused = proto._fused = (ops, steps, comp_step, held, vec)
     _, train_steps, comp_step, held, vec = fused
-    sync_window = comparison.mode == MODE_SYNC_WINDOW
     # serve_turn acts only in the serialized want-simple ablation; the
     # per-node no-op call is hoisted out of the hot loop entirely
     serve = comparison.serve_turn \
@@ -161,25 +145,21 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
                 budgets = cached[1]
             else:
                 budgets = budgets_for(ctx, sentinel, step_no)
-            if sync_window:
-                a = tr0(ctx, budgets, False, sentinel)
-                if a and not first:
-                    first = a
-                if tr1 is not None:
-                    a = tr1(ctx, budgets, False, sentinel)
-                    if a and not first:
-                        first = a
+            if held is None:
+                h0 = h1 = False
             else:
                 ht, hb = held(ctx)
-                a = tr0(ctx, budgets, ht is not None, sentinel)
+                h0 = ht is not None
+                h1 = hb is not None
+            a = tr0(ctx, budgets, h0, sentinel)
+            if a and not first:
+                first = a
+            if tr1 is not None:
+                a = tr1(ctx, budgets, h1, sentinel)
                 if a and not first:
                     first = a
-                if tr1 is not None:
-                    a = tr1(ctx, budgets, hb is not None, sentinel)
-                    if a and not first:
-                        first = a
-                if serve is not None:
-                    serve(ctx)
+            if serve is not None:
+                serve(ctx)
             a = comp_step(ctx, budgets, sentinel)
             if a and not first:
                 first = a
@@ -288,8 +268,8 @@ class _VectorSweep:
     #: small instances
     TRAFFIC_MIN = 256
 
-    def __init__(self, proto, trains, comparison, ops,
-                 raw_steps, cmp_fused, held_fused) -> None:
+    def __init__(self, proto, trains, comparison, ops, steps, comp_step,
+                 held) -> None:
         # a proxy, not a reference: the protocol owns this sweep (via
         # its ``_fused`` cache), and a strong back-reference would make
         # every verifier a reference cycle whose pool-sized vector
@@ -301,11 +281,10 @@ class _VectorSweep:
         self.train_kerns = tuple(
             t.make_vector_kernel(ops, self.topo) for t in trains)
         self.comp_kern = comparison.make_vector_kernel(ops, self.topo)
-        self.tr0 = raw_steps[0]
-        self.tr1 = raw_steps[1] if len(raw_steps) == 2 else None
-        self.comp_step = cmp_fused
-        self.held = held_fused
-        self.want = comparison.mode == MODE_WANT
+        self.tr0 = steps[0]
+        self.tr1 = steps[1] if len(steps) == 2 else None
+        self.comp_step = comp_step
+        self.held = held            # None in the sync window mode
         self.key = None
         self.statics_empty = None
         self.row_of = None
@@ -365,7 +344,7 @@ class _VectorSweep:
         na, rr, aa, sv, aw, bgok = self._budgets(np, ia, ctx_list,
                                                  step_nos, snos, bgts)
         traffic = m >= self.TRAFFIC_MIN
-        if self.want:
+        if self.held is not None:
             held_ok, ht, hb = self.comp_kern.held(np, ia)
             holds = (ht, hb)
         else:
@@ -481,7 +460,6 @@ class _VectorSweep:
         tr0, tr1 = self.tr0, self.tr1
         comp_step = self.comp_step
         held = self.held
-        want = self.want
         # plain-list views: per-element indexing of numpy bool arrays
         # costs more than the loop bodies it gates
         t0 = trivs[0].tolist()
@@ -496,7 +474,7 @@ class _VectorSweep:
         p1 = s1.apos.tolist() if s1 is not None else None
         kerns = self.train_kerns
         htm, hbm = holds
-        if want:
+        if held is not None:
             held_ok = held_ok.tolist()
             htm = htm.tolist()
             hbm = hbm.tolist()
@@ -507,7 +485,7 @@ class _VectorSweep:
             sentinel = ctx.stable_sentinel()
             first = statics(ctx, sentinel) if step_no % se == 0 else None
             budgets = bgts[k][1]    # valid: refreshed by _budgets
-            if want:
+            if held is not None:
                 if held_ok[k]:
                     h0, h1 = htm[k], hbm[k]
                 else:
@@ -699,7 +677,7 @@ class TrainVerifierProtocol(Protocol):
         (dict storage, unlicensed live batches).
         See :func:`fused_verifier_sweep`."""
         ops = batch.ops
-        if ops is None or not ops.fused or (
+        if ops is None or (
                 not batch.conflict_free and
                 (batch.gate is not None or batch.after is not None)):
             drive_batch(self.step, batch)

@@ -27,6 +27,7 @@ from repro.sim import (STORAGE_KINDS, AsynchronousScheduler,
                        first_alarm)
 from repro.sim.columnar import ColumnStore
 from repro.sim.registers import CompiledSchema
+from repro.trains.comparison import MODE_WANT, MODE_WANT_SIMPLE
 from repro.verification import make_network
 from repro.verification.hybrid import HybridVerifierProtocol
 from repro.verification.verifier import MstVerifierProtocol, _VectorSweep
@@ -34,18 +35,21 @@ from repro.verification.verifier import MstVerifierProtocol, _VectorSweep
 STORAGES = STORAGE_KINDS
 
 
-def _protocol(kind, synchronous):
+def _protocol(kind, synchronous, mode=None):
     if kind == "verifier":
-        return MstVerifierProtocol(synchronous=synchronous)
+        return MstVerifierProtocol(synchronous=synchronous,
+                                   comparison_mode=mode)
     if kind == "hybrid":
-        return HybridVerifierProtocol(synchronous=synchronous)
+        return HybridVerifierProtocol(synchronous=synchronous,
+                                      comparison_mode=mode)
     from repro.baselines.pls_sqlog import SqLogPlsProtocol
     return SqLogPlsProtocol()
 
 
-def _run_sync(graph, storage, bulk, seed, proto_kind, fast_path=True):
+def _run_sync(graph, storage, bulk, seed, proto_kind, fast_path=True,
+              mode=None):
     net = make_network(graph)
-    sched = SynchronousScheduler(net, _protocol(proto_kind, True),
+    sched = SynchronousScheduler(net, _protocol(proto_kind, True, mode),
                                  fast_path=fast_path, storage=storage,
                                  bulk=bulk)
     trace = []
@@ -62,18 +66,32 @@ def _run_sync(graph, storage, bulk, seed, proto_kind, fast_path=True):
             net.max_memory_bits(), net.total_memory_bits())
 
 
-@pytest.mark.parametrize("proto_kind", ["verifier", "hybrid", "sqlog"])
-def test_sync_bulk_vs_scalar_bitwise_equal(proto_kind, campaign_seed):
+#: (protocol, comparison mode) cells; None is the protocol's default
+#: (the synchronous window), and the train verifiers also run the Want
+#: handshake and its serialized ablation under the synchronous
+#: scheduler, so every mode of the fused comparison body meets the
+#: dict oracle
+_SYNC_CELLS = [(kind, mode) for kind in ("verifier", "hybrid")
+               for mode in (None, MODE_WANT, MODE_WANT_SIMPLE)] \
+    + [("sqlog", None)]
+
+
+@pytest.mark.parametrize(
+    "proto_kind,mode", _SYNC_CELLS,
+    ids=[k if m is None else f"{k}-{m}" for k, m in _SYNC_CELLS])
+def test_sync_bulk_vs_scalar_bitwise_equal(proto_kind, mode,
+                                           campaign_seed):
     """Full per-round register traces of a settle/inject/detect run
     match between the bulk plane and the scalar loop on every storage
     backend (columnar exercises the fused column sweep; dict the
     generic fallback driver), fast path and naive loop alike."""
     g = random_connected_graph(14, 22, seed=campaign_seed % 1013)
-    ref = _run_sync(g, "dict", False, campaign_seed, proto_kind)
+    ref = _run_sync(g, "dict", False, campaign_seed, proto_kind,
+                    mode=mode)
     for storage in STORAGES:
         for fast_path in (True, False):
             got = _run_sync(g, storage, True, campaign_seed, proto_kind,
-                            fast_path)
+                            fast_path, mode)
             assert got == ref, (storage, fast_path)
 
 
@@ -175,7 +193,9 @@ def _plant_junk(net):
     strings and bools in nat columns, huge ints beyond int64, an
     unhashable list in a tuple column, a bool-vs-int shape collision.
     On columnar storage these exercise the boxed-overflow and typed-pool
-    paths that the fused batch ops must replicate."""
+    paths that the fused batch ops must replicate.  The comparison's
+    counters get out-of-range and boxed values too, and one node files
+    a Want for a level its server never shows."""
     nodes = net.graph.nodes()
     regs = net.registers
     regs[nodes[0]]["vstep"] = "not-a-counter"
@@ -185,6 +205,23 @@ def _plant_junk(net):
     regs[nodes[2]]["cmp_ask"] = (1, True)          # vs interned (1, 1)
     regs[nodes[3]]["tt_out"] = (1, 1)
     regs[nodes[3]]["vstep"] = -7
+    regs[nodes[4]]["cmp_idx"] = True
+    regs[nodes[4]]["cmp_nbr"] = 1 << 40            # beyond the nat cap
+    regs[nodes[5]]["cmp_svc"] = "x"
+    regs[nodes[5]]["cmp_wait"] = -1
+    regs[nodes[6]]["cmp_turn"] = [1]               # boxed in a nat col
+    server = net.graph.neighbors(nodes[6])[0]
+    regs[nodes[6]]["cmp_want"] = (server, 99)      # a level never shown
+
+
+def _plant_service_waits(net):
+    """Every node's Want service watchdog at its own ``service`` budget:
+    a client still waiting at its next step overruns that budget, which
+    only the want-simple server's degree-scaled budget tolerates."""
+    for regs in net.registers.values():
+        cached = regs.get("_bgt")
+        if isinstance(cached, tuple):
+            regs["cmp_svc"] = cached[1].service
 
 
 @pytest.mark.parametrize("storage", STORAGES)
@@ -397,22 +434,27 @@ def test_coalesced_stop_replays_batch_boundaries(campaign_seed):
     assert run(True) == run(False)
 
 
-def test_junk_mid_sweep_async_fused_equals_scalar(campaign_seed):
+@pytest.mark.parametrize("mode", [MODE_WANT, MODE_WANT_SIMPLE])
+def test_junk_mid_sweep_async_fused_equals_scalar(mode, campaign_seed):
     """The asynchronous mirror of the sync junk test: under the
     conflict-free daemon, junk planted into nat/tuple columns between
     runs must flow through the *live* fused column sweeps exactly like
     the scalar context writes — bit-for-bit vs the scalar loop across
-    every storage, skip accounting included."""
+    every storage, skip accounting included, in both Want modes.  Every
+    service watchdog starts at its budget, so the next filing overruns
+    it unless the want-simple server's degree scaling applies."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 941)
 
     def run(storage, bulk, dirty_aware=True):
         net = make_network(g)
-        proto = MstVerifierProtocol(synchronous=False)
+        proto = MstVerifierProtocol(synchronous=False,
+                                    comparison_mode=mode)
         sched = AsynchronousScheduler(net, proto,
                                       ConflictFreeDaemon(g, seed=3),
                                       storage=storage, bulk=bulk,
                                       dirty_aware=dirty_aware)
         sched.run(10)
+        _plant_service_waits(net)
         _plant_junk(net)
         r = sched.run(25)
         return (r, sched.rounds, sched.activations, sched.steps_skipped,
