@@ -22,10 +22,12 @@ The plane has three layers:
 * **Schedulers** route their activation batches through ``bulk_step``
   when the protocol declares it (``bulk=False`` keeps the scalar loops):
   the synchronous schedulers hand over one whole round of active nodes;
-  the asynchronous scheduler hands over conflict-free daemon batches
-  (see the licenses below) to protocols that declare
+  on columnar storage the asynchronous scheduler hands over
+  conflict-free daemon batches and every other activation one at a
+  time (see the licenses below) to protocols that declare
   ``bulk_conflict_free``.  Skip logic, activation accounting, and stop
-  conditions stay in the scheduler, threaded through the callbacks.
+  conditions stay in the scheduler, threaded through the callbacks of
+  a conflict-free batch and run around each single activation.
 * **Storage backends** supply the fused primitives.  On columnar
   storage (:class:`ColumnarBulkOps`) a fused read-modify-write is a
   single sweep over an ``array('q')`` column with one dirty mark per
@@ -42,7 +44,7 @@ guarantees that (a) no activation of the batch can observe a
 batchmate's write, and (b) the batch cannot be aborted between
 activations.  Under those two facts, hoisting *own-register* writes of
 distinct nodes past each other is unobservable, so a protocol may run
-one column sweep for the whole batch.  Two schedules grant it:
+one column sweep for the whole batch.  Three schedules grant it:
 
 * **synchronous rounds** — neighbour reads go to a snapshot (never the
   live store) and ``stop_when`` is checked at round boundaries; the
@@ -66,10 +68,22 @@ one column sweep for the whole batch.  Two schedules grant it:
   aborts (the scheduler checks ``stop_when`` once per batch), so the
   hoisted writes of later activations are never observably premature.
 
-Other asynchronous batches (the locality daemon's overlapping closed
-neighbourhoods) run live with activation-granular stop conditions, so
-they never license fusion; the asynchronous scheduler runs them
-through its scalar loop.
+* **one activation** — every asynchronous activation outside a
+  conflict-free batch (the one-node batches of the round-robin,
+  random, permutation and slow-nodes daemons, and each activation of
+  the locality daemon's overlapping batches, which run live with
+  activation-granular stops) is handed over alone, as a one-context
+  batch with live ops and no callbacks.  It has no batchmate whose
+  write it could observe and no point between activations where it
+  could be aborted, so both conditions hold trivially; the scheduler
+  runs the skip check before the call and the accounting, ``wrote``
+  marking and stop check after it.  What this licenses is the
+  per-node body with its dispatch layers hoisted out, not a cross-node
+  sweep.
+
+``bulk=False`` keeps the scalar ``step`` loops on every schedule, and
+on dict storage ``batch.ops`` is None, so the generic driver runs
+``step`` there.
 """
 
 from __future__ import annotations
@@ -124,12 +138,18 @@ class BulkBatch:
     can mark the whole batch dirty in one pass instead of consuming
     per-context ``wrote`` flags.
 
-    ``conflict_free`` is the asynchronous fusion license (see the
-    module docstring): the issuing scheduler vouches that the batch's
-    activated nodes have pairwise disjoint closed neighbourhoods, that
-    its ``after`` never aborts mid-batch, and that ``gate``/``after``
-    commute across the batch — so a protocol may fuse the batch's
-    own-register column sweeps even though neighbour reads are live.
+    One context with ``ops`` and no callbacks is the one-activation
+    license (see the module docstring): a single asynchronous
+    activation, whose skip check, accounting and stop check the
+    scheduler runs around the call.
+
+    ``conflict_free`` is the asynchronous fusion license for batches
+    of several activations (see the module docstring): the issuing
+    scheduler vouches that the batch's activated nodes have pairwise
+    disjoint closed neighbourhoods, that its ``after`` never aborts
+    mid-batch, and that ``gate``/``after`` commute across the batch —
+    so a protocol may fuse the batch's own-register column sweeps even
+    though neighbour reads are live.
 
     ``segments`` marks a *coalesced* conflict-free batch: a scheduler
     that fused several consecutive same-sweep batches into this one
@@ -213,12 +233,12 @@ class ColumnarBulkOps:
     storage (neighbour reads come from ``snap``, the batch cannot abort
     mid-round), and by the asynchronous scheduler with ``snap=None``
     (so ``snap is store``: reads are live) on batches carrying the
-    ``conflict_free`` license — the only asynchronous batches that may
-    fuse.  Being handed ops *is* the fusion license (see the module
-    docstring): an unlicensed batch carries ``ops=None``.  The
-    per-value semantics of every primitive replicate the scalar context
-    API exactly — including sentinel encodings, boxed-overflow junk,
-    and stable-version bookkeeping — so fusing is a pure reordering of
+    ``conflict_free`` license and on single activations.  Being handed
+    ops *is* the fusion license (see the module docstring): an
+    unlicensed batch carries ``ops=None``.  The per-value semantics of
+    every primitive replicate the scalar context API exactly —
+    including sentinel encodings, boxed-overflow junk, and
+    stable-version bookkeeping — so fusing is a pure reordering of
     own-register writes.
     """
 

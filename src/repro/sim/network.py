@@ -333,15 +333,16 @@ class Protocol:
     additionally declare that it can execute a whole scheduler batch at
     once by overriding :attr:`bulk_step` with a method
     ``bulk_step(batch)`` — the schedulers then hand it entire rounds
-    (synchronous) or daemon batches (asynchronous) instead of stepping
-    node by node.  The contract is strict: ``bulk_step(batch)`` must be
-    observationally identical to ``for ctx in batch.contexts:
-    self.step(ctx)`` honouring the batch's ``gate``/``after`` callbacks
-    strictly interleaved per activation (see the interleaving contract
-    in :mod:`repro.sim.bulk`); :func:`repro.sim.bulk.drive_batch` is
-    the always-correct fallback driver, and fused column sweeps are
-    licensed only by ``batch.ops``.  ``bulk_step = None`` (the base
-    default) keeps the scalar loops.
+    (synchronous), conflict-free daemon batches or single activations
+    (asynchronous) instead of calling :meth:`step`.  The contract is
+    strict: ``bulk_step(batch)`` must be observationally identical to
+    ``for ctx in batch.contexts: self.step(ctx)`` honouring the batch's
+    ``gate``/``after`` callbacks strictly interleaved per activation
+    (see the interleaving contract in :mod:`repro.sim.bulk`);
+    :func:`repro.sim.bulk.drive_batch` is the always-correct fallback
+    driver, and fused column sweeps are licensed only by
+    ``batch.ops``.  ``bulk_step = None`` (the base default) keeps the
+    scalar loops.
     """
 
     #: bulk-activation capability: None (scalar-only) on the base class;
@@ -351,9 +352,10 @@ class Protocol:
     #: whether ``bulk_step`` can fuse batches carrying the
     #: ``conflict_free`` license (:class:`~repro.sim.schedulers.
     #: ConflictFreeDaemon` batches: pairwise disjoint closed
-    #: neighbourhoods, batch-granular stops).  The asynchronous
-    #: scheduler routes conflict-free daemon batches — with live fused
-    #: column ops — only to protocols declaring this; a declaring
+    #: neighbourhoods, batch-granular stops).  On columnar storage the
+    #: asynchronous scheduler routes conflict-free daemon batches, and
+    #: every other activation as a one-context batch, with live fused
+    #: column ops only to protocols declaring this; a declaring
     #: ``bulk_step`` must handle ``batch.conflict_free`` batches per
     #: the commuting gate/after contract in :mod:`repro.sim.bulk`.
     bulk_conflict_free = False

@@ -30,14 +30,14 @@ Bulk-activation plane: when the protocol declares
 :meth:`Protocol.bulk_step` (and ``bulk=True``, the default), both
 schedulers route activation batches through it instead of stepping node
 by node — the synchronous scheduler hands over whole rounds of active
-nodes (with fused column ops licensed on columnar storage), the
-asynchronous scheduler every multi-node daemon batch (skip logic and
-accounting threaded through the batch callbacks).  Asynchronous batches
-fuse only under the *conflict-free license*: a
-:class:`ConflictFreeDaemon` batch activates nodes with pairwise
-disjoint closed neighbourhoods, so live reads cannot observe a
-batchmate's write and the columnar kernels run off the
-synchronous-only path.  ``bulk=False`` keeps the scalar loops; both
+nodes (with fused column ops licensed on columnar storage).  On
+columnar storage the asynchronous scheduler hands over every
+:class:`ConflictFreeDaemon` batch under the *conflict-free license*
+(pairwise disjoint closed neighbourhoods, so live reads cannot observe
+a batchmate's write; skip logic and accounting threaded through the
+batch callbacks), and every other activation alone under the
+*one-activation license*, with the skip check, accounting and stop
+check run around the call.  ``bulk=False`` keeps the scalar loops; both
 modes are bit-for-bit equivalent (``tests/test_bulk_plane.py``).  See
 :mod:`repro.sim.bulk`.
 """
@@ -910,15 +910,17 @@ class AsynchronousScheduler:
         self._initialized = False
         self.dirty_aware = bool(dirty_aware) and (
             type(protocol).on_round_end is Protocol.on_round_end)
-        #: bulk-activation plane: a *conflict-free* daemon
+        #: bulk-activation plane, columnar storage only, for protocols
+        #: declaring ``bulk_conflict_free``: a *conflict-free* daemon
         #: (:class:`ConflictFreeDaemon`) issues batches with pairwise
         #: disjoint closed neighbourhoods and batch-granular stops, so
-        #: on columnar storage they are routed with live fused column
-        #: ops and the ``conflict_free`` stamp to protocols declaring
-        #: ``bulk_conflict_free``; skip logic and accounting stay here,
-        #: threaded through the batch callbacks.  Every other batch
-        #: runs the scalar loop: unlicensed live batches cannot fuse
-        #: (activation-granular stops forbid cross-node write hoisting).
+        #: they are routed with live fused column ops and the
+        #: ``conflict_free`` stamp, skip logic and accounting threaded
+        #: through the batch callbacks.  Every other batch runs the
+        #: activation loop, whose activations each route as a
+        #: one-context batch with live ops and no callbacks (the
+        #: one-activation license: no batchmate, no abort point); the
+        #: skip check, accounting and stop checks stay in the loop.
         self._bulk_cf = protocol.bulk_step \
             if bulk and getattr(protocol, "bulk_conflict_free", False) \
             else None
@@ -997,14 +999,26 @@ class AsynchronousScheduler:
         # storage and for the scalar loop alike — the semantics belong
         # to the daemon, not to the bulk flag), and on columnar storage
         # the batches route to ``bulk_step`` with live fused ops under
-        # the ``conflict_free`` license.
+        # the ``conflict_free`` license; every other activation routes
+        # alone under the one-activation license.
         batch_stop = getattr(self.daemon, "conflict_free", False)
-        cf_step = self._bulk_cf if (batch_stop and columnar) else None
-        if cf_step is not None:
+        live_step = self._bulk_cf if columnar else None
+        cf_step = live_step if batch_stop else None
+        if live_step is None:
+            step = protocol.step
+        else:
             store = network.columns
-            cf_ops = self._live_ops
-            if cf_ops is None or cf_ops.store is not store:
-                cf_ops = self._live_ops = ColumnarBulkOps(store)
+            live_ops = self._live_ops
+            if live_ops is None or live_ops.store is not store:
+                live_ops = self._live_ops = ColumnarBulkOps(store)
+            # the one-activation license: every activation of the loop
+            # below routes as a one-context batch with live ops
+            one = BulkBatch([None], None, live_ops)
+            one_ctx = one.contexts
+
+            def step(ctx):
+                one_ctx[0] = ctx
+                live_step(one)
         daemon = self.daemon
         # coalescing (implementation-only): fuse the rest of the daemon
         # sweep into one super-batch, replaying gate/after/stop checks
@@ -1084,7 +1098,7 @@ class AsynchronousScheduler:
                     self.batches_coalesced += len(segs)
                     cf_step(BulkBatch(
                         [contexts[v] for seg in segs for v in seg],
-                        None, cf_ops, gate=gate, after=after,
+                        None, live_ops, gate=gate, after=after,
                         conflict_free=True,
                         segments=[len(seg) for seg in segs],
                         boundary=boundary))
@@ -1098,7 +1112,7 @@ class AsynchronousScheduler:
                         return self.rounds - start_rounds
                     continue
                 cf_step(BulkBatch([contexts[v] for v in batch_nodes],
-                                  None, cf_ops, gate=gate, after=after,
+                                  None, live_ops, gate=gate, after=after,
                                   conflict_free=True))
                 if stop_when is not None and stop_when(network):
                     return self.rounds - start_rounds
@@ -1119,10 +1133,10 @@ class AsynchronousScheduler:
                 else:
                     ctx = contexts[v]
                     if not dirty_aware:
-                        protocol.step(ctx)
+                        step(ctx)
                     elif columnar:
                         ctx.wrote = False
-                        protocol.step(ctx)
+                        step(ctx)
                         if ctx.wrote:
                             changed_at[v] = tick
                         stepped_at[v] = tick

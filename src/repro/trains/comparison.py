@@ -585,14 +585,11 @@ class ComparisonComponent:
                 scan = (idx,)
             z, level, weight = ask
             bit = 1 << level
-            u0 = cands.get(level, MISS)
-            if u0 is MISS:
-                u0 = self._candidate_neighbor_uncached(ctx, level)
-                cands[level] = u0
-            wmap = weight_maps.get(node)
-            if wmap is None:
-                wmap = weight_maps[node] = {
-                    u: ctx.weight(u) for u in nbrs}
+            # the candidate u0 and the weight map are pure label reads,
+            # looked up at their first use: a Want re-filing reads
+            # neither
+            u0 = MISS
+            wmap = None
             nbr_idx = ctx._nbr_idx
             obs = None
             for k in scan:
@@ -647,6 +644,12 @@ class ComparisonComponent:
                         if tuple(obs.piece) != tuple(ask):
                             alarms.append("AGREE: same fragment, "
                                           "different piece (Claim 8.3)")
+                        if u0 is MISS:
+                            u0 = cands.get(level, MISS)
+                            if u0 is MISS:
+                                u0 = cands[level] = \
+                                    self._candidate_neighbor_uncached(
+                                        ctx, level)
                         if u0 == u:
                             alarms.append("C1: candidate edge is "
                                           "internal to its fragment")
@@ -656,6 +659,11 @@ class ComparisonComponent:
                     alarms.append("C2: the whole-tree fragment has an "
                                   "outgoing edge")
                     continue
+                if wmap is None:
+                    wmap = weight_maps.get(node)
+                    if wmap is None:
+                        wmap = weight_maps[node] = {
+                            u: ctx.weight(u) for u in nbrs}
                 try:
                     violated = wmap[u] < weight
                 except TypeError:

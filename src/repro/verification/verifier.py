@@ -71,104 +71,139 @@ def _bulk_stats(proto):
     return stats
 
 
-def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
-    """The fused bulk sweep of :class:`TrainVerifierProtocol` over its
-    ``trains`` (both for the full verifier, only Top for the hybrid).
+def _fused_plane(proto, ops, trains, comparison):
+    """The fused plane of ``proto`` over ``ops``: built once per ops
+    object and cached in ``proto._fused`` as ``(ops, body, run_bodies,
+    vec)``.
 
-    With fused column ops licensed — a synchronous round on columnar
-    storage, or an asynchronous conflict-free batch (live columns,
-    ``batch.conflict_free``) — the step counters of the whole batch
-    advance in one ``array('q')`` sweep, the budget ghost registers are
-    gathered once per batch, and the per-node bodies run with the
-    dispatch layers hoisted out of the loop: column-fused train and
-    comparison steps and the Want-mode hold scan
+    ``body(ctx, step_no, cached)`` is the one transcription of the
+    per-node step with the dispatch layers hoisted out: the statics, the
+    ghost budgets (``cached`` is the node's ``_bgt`` register), the
+    Want-mode hold scan, the column-fused train and comparison steps
     (:meth:`TrainComponent.make_bulk_step
     <repro.trains.train.TrainComponent.make_bulk_step>`,
     :meth:`ComparisonComponent.make_bulk_step
     <repro.trains.comparison.ComparisonComponent.make_bulk_step>`,
     :meth:`~repro.trains.comparison.ComparisonComponent.make_bulk_held`),
-    no intermediate alarm-list splicing.  Everything executes the exact
-    scalar ``step`` sequence per node — including the alarm priority
-    order statics > trains in order > comparison — so the sweep is
-    bit-for-bit equivalent (``tests/test_bulk_plane.py``).
-
-    Conflict-free batches arrive with the scheduler's ``gate``/``after``
-    callbacks, which the license makes commute across the batch (see
-    :mod:`repro.sim.bulk`): the sweep runs every gate first, fuses over
-    the gated survivors only (a skipped activation must not advance its
-    step counter), sets each survivor's ``wrote`` flag (every stepped
-    activation writes at least its counter — exactly the scalar
-    outcome), and then runs every after in activation order.
-
-    ``proto`` must carry the verifier-shaped surface: ``h_vstep``,
-    ``h_bgt``, ``static_every``, ``_static_alarms``, ``budgets_for``,
-    and the ``_fused`` closure cache (reset by ``bind_registers``).
+    ``serve_turn`` in the want-simple ablation, and the alarm priority
+    statics > trains in order > comparison.  Its caller has already
+    advanced the step counter to ``step_no``.  ``run_bodies`` loops it
+    over a batch; ``vec`` is the numpy tier's :class:`_VectorSweep`, or
+    None.
     """
-    ops = batch.ops
-    contexts = batch.contexts
-    se = proto.static_every
-    statics = proto._static_alarms
-    budgets_for = proto.budgets_for
-    fused = proto._fused
-    if fused is None or fused[0] is not ops:
-        steps = tuple(t.make_bulk_step(ops) for t in trains)
-        comp_step = comparison.make_bulk_step(ops)
-        held = comparison.make_bulk_held(ops)   # None: nothing is held
-        # the vector tier: a numpy store, numpy importable, and a mode
-        # whose per-node bodies the classifiers model (want-simple's
-        # serialized server stays on the fused bodies)
-        vec = None
-        if (getattr(ops.store, "numpy_tier", False)
-                and numpy_or_none() is not None
-                and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
-            vec = _VectorSweep(proto, trains, comparison, ops, steps,
-                               comp_step, held)
-        fused = proto._fused = (ops, steps, comp_step, held, vec)
-    _, train_steps, comp_step, held, vec = fused
+    steps = tuple(t.make_bulk_step(ops) for t in trains)
+    comp_step = comparison.make_bulk_step(ops)
+    held = comparison.make_bulk_held(ops)   # None: nothing is held
     # serve_turn acts only in the serialized want-simple ablation; the
-    # per-node no-op call is hoisted out of the hot loop entirely
+    # per-node no-op call is hoisted out of the body entirely
     serve = comparison.serve_turn \
         if comparison.mode == MODE_WANT_SIMPLE else None
-    tr0 = train_steps[0]
-    tr1 = train_steps[1] if len(train_steps) == 2 else None
+    se = proto.static_every
+    # the protocol owns this plane (``proto._fused``), so the body
+    # reaches it through a proxy, as :class:`_VectorSweep` does: a
+    # bound method here would make a reference cycle that keeps the
+    # plane's pool-sized caches alive until the cyclic collector runs
+    me = weakref.proxy(proto)
+    statics = type(proto)._static_alarms
+    budgets_for = type(proto).budgets_for
+    tr0 = steps[0]
+    tr1 = steps[1] if len(steps) == 2 else None
     horizon = BUDGET_CACHE_STEPS
+
+    def body(ctx, step_no, cached):
+        sentinel = ctx.stable_sentinel()
+        first = statics(me, ctx, sentinel) if step_no % se == 0 \
+            else None
+        if isinstance(cached, tuple) and len(cached) == 2 and \
+                isinstance(cached[1], Budgets) and \
+                step_no - cached[0] < horizon:
+            budgets = cached[1]
+        else:
+            budgets = budgets_for(me, ctx, sentinel, step_no)
+        if held is None:
+            h0 = h1 = False
+        else:
+            ht, hb = held(ctx)
+            h0 = ht is not None
+            h1 = hb is not None
+        a = tr0(ctx, budgets, h0, sentinel)
+        if a and not first:
+            first = a
+        if tr1 is not None:
+            a = tr1(ctx, budgets, h1, sentinel)
+            if a and not first:
+                first = a
+        if serve is not None:
+            serve(ctx)
+        a = comp_step(ctx, budgets, sentinel)
+        if a and not first:
+            first = a
+        if first:
+            ctx.alarm(first[0])
 
     def run_bodies(ctx_list, step_nos, bgts):
         for k, ctx in enumerate(ctx_list):
-            step_no = step_nos[k]
-            sentinel = ctx.stable_sentinel()
-            first = statics(ctx, sentinel) if step_no % se == 0 else None
-            cached = bgts[k]
-            if isinstance(cached, tuple) and len(cached) == 2 and \
-                    isinstance(cached[1], Budgets) and \
-                    step_no - cached[0] < horizon:
-                budgets = cached[1]
-            else:
-                budgets = budgets_for(ctx, sentinel, step_no)
-            if held is None:
-                h0 = h1 = False
-            else:
-                ht, hb = held(ctx)
-                h0 = ht is not None
-                h1 = hb is not None
-            a = tr0(ctx, budgets, h0, sentinel)
-            if a and not first:
-                first = a
-            if tr1 is not None:
-                a = tr1(ctx, budgets, h1, sentinel)
-                if a and not first:
-                    first = a
-            if serve is not None:
-                serve(ctx)
-            a = comp_step(ctx, budgets, sentinel)
-            if a and not first:
-                first = a
-            if first:
-                ctx.alarm(first[0])
+            body(ctx, step_nos[k], bgts[k])
 
+    # the vector tier: a numpy store, numpy importable, and a mode
+    # whose per-node bodies the classifiers model (want-simple's
+    # serialized server stays on the fused bodies)
+    vec = None
+    if (getattr(ops.store, "numpy_tier", False)
+            and numpy_or_none() is not None
+            and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
+        vec = _VectorSweep(proto, trains, comparison, ops, steps,
+                           comp_step, held)
+    return (ops, body, run_bodies, vec)
+
+
+def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
+    """The fused bulk sweep of :class:`TrainVerifierProtocol` over its
+    ``trains`` (both for the full verifier, only Top for the hybrid).
+
+    With fused column ops licensed (see :mod:`repro.sim.bulk`) every
+    activation runs the per-node body of :func:`_fused_plane`, which
+    executes the exact scalar ``step`` sequence per node, so the sweep
+    is bit-for-bit equivalent (``tests/test_bulk_plane.py``).  Per
+    license:
+
+    * a *synchronous round* advances the step counters of the whole
+      batch in one ``array('q')`` sweep, gathers the budget ghost
+      registers once, and offers the batch to the vector tier before
+      the body loop;
+    * a *one-activation* batch (one context, no callbacks) advances the
+      node's counter through its context and runs the body directly:
+      no per-batch list, gather or vector probe, since asynchronous
+      daemons issue these one per scheduler call;
+    * a *conflict-free* batch arrives with the scheduler's
+      ``gate``/``after`` callbacks, which the license makes commute
+      across the batch: the sweep runs every gate first, fuses over the
+      gated survivors only (a skipped activation must not advance its
+      step counter), sets each survivor's ``wrote`` flag (every stepped
+      activation writes at least its counter, exactly the scalar
+      outcome), and then runs every after in activation order.
+
+    ``proto`` must carry the verifier-shaped surface: ``h_vstep``,
+    ``h_bgt``, ``static_every``, ``_static_alarms``, ``budgets_for``,
+    and the ``_fused`` cache (reset by ``bind_registers``).
+    """
+    ops = batch.ops
+    contexts = batch.contexts
+    fused = proto._fused
+    if fused is None or fused[0] is not ops:
+        fused = proto._fused = _fused_plane(proto, ops, trains,
+                                            comparison)
+    _, body, run_bodies, vec = fused
     gate = batch.gate
     after = batch.after
     if gate is None and after is None and batch.segments is None:
+        if len(contexts) == 1:
+            ctx = contexts[0]
+            h_vstep = proto.h_vstep
+            step_no = (ctx.nat(h_vstep, cap=1 << 30) or 0) + 1
+            ctx.set(h_vstep, step_no)     # flags ctx.wrote
+            body(ctx, step_no, ctx.get(proto.h_bgt))
+            return
         step_nos = ops.inc_nat(batch, proto.h_vstep)
         batch.wrote_all = True
         bgts = ops.gather(batch, proto.h_bgt)
@@ -670,16 +705,13 @@ class TrainVerifierProtocol(Protocol):
     bulk_segments = True
 
     def bulk_step(self, batch) -> None:
-        """One whole scheduler batch (the bulk-activation plane): the
-        shared fused sweep over :attr:`trains` when fusion is licensed —
-        a synchronous columnar round, or a conflict-free asynchronous
-        batch — and the generic per-node fallback driver otherwise
-        (dict storage, unlicensed live batches).
+        """One scheduler batch (the bulk-activation plane): the shared
+        fused sweep over :attr:`trains` when fusion is licensed — a
+        synchronous columnar round, a conflict-free asynchronous batch,
+        or a single asynchronous activation on columnar storage — and
+        the generic per-node fallback driver on dict storage.
         See :func:`fused_verifier_sweep`."""
-        ops = batch.ops
-        if ops is None or (
-                not batch.conflict_free and
-                (batch.gate is not None or batch.after is not None)):
+        if batch.ops is None:
             drive_batch(self.step, batch)
             return
         fused_verifier_sweep(self, batch, self.trains, self.comparison)

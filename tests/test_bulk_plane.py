@@ -12,6 +12,8 @@ exactly like the scalar context writes, and the dirty/skip machinery
 must stay sound across batched writes).
 """
 
+import gc
+import weakref
 from unittest import mock
 
 import pytest
@@ -23,6 +25,7 @@ from repro.graphs.generators import (grid_graph, random_connected_graph,
 from repro.sim import (STORAGE_KINDS, AsynchronousScheduler,
                        ConflictFreeDaemon, FaultInjector,
                        LocalityBatchDaemon, Network, PermutationDaemon,
+                       RandomDaemon, RoundRobinDaemon, SlowNodesDaemon,
                        SynchronousScheduler, TiledConflictFreeDaemon,
                        first_alarm)
 from repro.sim.columnar import ColumnStore
@@ -102,20 +105,28 @@ def _daemon(kind, g, seed):
         return ConflictFreeDaemon(g, seed=seed)
     if kind == "tiled":
         return TiledConflictFreeDaemon(g, seed=seed)
+    if kind == "round_robin":
+        return RoundRobinDaemon()
+    if kind == "random":
+        return RandomDaemon(seed=seed)
+    if kind == "slow_nodes":
+        return SlowNodesDaemon(g.nodes()[:2], 3, seed=seed)
     return PermutationDaemon(seed=seed)
 
 
 @pytest.mark.parametrize("daemon_kind",
-                         ["permutation", "locality", "independent",
+                         ["permutation", "round_robin", "random",
+                          "slow_nodes", "locality", "independent",
                           "tiled"])
 def test_async_bulk_vs_scalar_equal(daemon_kind, campaign_seed):
-    """Asynchronous daemon batches routed through the bulk plane (the
-    conflict-free daemons' independent sets via the ``conflict_free``
-    license — with *fused* column sweeps on columnar storage; every
-    other daemon keeps the scalar loop) match the scalar execution
-    exactly — including the dirty-aware skip accounting, which must
-    stay sound when a whole batch's writes land through
-    ``bulk_step``."""
+    """Asynchronous activations routed through the bulk plane match the
+    scalar execution exactly on every storage, including the
+    dirty-aware skip accounting.  On columnar storage the conflict-free
+    daemons' independent sets run *fused* column sweeps under the
+    ``conflict_free`` license, and every other activation (the one-node
+    batches of the permutation, round-robin, random and slow-nodes
+    daemons, each activation of a locality batch) runs the fused
+    per-node body alone under the one-activation license."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 983)
 
     def run(storage, bulk, dirty_aware=True):
@@ -469,6 +480,86 @@ def test_junk_mid_sweep_async_fused_equals_scalar(mode, campaign_seed):
     naive = run("dict", bulk=False, dirty_aware=False)
     fused = run("columnar", bulk=True)
     assert fused[:3] + fused[4:] == naive[:3] + naive[4:]
+
+
+@pytest.mark.parametrize("daemon_kind", ["permutation", "slow_nodes"])
+@pytest.mark.parametrize("proto_kind", ["verifier", "hybrid"])
+@pytest.mark.parametrize("mode", [MODE_WANT, MODE_WANT_SIMPLE])
+def test_junk_mid_run_one_activation_equals_naive(daemon_kind,
+                                                   proto_kind, mode,
+                                                   campaign_seed):
+    """The one-activation license under junk: with junk and overdue
+    service watchdogs planted mid-run, single activations routed through
+    the fused per-node body (every storage, ``bulk=True``) match the
+    naive scalar dict loop bit for bit: rounds, activations, alarms and
+    registers.  The dirty-aware runs also pin the route's ``wrote``
+    marking, which their skips depend on."""
+    g = random_connected_graph(12, 20, seed=campaign_seed % 937)
+
+    def run(storage, bulk, dirty_aware=True):
+        net = make_network(g)
+        proto = _protocol(proto_kind, False, mode)
+        sched = AsynchronousScheduler(net, proto,
+                                      _daemon(daemon_kind, g, 3),
+                                      storage=storage, bulk=bulk,
+                                      dirty_aware=dirty_aware)
+        sched.run(10)
+        _plant_service_waits(net)
+        _plant_junk(net)
+        r = sched.run(25)
+        return (r, sched.rounds, sched.activations, net.alarms(),
+                {v: dict(regs) for v, regs in net.registers.items()})
+
+    naive = run("dict", bulk=False, dirty_aware=False)
+    for storage in STORAGES:
+        assert run(storage, bulk=True) == naive, storage
+    assert run("columnar", bulk=True, dirty_aware=False) == naive
+
+
+def test_one_activation_route_engages(monkeypatch):
+    """On columnar storage with ``bulk=True`` a permutation-daemon run
+    never calls scalar ``step``: every activation takes the fused
+    per-node body.  ``bulk=False`` is the scalar control, so it must
+    reach the (here raising) ``step``."""
+    g = random_connected_graph(10, 16, seed=3)
+
+    def boom(self, ctx):
+        raise AssertionError("scalar step reached")
+
+    monkeypatch.setattr(MstVerifierProtocol, "step", boom)
+
+    def run(bulk):
+        net = make_network(g)
+        sched = AsynchronousScheduler(
+            net, MstVerifierProtocol(synchronous=False),
+            PermutationDaemon(seed=1), storage="columnar", bulk=bulk)
+        return sched.run(5)
+
+    assert run(True) == 5
+    with pytest.raises(AssertionError, match="scalar step reached"):
+        run(False)
+
+
+@pytest.mark.parametrize("storage", ["columnar", "numpy"])
+def test_fused_plane_holds_no_protocol_cycle(storage):
+    """The protocol's cached fused plane (body closures and, on numpy,
+    the vector sweep with its pool-sized caches) must not refer back to
+    the protocol: a dropped verifier is freed by reference counting
+    alone, not left for the cyclic collector."""
+    g = random_connected_graph(12, 20, seed=1)
+    net = make_network(g)
+    proto = MstVerifierProtocol(synchronous=False)
+    AsynchronousScheduler(net, proto, PermutationDaemon(seed=1),
+                          storage=storage).run(3)
+    SynchronousScheduler(net, proto, storage=storage).run(3)
+    assert proto._fused is not None
+    ref = weakref.ref(proto)
+    gc.disable()
+    try:
+        del proto, net
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_junk_mid_sweep_skip_soundness_async(campaign_seed):
