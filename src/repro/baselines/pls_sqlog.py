@@ -190,13 +190,6 @@ class SqLogPlsProtocol(Protocol):
         if reasons:
             ctx.alarm(reasons[0])
 
-    #: conflict-free asynchronous batches may route here (the step is a
-    #: read-only verdict-cache pass, valid under any interleaving)
-    bulk_conflict_free = True
-    #: coalesced batches too: the generic driver replays ``boundary``
-    #: at the original batch boundaries
-    bulk_segments = True
-
     def bulk_step(self, batch) -> None:
         """Bulk-activation sweep: the generic per-node driver over
         :meth:`step`.  The step is a static verdict check cached on the

@@ -245,8 +245,6 @@ def result_from_record(spec: ScenarioSpec,
         alarm_reasons=tuple(rec.get("alarm_reasons", ())),
         faulty_nodes=tuple(rec.get("faulty_nodes", ())),
         activations=rec.get("activations"),
-        super_batches=rec.get("super_batches"),
-        batches_coalesced=rec.get("batches_coalesced"),
         rows_fused=rec.get("rows_fused"),
         rows_residual=rec.get("rows_residual"),
         rows_scalar=rec.get("rows_scalar"),

@@ -89,8 +89,6 @@ def scenario_record(result: ScenarioResult) -> Dict[str, Any]:
         "alarm_reasons": list(result.alarm_reasons),
         "faulty_nodes": [str(v) for v in result.faulty_nodes],
         "activations": result.activations,
-        "super_batches": result.super_batches,
-        "batches_coalesced": result.batches_coalesced,
         "rows_fused": result.rows_fused,
         "rows_residual": result.rows_residual,
         "rows_scalar": result.rows_scalar,

@@ -19,10 +19,6 @@ a registry in this module:
   every schedule accepts the implementation parameter
   ``storage="columnar"|"numpy"|"dict"`` selecting the register backend
   (``"schema"`` is a deprecated alias of the default, ``"columnar"``);
-  asynchronous schedules additionally accept
-  ``coalesce`` (conflict-free super-batch coalescing — an
-  implementation parameter, excluded from seed derivation like
-  ``storage``);
 * :data:`PROTOCOLS` — the verifier under test (``verifier``, ``hybrid``,
   ``sqlog``).
 
@@ -251,11 +247,9 @@ def _slow_nodes_daemon(network: Network, params: dict, seed: int):
 
 
 def _async_flags(kind: str, params: dict) -> dict:
-    flags = {"storage": _storage_flag(kind, params),
-             "dirty_aware": params.pop("dirty_aware", True),
-             "bulk": params.pop("bulk", True),
-             "coalesce": params.pop("coalesce", True)}
-    return flags
+    return {"storage": _storage_flag(kind, params),
+            "dirty_aware": params.pop("dirty_aware", True),
+            "bulk": params.pop("bulk", True)}
 
 
 def _make_round_robin(net, proto, params, seed):
@@ -556,13 +550,9 @@ class ScenarioResult:
     alarm_reasons: Tuple[str, ...] = ()
     faulty_nodes: Tuple[NodeId, ...] = ()
     activations: Optional[int] = None
-    #: asynchronous bulk-plane accounting (``None`` outside the fused
-    #: async path): conflict-free super-batches issued, original daemon
-    #: batches coalesced into them, rows fused through the vector tier,
-    #: rows replayed with partial verdicts (residual), and rows
-    #: replayed fully scalar.
-    super_batches: Optional[int] = None
-    batches_coalesced: Optional[int] = None
+    #: vector-tier accounting (``None`` when the vector sweep never
+    #: ran): rows fused through the vector tier, rows replayed with
+    #: partial verdicts (residual), and rows replayed fully scalar.
     rows_fused: Optional[int] = None
     rows_residual: Optional[int] = None
     rows_scalar: Optional[int] = None
@@ -802,8 +792,6 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioResult:
         alarm_reasons=tuple(sorted(set(alarms.values()))[:3]),
         faulty_nodes=faulty,
         activations=getattr(scheduler, "activations", None),
-        super_batches=getattr(scheduler, "super_batches", None),
-        batches_coalesced=getattr(scheduler, "batches_coalesced", None),
         churn_events=(len(churn_report.events)
                       if churn_report is not None else None),
         rounds_to_redetect=(churn_report.redetect

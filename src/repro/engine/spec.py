@@ -31,7 +31,7 @@ Params = Tuple[Tuple[str, Any], ...]
 #: the storage/bulk differential tests depend on this, and so does
 #: comparing benchmark trends across backends.
 IMPL_SCHEDULE_PARAMS = frozenset({"storage", "fast_path", "dirty_aware",
-                                  "bulk", "coalesce"})
+                                  "bulk"})
 
 
 def _freeze(params: Mapping[str, Any]) -> Params:

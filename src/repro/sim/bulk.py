@@ -22,12 +22,12 @@ The plane has three layers:
 * **Schedulers** route their activation batches through ``bulk_step``
   when the protocol declares it (``bulk=False`` keeps the scalar loops):
   the synchronous schedulers hand over one whole round of active nodes;
-  on columnar storage the asynchronous scheduler hands over
-  conflict-free daemon batches and every other activation one at a
-  time (see the licenses below) to protocols that declare
-  ``bulk_conflict_free``.  Skip logic, activation accounting, and stop
-  conditions stay in the scheduler, threaded through the callbacks of
-  a conflict-free batch and run around each single activation.
+  on columnar storage the asynchronous scheduler hands over each
+  conflict-free daemon batch of two or more nodes as one call and
+  every other activation one at a time (see the licenses below).
+  Skip logic, activation accounting, and stop conditions stay in the
+  scheduler, threaded through the callbacks of a conflict-free batch
+  and run around each single activation.
 * **Storage backends** supply the fused primitives.  On columnar
   storage (:class:`ColumnarBulkOps`) a fused read-modify-write is a
   single sweep over an ``array('q')`` column with one dirty mark per
@@ -49,17 +49,19 @@ one column sweep for the whole batch.  Three schedules grant it:
 * **synchronous rounds** — neighbour reads go to a snapshot (never the
   live store) and ``stop_when`` is checked at round boundaries; the
   batch carries no callbacks (PR 4's license);
-* **conflict-free asynchronous batches** (``batch.conflict_free``) — a
-  daemon such as :class:`~repro.sim.schedulers.ConflictFreeDaemon`
-  *pre-declares* that the batch's activated nodes have pairwise
-  disjoint closed neighbourhoods, so even *live* reads (each activation
-  reads exactly N[v]) cannot observe a batchmate's own-register write,
+* **conflict-free asynchronous batches** — a daemon whose
+  ``conflict_free`` attribute is set, such as
+  :class:`~repro.sim.schedulers.ConflictFreeDaemon`, *pre-declares*
+  that each batch's activated nodes have pairwise disjoint closed
+  neighbourhoods, so even *live* reads (each activation reads exactly
+  N[v]) cannot observe a batchmate's own-register write,
   and the scheduler resolves stop conditions at batch boundaries (a
   conflict-free batch models the distributed daemon's *simultaneous*
   activation of an independent set — checking a stop "between" two
-  indistinguishable orderings is meaningless).  Such batches carry the
-  scheduler's ``gate``/``after`` callbacks, but the same disjointness
-  makes them **commute** across the batch: a gate reads only the
+  indistinguishable orderings is meaningless).  Such a batch is the
+  only kind that carries both ``ops`` and the scheduler's
+  ``gate``/``after`` callbacks, and the same disjointness makes them
+  **commute** across the batch: a gate reads only the
   scheduler's per-node tracking of N[v] and an after writes only node
   v's, so a fused implementation may run *all* gates first, one fused
   sweep over the gated survivors, then *all* afters in activation order
@@ -69,8 +71,8 @@ one column sweep for the whole batch.  Three schedules grant it:
   hoisted writes of later activations are never observably premature.
 
 * **one activation** — every asynchronous activation outside a
-  conflict-free batch (the one-node batches of the round-robin,
-  random, permutation and slow-nodes daemons, and each activation of
+  conflict-free batch of two or more nodes (the one-node batches of
+  every daemon, including the conflict-free ones, and each activation of
   the locality daemon's overlapping batches, which run live with
   activation-granular stops) is handed over alone, as a one-context
   batch with live ops and no callbacks.  It has no batchmate whose
@@ -107,24 +109,16 @@ GateFn = Callable[[int, Any], bool]
 #: precompute a skip set) hands every ``after`` the final gate's tick
 #: and silently corrupts the dirty-aware skip accounting.
 #:
-#: Exception: a batch carrying the ``conflict_free`` license may be
-#: driven gates-first / sweep / afters-last.  Batchmates with pairwise
-#: disjoint closed neighbourhoods never appear in each other's skip
-#: scope, so no gate reads what a batchmate's after wrote; and because
+#: Exception: a conflict-free batch (``ops`` and callbacks together)
+#: may be driven gates-first / sweep / afters-last.  Batchmates with
+#: pairwise disjoint closed neighbourhoods never appear in each other's
+#: skip scope, so no gate reads what a batchmate's after wrote; and because
 #: the scheduler's activations of one batch are contiguous in tick
 #: order, collapsing the batch's recorded ticks onto the final gate's
 #: tick preserves every cross-batch ``changed_at``/``stepped_at``
 #: comparison (any other node's tick lies strictly before or strictly
 #: after the whole batch).
 AfterFn = Callable[[int, Any, bool], bool]
-#: boundary callback: ``boundary(i) -> bool`` — runs after segment i of
-#: a *coalesced* batch (see :attr:`BulkBatch.segments`) completes its
-#: afters; it replays everything the issuing scheduler would have done
-#: between the original batches (stop-condition checks, round/budget
-#: limits).  True aborts the remaining segments: the scheduler requeues
-#: them, so observable semantics stay bit-for-bit identical to issuing
-#: the original batches one at a time.
-BoundaryFn = Callable[[int], bool]
 
 
 class BulkBatch:
@@ -143,57 +137,38 @@ class BulkBatch:
     activation, whose skip check, accounting and stop check the
     scheduler runs around the call.
 
-    ``conflict_free`` is the asynchronous fusion license for batches
-    of several activations (see the module docstring): the issuing
-    scheduler vouches that the batch's activated nodes have pairwise
-    disjoint closed neighbourhoods, that its ``after`` never aborts
-    mid-batch, and that ``gate``/``after`` commute across the batch —
-    so a protocol may fuse the batch's own-register column sweeps even
-    though neighbour reads are live.
-
-    ``segments`` marks a *coalesced* conflict-free batch: a scheduler
-    that fused several consecutive same-sweep batches into this one
-    records their lengths here (in issue order; they sum to
-    ``len(contexts)``) and supplies ``boundary``, called after each
-    segment's afters.  The license is per *segment*: members of
-    distinct segments may share neighbourhoods, so an implementation
-    must drive segments strictly in order — segment i's gates run only
-    after segment i-1's afters (and its fused sweep observes segment
-    i-1's writes), with ``boundary(i-1)`` in between; ``boundary``
-    returning True aborts the remaining segments.  ``segments is
-    None`` (the default) is the ordinary single-batch case.
+    Several contexts with ``ops`` and callbacks are a conflict-free
+    batch, the asynchronous fusion license (see the module docstring):
+    the scheduler vouches that the batch's activated nodes have
+    pairwise disjoint closed neighbourhoods, that its ``after`` never
+    aborts mid-batch, and that ``gate``/``after`` commute across the
+    batch — so a protocol may fuse the batch's own-register column
+    sweeps even though neighbour reads are live.
     """
 
     __slots__ = ("contexts", "indices", "ops", "gate", "after",
-                 "wrote_all", "conflict_free", "segments", "boundary")
+                 "wrote_all")
 
     def __init__(self, contexts: List[Any],
                  indices: Optional[List[int]] = None,
                  ops: Optional["ColumnarBulkOps"] = None,
                  gate: Optional[GateFn] = None,
-                 after: Optional[AfterFn] = None,
-                 conflict_free: bool = False,
-                 segments: Optional[List[int]] = None,
-                 boundary: Optional[BoundaryFn] = None) -> None:
+                 after: Optional[AfterFn] = None) -> None:
         self.contexts = contexts
         self.indices = indices
         self.ops = ops
         self.gate = gate
         self.after = after
         self.wrote_all = False
-        self.conflict_free = conflict_free
-        self.segments = segments
-        self.boundary = boundary
 
 
 def drive_batch(step: Callable[[Any], None], batch: BulkBatch) -> None:
     """The generic per-node fallback driver.
 
     Executes the batch exactly like the scalar loops — one ``step(ctx)``
-    per context, in order, honouring ``gate``/``after`` (and, on a
-    coalesced batch, ``boundary`` at the original batch boundaries) —
-    so a protocol that cannot (or may not) fuse simply delegates here
-    and stays bit-for-bit equivalent on every backend.
+    per context, in order, honouring ``gate``/``after`` — so a protocol
+    that cannot (or may not) fuse simply delegates here and stays
+    bit-for-bit equivalent on every backend.
     """
     gate = batch.gate
     after = batch.after
@@ -201,28 +176,11 @@ def drive_batch(step: Callable[[Any], None], batch: BulkBatch) -> None:
         for ctx in batch.contexts:
             step(ctx)
         return
-    segments = batch.segments
-    if segments is None:
-        for k, ctx in enumerate(batch.contexts):
-            stepped = gate is None or gate(k, ctx)
-            if stepped:
-                step(ctx)
-            if after is not None and after(k, ctx, stepped):
-                return
-        return
-    boundary = batch.boundary
-    contexts = batch.contexts
-    k = 0
-    for i, seg_len in enumerate(segments):
-        for _ in range(seg_len):
-            ctx = contexts[k]
-            stepped = gate is None or gate(k, ctx)
-            if stepped:
-                step(ctx)
-            if after is not None and after(k, ctx, stepped):
-                return
-            k += 1
-        if boundary is not None and boundary(i):
+    for k, ctx in enumerate(batch.contexts):
+        stepped = gate is None or gate(k, ctx)
+        if stepped:
+            step(ctx)
+        if after is not None and after(k, ctx, stepped):
             return
 
 
@@ -232,10 +190,10 @@ class ColumnarBulkOps:
     Handed to protocols by the *synchronous* schedulers on columnar
     storage (neighbour reads come from ``snap``, the batch cannot abort
     mid-round), and by the asynchronous scheduler with ``snap=None``
-    (so ``snap is store``: reads are live) on batches carrying the
-    ``conflict_free`` license and on single activations.  Being handed
-    ops *is* the fusion license (see the module docstring): an
-    unlicensed batch carries ``ops=None``.  The per-value semantics of
+    (so ``snap is store``: reads are live) on conflict-free batches and
+    on single activations.  Being handed ops *is* the fusion license
+    (see the module docstring): an unlicensed batch carries
+    ``ops=None``.  The per-value semantics of
     every primitive replicate the scalar context API exactly —
     including sentinel encodings, boxed-overflow junk, and
     stable-version bookkeeping — so fusing is a pure reordering of

@@ -34,8 +34,8 @@ Event semantics:
   false-alarm immunity check.
 
 Fencing: events apply strictly *between* ``scheduler.run()`` calls.
-Run boundaries already fence super-batch coalescing (every run
-rebuilds contexts and re-snapshots); the scheduler's ``topology_changed()`` adds the cross-run invalidation —
+Every run rebuilds contexts and re-snapshots; the scheduler's
+``topology_changed()`` adds the cross-run invalidation —
 adjacency maps, daemon ball memos and in-flight sweeps, round-coverage
 sets, fused-ops identities, and the protocol's label-derived verdict
 caches (via a forced re-bind).

@@ -349,28 +349,6 @@ class Protocol:
     #: protocols that can run whole batches override this with a method.
     bulk_step = None
 
-    #: whether ``bulk_step`` can fuse batches carrying the
-    #: ``conflict_free`` license (:class:`~repro.sim.schedulers.
-    #: ConflictFreeDaemon` batches: pairwise disjoint closed
-    #: neighbourhoods, batch-granular stops).  On columnar storage the
-    #: asynchronous scheduler routes conflict-free daemon batches, and
-    #: every other activation as a one-context batch, with live fused
-    #: column ops only to protocols declaring this; a declaring
-    #: ``bulk_step`` must handle ``batch.conflict_free`` batches per
-    #: the commuting gate/after contract in :mod:`repro.sim.bulk`.
-    bulk_conflict_free = False
-
-    #: whether ``bulk_step`` honours *coalesced* conflict-free batches
-    #: (``batch.segments``/``batch.boundary``, see
-    #: :class:`~repro.sim.bulk.BulkBatch`): segments driven strictly in
-    #: order with ``boundary`` replayed at the original batch
-    #: boundaries.  The asynchronous scheduler only coalesces
-    #: consecutive same-sweep batches for protocols declaring this;
-    #: :func:`repro.sim.bulk.drive_batch` already honours the contract,
-    #: so a ``bulk_step`` delegating every callback-carrying batch
-    #: there may declare it for free.
-    bulk_segments = False
-
     def register_schema(self) -> Optional[RegisterSchema]:
         """The protocol's register declaration (None: undeclared)."""
         return None

@@ -31,13 +31,13 @@ Bulk-activation plane: when the protocol declares
 schedulers route activation batches through it instead of stepping node
 by node — the synchronous scheduler hands over whole rounds of active
 nodes (with fused column ops licensed on columnar storage).  On
-columnar storage the asynchronous scheduler hands over every
-:class:`ConflictFreeDaemon` batch under the *conflict-free license*
-(pairwise disjoint closed neighbourhoods, so live reads cannot observe
-a batchmate's write; skip logic and accounting threaded through the
-batch callbacks), and every other activation alone under the
-*one-activation license*, with the skip check, accounting and stop
-check run around the call.  ``bulk=False`` keeps the scalar loops; both
+columnar storage the asynchronous scheduler hands over each
+:class:`ConflictFreeDaemon` batch of two or more nodes as one call
+under the *conflict-free license* (pairwise disjoint closed
+neighbourhoods, so live reads cannot observe a batchmate's write; skip
+logic and accounting threaded through the batch callbacks), and every
+other activation alone under the *one-activation license*, with the
+skip check, accounting and stop check run around the call.  ``bulk=False`` keeps the scalar loops; both
 modes are bit-for-bit equivalent (``tests/test_bulk_plane.py``).  See
 :mod:`repro.sim.bulk`.
 """
@@ -618,9 +618,8 @@ class _CoverDaemon(Daemon):
     Subclasses implement ``_cover(nodes)`` returning the sweep's batch
     list; the base class owns the queue, the memoized distance-2 balls,
     the greedy first-fit partitioner, issue accounting, snapshot
-    ``state()/set_state()``, and the ``take_pending``/``requeue`` pair
-    the coalescing scheduler uses to fuse consecutive same-sweep
-    batches without perturbing daemon state.
+    ``state()/set_state()``.  The asynchronous scheduler hands each
+    batch of two or more nodes to ``bulk_step`` as one call.
     """
 
     #: schedulers read this to grant the conflict-free license
@@ -697,26 +696,6 @@ class _CoverDaemon(Daemon):
         self.batches += 1
         return self._queue.pop()
 
-    def take_pending(self) -> List[List[NodeId]]:
-        """Drain the current sweep's remaining batches, in cover order,
-        counting each as issued.  The coalescing scheduler uses this to
-        fuse consecutive same-sweep batches into one super-batch while
-        keeping ``batches`` and ``state()`` bit-for-bit identical to
-        one-at-a-time issue; batches it does not execute come back via
-        :meth:`requeue`."""
-        taken = self._queue[::-1]
-        self._queue = []
-        self.batches += len(taken)
-        return taken
-
-    def requeue(self, batches: Sequence[List[NodeId]]) -> None:
-        """Return un-executed batches taken by :meth:`take_pending`
-        (in cover order), un-counting them; subsequent calls serve them
-        again, in order, before anything else."""
-        if batches:
-            self._queue.extend(reversed(batches))
-            self.batches -= len(batches)
-
     def state(self) -> Dict[str, Any]:
         # ball memos are static-topology caches, rebuilt on demand
         return {"rng": self.rng.getstate(),
@@ -754,12 +733,13 @@ class ConflictFreeDaemon(_CoverDaemon):
     inside a batch with pairwise disjoint N[v] no activation can
     observe a batchmate's write — live executions of the batch members
     in any order (or fused into one column sweep) are indistinguishable
-    from the sequential one.  The daemon therefore *pre-declares* the
-    batch conflict-free, and the asynchronous scheduler stamps the
-    ``conflict_free`` license onto each
-    :class:`~repro.sim.bulk.BulkBatch`, which is what lets the fused
-    columnar kernels of the bulk plane run off the synchronous-only
-    path (see :mod:`repro.sim.bulk`).
+    from the sequential one.  The daemon therefore *pre-declares* its
+    batches conflict-free (the ``conflict_free`` class attribute), and
+    the asynchronous scheduler hands each batch of two or more nodes to
+    the protocol's ``bulk_step`` as one
+    :class:`~repro.sim.bulk.BulkBatch` with live fused column ops, which
+    is what lets the fused columnar kernels of the bulk plane run off
+    the synchronous-only path (see :mod:`repro.sim.bulk`).
 
     Semantics: a conflict-free batch models the distributed daemon
     activating a whole independent set *simultaneously*; the scheduler
@@ -886,44 +866,29 @@ class AsynchronousScheduler:
                  daemon: Optional[Daemon] = None,
                  dirty_aware: bool = True,
                  storage: Optional[str] = None,
-                 bulk: bool = True,
-                 coalesce: bool = True) -> None:
+                 bulk: bool = True) -> None:
         self.network = network
         self.protocol = protocol
         self.daemon = daemon if daemon is not None else PermutationDaemon()
         self.rounds = 0
         self.activations = 0
         self.steps_skipped = 0
-        #: coalesced super-batches issued / original batches they fused
-        #: (accounting; zero when coalescing never engaged)
-        self.super_batches = 0
-        self.batches_coalesced = 0
-        #: coalesce consecutive conflict-free batches of one daemon
-        #: sweep into a single fused super-batch (implementation-only:
-        #: gate/after/stop checks are replayed at the original batch
-        #: boundaries, so traces are bit-for-bit identical either way).
-        #: Engages only when the conflict-free fused route is live and
-        #: both the daemon (``take_pending``/``requeue``) and the
-        #: protocol (``bulk_segments``) support it.
-        self.coalesce = bool(coalesce)
         self._covered: Set[NodeId] = set()
         self._initialized = False
         self.dirty_aware = bool(dirty_aware) and (
             type(protocol).on_round_end is Protocol.on_round_end)
         #: bulk-activation plane, columnar storage only, for protocols
-        #: declaring ``bulk_conflict_free``: a *conflict-free* daemon
-        #: (:class:`ConflictFreeDaemon`) issues batches with pairwise
-        #: disjoint closed neighbourhoods and batch-granular stops, so
-        #: they are routed with live fused column ops and the
-        #: ``conflict_free`` stamp, skip logic and accounting threaded
-        #: through the batch callbacks.  Every other batch runs the
-        #: activation loop, whose activations each route as a
-        #: one-context batch with live ops and no callbacks (the
-        #: one-activation license: no batchmate, no abort point); the
-        #: skip check, accounting and stop checks stay in the loop.
-        self._bulk_cf = protocol.bulk_step \
-            if bulk and getattr(protocol, "bulk_conflict_free", False) \
-            else None
+        #: declaring ``bulk_step``: each batch of two or more nodes of a
+        #: *conflict-free* daemon (:class:`ConflictFreeDaemon`), whose
+        #: batches have pairwise disjoint closed neighbourhoods and
+        #: batch-granular stops, is one call with live fused column ops,
+        #: skip logic and accounting threaded through the batch
+        #: callbacks.  Every other batch runs the activation loop,
+        #: whose activations each route as a one-context batch with
+        #: live ops and no callbacks (the one-activation license: no
+        #: batchmate, no abort point); the skip check, accounting and
+        #: stop checks stay in the loop.
+        self._bulk_step = protocol.bulk_step if bulk else None
         self._live_ops = None
         self._storage = _storage_mode(storage)
         self._compiled = _bind_storage(network, protocol, self._storage)
@@ -931,13 +896,12 @@ class AsynchronousScheduler:
     def topology_changed(self) -> None:
         """Invalidate topology-derived state after a churn event
         (:mod:`repro.sim.churn`).  Per-run state (contexts, neighbour
-        maps, skip tracking, coalescing queues) is already rebuilt every
-        ``run()`` — churn events apply *between* runs, so run
-        boundaries fence super-batch coalescing by construction.  What
-        persists across runs is handled here: the round-coverage set
-        drops removed nodes (a crashed node can never complete a
-        round), the live fused ops are rebuilt, the daemon drops its
-        memoized balls and in-flight sweeps, and the protocol is
+        maps, skip tracking) is already rebuilt every ``run()``, and
+        churn events apply *between* runs.  What persists across runs
+        is handled here: the round-coverage set drops removed nodes (a
+        crashed node can never complete a round), the live fused ops
+        are rebuilt, the daemon drops its memoized balls and in-flight
+        sweeps, and the protocol is
         re-bound (clearing its label-derived verdict caches and its
         vector sweep)."""
         self._covered.intersection_update(self.network.graph.nodes())
@@ -993,7 +957,6 @@ class AsynchronousScheduler:
         start_rounds = self.rounds
         budget = max_activations if max_activations is not None else (
             max_rounds * len(nodes) * 4 + 64)
-        stopped = False
         # conflict-free daemons: batches are simultaneous activations,
         # so stop conditions resolve at batch boundaries (for every
         # storage and for the scalar loop alike — the semantics belong
@@ -1002,7 +965,7 @@ class AsynchronousScheduler:
         # the ``conflict_free`` license; every other activation routes
         # alone under the one-activation license.
         batch_stop = getattr(self.daemon, "conflict_free", False)
-        live_step = self._bulk_cf if columnar else None
+        live_step = self._bulk_step if columnar else None
         cf_step = live_step if batch_stop else None
         if live_step is None:
             step = protocol.step
@@ -1019,29 +982,6 @@ class AsynchronousScheduler:
             def step(ctx):
                 one_ctx[0] = ctx
                 live_step(one)
-        daemon = self.daemon
-        # coalescing (implementation-only): fuse the rest of the daemon
-        # sweep into one super-batch, replaying gate/after/stop checks
-        # at the original batch boundaries via ``boundary``; engages
-        # only when the fused conflict-free route is live and both the
-        # daemon and the protocol support the segment contract.
-        coalesce = (cf_step is not None and self.coalesce and
-                    getattr(protocol, "bulk_segments", False) and
-                    hasattr(daemon, "take_pending"))
-        seg_done = [0]
-
-        def boundary(i):
-            # everything the uncoalesced loop does between consecutive
-            # conflict-free batches: the batch-boundary stop-condition
-            # check and the while-condition (rounds/budget) re-check.
-            nonlocal stopped
-            seg_done[0] = i + 1
-            if stop_when is not None and stop_when(network):
-                stopped = True
-                return True
-            return (self.rounds - start_rounds >= max_rounds or
-                    budget <= 0)
-
         # bulk-plane callbacks: the exact per-activation semantics of the
         # scalar loop below (skip check + write-tracker setup in ``gate``,
         # tracking/accounting in ``after``), threaded through
@@ -1086,34 +1026,11 @@ class AsynchronousScheduler:
 
         while self.rounds - start_rounds < max_rounds and budget > 0:
             batch_nodes = self.daemon.next_batch(nodes)
-            multi = len(batch_nodes) > 1
-            if cf_step is not None and (multi or coalesce):
+            if cf_step is not None and len(batch_nodes) > 1:
                 # the conflict-free license: live fused column ops,
                 # commuting gate/after, stop at the batch boundary
-                segs = ([batch_nodes] + daemon.take_pending()) \
-                    if coalesce else None
-                if segs is not None and len(segs) > 1:
-                    seg_done[0] = 0
-                    self.super_batches += 1
-                    self.batches_coalesced += len(segs)
-                    cf_step(BulkBatch(
-                        [contexts[v] for seg in segs for v in seg],
-                        None, live_ops, gate=gate, after=after,
-                        conflict_free=True,
-                        segments=[len(seg) for seg in segs],
-                        boundary=boundary))
-                    if seg_done[0] < len(segs):
-                        # boundary aborted (or the protocol stopped
-                        # early): hand the un-executed tail back so the
-                        # daemon's queue and issue accounting match the
-                        # uncoalesced execution exactly
-                        daemon.requeue(segs[seg_done[0]:])
-                    if stopped:
-                        return self.rounds - start_rounds
-                    continue
                 cf_step(BulkBatch([contexts[v] for v in batch_nodes],
-                                  None, live_ops, gate=gate, after=after,
-                                  conflict_free=True))
+                                  None, live_ops, gate=gate, after=after))
                 if stop_when is not None and stop_when(network):
                     return self.rounds - start_rounds
                 continue

@@ -1437,7 +1437,7 @@ class _VectorTrainKernel:
         and every child visit — stay ``CV_REPLAY`` too.  The work runs
         over the live rows only, compressed, with one sync per
         attribute cache: the per-call cost is what small
-        conflict-free segments pay."""
+        conflict-free batches pay."""
         comp = self.comp
         vd, vs = self.vd, self.vs
         cars, taks = self.car_cache, self.tak_cache

@@ -196,7 +196,7 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
     _, body, run_bodies, vec = fused
     gate = batch.gate
     after = batch.after
-    if gate is None and after is None and batch.segments is None:
+    if gate is None and after is None:
         if len(contexts) == 1:
             ctx = contexts[0]
             h_vstep = proto.h_vstep
@@ -211,41 +211,24 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
                                       run_bodies):
             run_bodies(contexts, step_nos, bgts)
         return
-    # conflict-free batch, possibly coalesced: per segment, commuting
-    # gates first, fused sweep over the survivors, afters last (in
-    # activation order), then the scheduler's boundary replay —
-    # segments run strictly in order (members of distinct segments may
-    # share neighbourhoods, so segment i must observe i-1's writes)
-    store = ops.store
-    segments = batch.segments if batch.segments is not None \
-        else [len(contexts)]
-    boundary = batch.boundary
-    base = 0
-    for si, seg_len in enumerate(segments):
-        seg_ctxs = contexts[base:base + seg_len]
-        if gate is None:
-            stepped = [True] * seg_len
-        else:
-            stepped = [gate(base + k, ctx)
-                       for k, ctx in enumerate(seg_ctxs)]
-        active = [ctx for ctx, s in zip(seg_ctxs, stepped) if s]
-        if active:
-            idx = [ctx._i for ctx in active]
-            step_nos = store.inc_nat_batch(idx, proto.h_vstep)
-            bgts = store.gather_values(idx, proto.h_bgt)
-            for ctx in active:
-                # every stepped activation writes its step counter, so
-                # the scalar loop would flag every survivor as written
-                ctx.wrote = True
-            if vec is None or not vec.run(active, step_nos, bgts,
-                                          run_bodies):
-                run_bodies(active, step_nos, bgts)
-        if after is not None:
-            for k, ctx in enumerate(seg_ctxs):
-                after(base + k, ctx, stepped[k])
-        base += seg_len
-        if boundary is not None and boundary(si):
-            return
+    # conflict-free batch: commuting gates first, fused sweep over the
+    # survivors, afters last (in activation order)
+    stepped = [gate(k, ctx) for k, ctx in enumerate(contexts)]
+    active = [ctx for ctx, s in zip(contexts, stepped) if s]
+    if active:
+        store = ops.store
+        idx = [ctx._i for ctx in active]
+        step_nos = store.inc_nat_batch(idx, proto.h_vstep)
+        bgts = store.gather_values(idx, proto.h_bgt)
+        for ctx in active:
+            # every stepped activation writes its step counter, so the
+            # scalar loop would flag every survivor as written
+            ctx.wrote = True
+        if vec is None or not vec.run(active, step_nos, bgts,
+                                      run_bodies):
+            run_bodies(active, step_nos, bgts)
+    for k, ctx in enumerate(contexts):
+        after(k, ctx, stepped[k])
 
 
 #: the budget thresholds the vector classifiers read, in the order
@@ -262,9 +245,9 @@ _I62 = 1 << 62
 class _VectorSweep:
     """The numpy-tier whole-batch sweep behind
     :func:`fused_verifier_sweep`: one call per synchronous round or
-    conflict-free segment of at least :attr:`MIN_BATCH` rows, which it
-    classifies and applies in one go (smaller batches run the scalar
-    fused bodies).
+    conflict-free daemon batch of at least :attr:`MIN_BATCH` rows,
+    which it classifies and applies in one go (smaller batches run the
+    scalar fused bodies).
 
     Each component's classifier proves, per batch row, whether that
     component's fused step is exactly its masked column write(s) — no
@@ -288,17 +271,17 @@ class _VectorSweep:
 
     #: below this many rows the classification overhead beats the
     #: savings, so the batch runs the scalar fused bodies instead
-    #: (conflict-free segments are often small: a settled async patrol
-    #: of ``random_connected_graph(2000, 3600, seed=21)`` under
-    #: ``ConflictFreeDaemon(seed=7)`` sweeps 20-22 coalesced segments
-    #: per round, sized 1-233 rows, median ~94, a quarter under 48)
+    #: (conflict-free daemon batches are often small: a settled async
+    #: patrol of ``random_connected_graph(2000, 3600, seed=21)`` under
+    #: ``ConflictFreeDaemon(seed=7)`` sweeps 20-22 daemon batches per
+    #: round, sized 1-233 rows, median ~94, a quarter under 48)
     MIN_BATCH = 48
     #: below this many rows the sweep leaves the trains' child traffic
     #: to the scalar replay: planning it costs ~0.3 ms of small-array
     #: numpy calls per train and batch, and saves ~17 us per planned
     #: row — about a tenth of a batch's rows, so the plan pays from a
     #: few hundred rows (settled synchronous rounds, not the
-    #: conflict-free segments of an async patrol).  Both floors are
+    #: conflict-free batches of an async patrol).  Both floors are
     #: class attributes that tests lower to reach the vector paths on
     #: small instances
     TRAFFIC_MIN = 256
@@ -697,13 +680,6 @@ class TrainVerifierProtocol(Protocol):
             ctx.alarm(alarms[0])
 
     # ------------------------------------------------------------------
-    #: conflict-free asynchronous batches may fuse (the sweep handles
-    #: the commuting gate/after contract; see repro.sim.bulk)
-    bulk_conflict_free = True
-    #: coalesced batches supported: the fused sweep drives segments
-    #: strictly in order and replays ``boundary`` between them
-    bulk_segments = True
-
     def bulk_step(self, batch) -> None:
         """One scheduler batch (the bulk-activation plane): the shared
         fused sweep over :attr:`trains` when fusion is licensed — a

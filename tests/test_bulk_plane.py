@@ -173,11 +173,10 @@ def test_engine_bulk_flag_matrix(campaign_seed):
         for storage in STORAGES:
             flags = [({"bulk": False}, None), ({"bulk": True}, None)]
             if sched in ("independent", "tiled"):
-                # coalescing is equally implementation-only on the
-                # conflict-free daemons, and so are the vector floors
-                # (lowered so the small segments take the vector tier)
-                flags += [({"bulk": True, "coalesce": False}, None),
-                          ({"bulk": True}, 2)]
+                # the vector floors are equally implementation-only on
+                # the conflict-free daemons (lowered so the small
+                # batches take the vector tier)
+                flags.append(({"bulk": True}, 2))
             for extra, floor in flags:
                 spec = ScenarioSpec(
                     topology=axis("random", n=12, extra=8),
@@ -376,21 +375,21 @@ def test_tiled_batches_are_independent_and_fair(campaign_seed):
 
 @pytest.mark.parametrize("daemon_kind", ["independent", "tiled"])
 @pytest.mark.parametrize("proto_kind", ["verifier", "hybrid", "sqlog"])
-def test_coalescing_on_off_bitwise_equal(daemon_kind, proto_kind,
+def test_conflict_free_fused_equals_dict(daemon_kind, proto_kind,
                                          campaign_seed):
-    """Conflict-free super-batch coalescing is unobservable: with junk
-    planted mid-sweep, a coalescing run matches the uncoalesced one bit
-    for bit — register traces at every stop poll, rounds, activations,
-    skip accounting, alarms, and the daemon's own issue accounting —
-    on all four storage backends."""
+    """One fused ``bulk_step`` call per conflict-free daemon batch is
+    unobservable: with junk planted mid-sweep, the columnar and numpy
+    runs match the dict oracle bit for bit — register traces at every
+    stop poll, rounds, activations, skip accounting, alarms, and the
+    daemon's own sweep count."""
     g = random_connected_graph(14, 24, seed=campaign_seed % 919)
 
-    def run(storage, coalesce):
+    def run(storage):
         net = make_network(g)
         proto = _protocol(proto_kind, False)
         sched = AsynchronousScheduler(net, proto,
                                       _daemon(daemon_kind, g, 5),
-                                      storage=storage, coalesce=coalesce)
+                                      storage=storage)
         sched.run(10)
         _plant_junk(net)
         trace = []
@@ -404,27 +403,25 @@ def test_coalescing_on_off_bitwise_equal(daemon_kind, proto_kind,
                 sched.daemon.sweeps, net.alarms(), trace,
                 {v: dict(regs) for v, regs in net.registers.items()})
 
-    for storage in STORAGES:
-        ref = run(storage, coalesce=False)
-        got = run(storage, coalesce=True)
-        assert got == ref, (storage, daemon_kind, proto_kind)
+    ref = run("dict")
+    for storage in ("columnar", "numpy"):
+        assert run(storage) == ref, (storage, daemon_kind, proto_kind)
 
 
-def test_coalesced_stop_replays_batch_boundaries(campaign_seed):
+def test_conflict_free_stop_at_batch_boundary(campaign_seed):
     """A stop condition that fires for a node of the sweep's *first*
-    daemon batch must halt the coalesced super-batch at that original
-    boundary: the later batches stay unexecuted (identical activation
-    counts to the uncoalesced run) and are handed back to the daemon,
-    so a later resume issues them exactly as an uncoalesced scheduler
-    would have."""
+    daemon batch halts the run at that batch's boundary: the fused
+    numpy run leaves the later batches unexecuted exactly as the dict
+    oracle does (identical activation counts and stop polls), and a
+    later resume runs the rest of the sweep identically."""
     g = random_connected_graph(16, 28, seed=campaign_seed % 907)
 
-    def run(coalesce):
+    def run(storage):
         net = make_network(g)
         proto = MstVerifierProtocol(synchronous=False)
         sched = AsynchronousScheduler(net, proto,
                                       ConflictFreeDaemon(g, seed=7),
-                                      storage="numpy", coalesce=coalesce)
+                                      storage=storage)
         sched.run(6)
         polls = [0]
         threshold = sched.activations + 1   # fire at the first boundary
@@ -436,13 +433,13 @@ def test_coalesced_stop_replays_batch_boundaries(campaign_seed):
         r = sched.run(10, stop_when=stop)
         out = [(r, sched.rounds, sched.activations, polls[0],
                 {v: dict(regs) for v, regs in net.registers.items()})]
-        # the requeued tail must replay exactly on resume
+        # the rest of the sweep must replay exactly on resume
         r2 = sched.run(4)
         out.append((r2, sched.rounds, sched.activations,
                     {v: dict(regs) for v, regs in net.registers.items()}))
         return out
 
-    assert run(True) == run(False)
+    assert run("numpy") == run("dict")
 
 
 @pytest.mark.parametrize("mode", [MODE_WANT, MODE_WANT_SIMPLE])
@@ -634,7 +631,7 @@ def test_gather_values_batch():
 
 def _churn_run(g, storage, make_sched, seed):
     """Settle, then drive one churn script; the report plus final
-    registers are what the bulk/coalescing knobs may not perturb."""
+    registers are what the bulk and storage knobs may not perturb."""
     from repro.sim import ChurnScript, run_with_churn
     from repro.trains.comparison import rotation_settled
     work = g.copy()
@@ -673,21 +670,22 @@ def test_churn_sync_bulk_vs_scalar_equal(campaign_seed):
 
 
 @pytest.mark.parametrize("daemon_kind", ["independent", "tiled"])
-def test_churn_coalescing_on_off_equal(daemon_kind, campaign_seed):
-    """Churn events fence super-batch coalescing: a coalescing run
-    across crash/rejoin/reweight events matches the uncoalesced one —
-    no super-batch may span a topology change."""
+def test_churn_conflict_free_fused_equals_dict(daemon_kind,
+                                               campaign_seed):
+    """Conflict-free fused batches across crash/rejoin/reweight events:
+    the columnar and numpy runs match the dict oracle — no fused batch
+    may span a topology change."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 911)
 
-    def make(coalesce, storage):
+    def make(storage):
         def build(net, work):
             proto = _protocol("verifier", False)
             return proto, AsynchronousScheduler(
                 net, proto, _daemon(daemon_kind, work, 5),
-                storage=storage, coalesce=coalesce)
+                storage=storage)
         return build
 
+    ref = _churn_run(g, "dict", make("dict"), campaign_seed)
     for storage in ("columnar", "numpy"):
-        ref = _churn_run(g, storage, make(False, storage), campaign_seed)
-        got = _churn_run(g, storage, make(True, storage), campaign_seed)
+        got = _churn_run(g, storage, make(storage), campaign_seed)
         assert got == ref, (storage, daemon_kind)

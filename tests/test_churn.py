@@ -278,8 +278,7 @@ def test_daemons_recover_survivors_after_topology_change(daemon_kind):
 def _strip(rec):
     return {k: v for k, v in rec.items()
             if k not in ("spec", "schedule", "key", "wall_time",
-                         "activations", "super_batches",
-                         "batches_coalesced", "rows_fused",
+                         "activations", "rows_fused",
                          "rows_residual", "rows_scalar")}
 
 

@@ -36,10 +36,10 @@ from repro.engine.warmcache import (SEMANTIC_FAULT_KINDS, WarmCache,
                                     WarmCacheWarning, set_warm_cache,
                                     warm_key)
 from repro.graphs.generators import random_connected_graph
-from repro.sim import (AsynchronousScheduler, ConflictFreeDaemon,
-                       FaultInjector, LocalityBatchDaemon, Network,
-                       PermutationDaemon, SynchronousScheduler,
-                       TiledConflictFreeDaemon)
+from repro.sim import (STORAGE_KINDS, AsynchronousScheduler,
+                       ConflictFreeDaemon, FaultInjector,
+                       LocalityBatchDaemon, Network, PermutationDaemon,
+                       SynchronousScheduler, TiledConflictFreeDaemon)
 from repro.sim.churn import _articulation_points
 from repro.sim.registers import UNSET
 from repro.sim.snapshot import (SnapshotError, capture_run_state,
@@ -64,7 +64,7 @@ def instance():
     return graph, run_marker(graph)
 
 
-def _build(instance, protocol_kind, schedule, storage, coalesce=True):
+def _build(instance, protocol_kind, schedule, storage):
     """A fresh network/scheduler pair exactly as the engine builds one."""
     graph, marker = instance
     entry = PROTOCOLS[protocol_kind]
@@ -86,8 +86,7 @@ def _build(instance, protocol_kind, schedule, storage, coalesce=True):
                        seed=DAEMON_SEED)}
         scheduler = AsynchronousScheduler(network, protocol,
                                           daemon=daemons[schedule](),
-                                          storage=storage,
-                                          coalesce=coalesce)
+                                          storage=storage)
     return network, scheduler
 
 
@@ -193,26 +192,24 @@ def test_restore_equivalence(instance, protocol_kind, schedule, storage):
 
 
 @pytest.mark.parametrize("schedule", ("independent", "tiled"))
-def test_restore_crosses_coalescing_modes(instance, schedule):
-    """Coalescing is implementation-only across snapshots too: state
-    captured from a coalescing scheduler restores into a
-    non-coalescing one (and the numpy vector tier) with an identical
-    detection run — the super-batch replays daemon-batch boundaries
-    bit for bit, so the daemon's sweep state stays interchangeable."""
+def test_restore_crosses_storages_conflict_free(instance, schedule):
+    """Under the conflict-free daemons, state captured from a columnar
+    scheduler restores into every storage (the dict oracle, columnar,
+    the numpy vector tier) with an identical detection run — every
+    backend runs the same daemon batches, so the daemon's sweep state
+    stays interchangeable."""
     network, scheduler, settled = _settle(instance, "verifier", schedule,
                                           "columnar")
     payload = capture_run_state(network, scheduler, settled)
     blob = encode_snapshot(payload)
     reference = _detect(network, scheduler)
-    for storage, coalesce in (("columnar", False), ("numpy", False),
-                              ("numpy", True)):
+    for storage in STORAGE_KINDS:
         fresh_net, fresh_sched = _build(instance, "verifier", schedule,
-                                        storage, coalesce=coalesce)
+                                        storage)
         restored = restore_run_state(fresh_net, fresh_sched,
                                      decode_snapshot(blob))
         assert restored == settled
-        assert _detect(fresh_net, fresh_sched) == reference, \
-            (storage, coalesce)
+        assert _detect(fresh_net, fresh_sched) == reference, storage
 
 
 @pytest.mark.parametrize("target_storage", ("dict", "columnar", "numpy"))
@@ -480,8 +477,8 @@ def _key_of(spec, settle_budget=40, topology_seed=123):
 def test_impl_only_schedule_params_never_change_the_key():
     """For every registered schedule kind, every implementation-only
     param is invisible to both the key and the daemon seed."""
-    assert {"storage", "bulk", "fast_path", "dirty_aware",
-            "coalesce"} <= set(IMPL_SCHEDULE_PARAMS)
+    assert {"storage", "bulk", "fast_path",
+            "dirty_aware"} <= set(IMPL_SCHEDULE_PARAMS)
     for kind in sorted(SCHEDULES):
         base = _spec(schedule=Axis(kind))
         for param in sorted(IMPL_SCHEDULE_PARAMS):

@@ -47,12 +47,11 @@ def _strip_spec(result):
     """Result fields that must match across storages: drop wall_time
     and the bulk-plane accounting diagnostics — how much work ran
     fused vs scalar is exactly what storage backends are allowed to
-    vary (only the columnar/numpy tiers coalesce and fuse at all)."""
+    vary (only the columnar/numpy tiers fuse at all)."""
     d = dataclasses.asdict(result)
     d.pop("wall_time")
     d.pop("spec")
-    for diag in ("super_batches", "batches_coalesced", "rows_fused",
-                 "rows_residual", "rows_scalar"):
+    for diag in ("rows_fused", "rows_residual", "rows_scalar"):
         d.pop(diag)
     return d
 
