@@ -375,13 +375,14 @@ def test_tiled_batches_are_independent_and_fair(campaign_seed):
 
 @pytest.mark.parametrize("daemon_kind", ["independent", "tiled"])
 @pytest.mark.parametrize("proto_kind", ["verifier", "hybrid", "sqlog"])
-def test_conflict_free_fused_equals_dict(daemon_kind, proto_kind,
+def test_coalescing_on_off_bitwise_equal(daemon_kind, proto_kind,
                                          campaign_seed):
     """One fused ``bulk_step`` call per conflict-free daemon batch is
     unobservable: with junk planted mid-sweep, the columnar and numpy
     runs match the dict oracle bit for bit — register traces at every
     stop poll, rounds, activations, skip accounting, alarms, and the
-    daemon's own sweep count."""
+    daemon's own sweep count.  (The name is kept from the differential
+    against batch coalescing, which no longer exists.)"""
     g = random_connected_graph(14, 24, seed=campaign_seed % 919)
 
     def run(storage):
@@ -408,12 +409,13 @@ def test_conflict_free_fused_equals_dict(daemon_kind, proto_kind,
         assert run(storage) == ref, (storage, daemon_kind, proto_kind)
 
 
-def test_conflict_free_stop_at_batch_boundary(campaign_seed):
+def test_coalesced_stop_replays_batch_boundaries(campaign_seed):
     """A stop condition that fires for a node of the sweep's *first*
     daemon batch halts the run at that batch's boundary: the fused
     numpy run leaves the later batches unexecuted exactly as the dict
     oracle does (identical activation counts and stop polls), and a
-    later resume runs the rest of the sweep identically."""
+    later resume runs the rest of the sweep identically.  (The name is
+    kept from when batches could be coalesced.)"""
     g = random_connected_graph(16, 28, seed=campaign_seed % 907)
 
     def run(storage):
@@ -670,11 +672,11 @@ def test_churn_sync_bulk_vs_scalar_equal(campaign_seed):
 
 
 @pytest.mark.parametrize("daemon_kind", ["independent", "tiled"])
-def test_churn_conflict_free_fused_equals_dict(daemon_kind,
-                                               campaign_seed):
+def test_churn_coalescing_on_off_equal(daemon_kind, campaign_seed):
     """Conflict-free fused batches across crash/rejoin/reweight events:
     the columnar and numpy runs match the dict oracle — no fused batch
-    may span a topology change."""
+    may span a topology change.  (The name is kept from the
+    differential against batch coalescing, which no longer exists.)"""
     g = random_connected_graph(12, 20, seed=campaign_seed % 911)
 
     def make(storage):

@@ -192,12 +192,13 @@ def test_restore_equivalence(instance, protocol_kind, schedule, storage):
 
 
 @pytest.mark.parametrize("schedule", ("independent", "tiled"))
-def test_restore_crosses_storages_conflict_free(instance, schedule):
+def test_restore_crosses_coalescing_modes(instance, schedule):
     """Under the conflict-free daemons, state captured from a columnar
     scheduler restores into every storage (the dict oracle, columnar,
     the numpy vector tier) with an identical detection run — every
     backend runs the same daemon batches, so the daemon's sweep state
-    stays interchangeable."""
+    stays interchangeable.  (The name is kept from when the restore
+    also crossed batch-coalescing modes, which no longer exist.)"""
     network, scheduler, settled = _settle(instance, "verifier", schedule,
                                           "columnar")
     payload = capture_run_state(network, scheduler, settled)
