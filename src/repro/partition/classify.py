@@ -93,8 +93,18 @@ def top_ancestors_chain(classes: FragmentClasses,
 def bottom_fragments_within(classes: FragmentClasses,
                             part_fragment: Fragment) -> List[Fragment]:
     """All bottom fragments contained in a Bottom part (including itself),
-    sorted by (level, root) — the Bottom part's piece list (Section 6.3.8)."""
-    out = [f for f in classes.bottom
-           if f.nodes <= part_fragment.nodes]
+    sorted by (level, root) — the Bottom part's piece list (Section 6.3.8).
+
+    The hierarchy is laminar and each parent link is the minimal strict
+    superset, so the fragments inside ``part_fragment`` are exactly the
+    fragment and its descendants: a walk down the children, not a
+    subset test against every bottom fragment."""
+    out: List[Fragment] = []
+    stack = [part_fragment]
+    while stack:
+        frag = stack.pop()
+        if frag in classes.bottom:
+            out.append(frag)
+        stack.extend(frag.children)
     out.sort(key=lambda f: (f.level, f.root))
     return out

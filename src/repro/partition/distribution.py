@@ -93,14 +93,16 @@ def build_partitions(hierarchy: Hierarchy) -> PartitionLayout:
     bottom_parts = build_bottom_parts(hierarchy, classes)
     frag_by_root_level = {(f.root, f.level): f for f in hierarchy.fragments}
     for part in bottom_parts:
+        # every fragment rooted at (or containing) the part's root is
+        # among the root's own fragments, in the hierarchy's order
+        own = hierarchy.fragments_of(part.root)
         if part.size == 1 and not any(
-                f.size < classes.threshold and part.root in f.nodes
-                for f in hierarchy.fragments):
+                f.size < classes.threshold for f in own):
             part.pieces = []  # degenerate singleton part (n <= 2)
             continue
         # the part *is* a bottom fragment; find it and collect descendants
         frag = None
-        for f in hierarchy.fragments:
+        for f in own:
             if f.root == part.root and set(f.nodes) == set(part.nodes) \
                     and f in classes.bottom:
                 frag = f

@@ -14,20 +14,20 @@ The plane has three layers:
   :meth:`~repro.sim.network.Protocol.bulk_step` (``None`` on the base
   class).  The contract: ``bulk_step(batch)`` must be *observationally
   identical* to running ``self.step(ctx)`` for every context of the
-  batch in order, honouring the batch's ``gate``/``after`` callbacks —
-  same register contents, same alarms, same write tracking.  Protocols
-  typically fuse their read-mostly phase (the static-check sweep, PLS
-  verdict checks, train bookkeeping reads) across the batch and fall
-  back to :func:`drive_batch` whenever fusion is not licensed.
+  batch in order — same register contents, same alarms, same write
+  tracking.  Protocols typically fuse their read-mostly phase (the
+  static-check sweep, PLS verdict checks, train bookkeeping reads)
+  across the batch and fall back to :func:`drive_batch` whenever fusion
+  is not licensed.
 * **Schedulers** route their activation batches through ``bulk_step``
   when the protocol declares it (``bulk=False`` keeps the scalar loops):
   the synchronous schedulers hand over one whole round of active nodes;
-  on columnar storage the asynchronous scheduler hands over each
-  conflict-free daemon batch of two or more nodes as one call and
-  every other activation one at a time (see the licenses below).
-  Skip logic, activation accounting, and stop conditions stay in the
-  scheduler, threaded through the callbacks of a conflict-free batch
-  and run around each single activation.
+  on columnar storage the asynchronous scheduler hands over the
+  survivors of each conflict-free daemon batch of two or more nodes as
+  one call and every other activation one at a time (see the licenses
+  below).  Skip logic, activation accounting, and stop conditions stay
+  in the scheduler, run before and after each call: a batch is always
+  a plain list of contexts to step.
 * **Storage backends** supply the fused primitives.  On columnar
   storage (:class:`ColumnarBulkOps`) a fused read-modify-write is a
   single sweep over an ``array('q')`` column with one dirty mark per
@@ -47,8 +47,7 @@ distinct nodes past each other is unobservable, so a protocol may run
 one column sweep for the whole batch.  Three schedules grant it:
 
 * **synchronous rounds** — neighbour reads go to a snapshot (never the
-  live store) and ``stop_when`` is checked at round boundaries; the
-  batch carries no callbacks (PR 4's license);
+  live store) and ``stop_when`` is checked at round boundaries;
 * **conflict-free asynchronous batches** — a daemon whose
   ``conflict_free`` attribute is set, such as
   :class:`~repro.sim.schedulers.ConflictFreeDaemon`, *pre-declares*
@@ -58,30 +57,29 @@ one column sweep for the whole batch.  Three schedules grant it:
   and the scheduler resolves stop conditions at batch boundaries (a
   conflict-free batch models the distributed daemon's *simultaneous*
   activation of an independent set — checking a stop "between" two
-  indistinguishable orderings is meaningless).  Such a batch is the
-  only kind that carries both ``ops`` and the scheduler's
-  ``gate``/``after`` callbacks, and the same disjointness makes them
-  **commute** across the batch: a gate reads only the
-  scheduler's per-node tracking of N[v] and an after writes only node
-  v's, so a fused implementation may run *all* gates first, one fused
-  sweep over the gated survivors, then *all* afters in activation order
-  — exactly what :func:`~repro.verification.verifier.
-  fused_verifier_sweep` does.  The after of a conflict-free batch never
-  aborts (the scheduler checks ``stop_when`` once per batch), so the
-  hoisted writes of later activations are never observably premature.
+  indistinguishable orderings is meaningless).  The same disjointness
+  lets the scheduler run every skip check of the batch first, hand the
+  survivors over in one call, and then do every activation's
+  accounting: a skip check reads only the scheduler's per-node
+  tracking of N[v] and an activation's accounting writes only node v's,
+  so no check reads what a batchmate's accounting wrote.  The batch
+  takes one logical tick per activation, and every survivor records
+  the batch's final tick; since the batch's activations are contiguous
+  in tick order, that preserves every cross-batch
+  ``changed_at``/``stepped_at`` comparison (any other node's tick lies
+  strictly before or strictly after the whole batch);
 
 * **one activation** — every asynchronous activation outside a
   conflict-free batch of two or more nodes (the one-node batches of
   every daemon, including the conflict-free ones, and each activation of
   the locality daemon's overlapping batches, which run live with
   activation-granular stops) is handed over alone, as a one-context
-  batch with live ops and no callbacks.  It has no batchmate whose
-  write it could observe and no point between activations where it
-  could be aborted, so both conditions hold trivially; the scheduler
-  runs the skip check before the call and the accounting, ``wrote``
-  marking and stop check after it.  What this licenses is the
-  per-node body with its dispatch layers hoisted out, not a cross-node
-  sweep.
+  batch with live ops.  It has no batchmate whose write it could
+  observe and no point between activations where it could be aborted,
+  so both conditions hold trivially; the scheduler runs the skip check
+  before the call and the accounting, ``wrote`` marking and stop check
+  after it.  What this licenses is the per-node body with its dispatch
+  layers hoisted out, not a cross-node sweep.
 
 ``bulk=False`` keeps the scalar ``step`` loops on every schedule, and
 on dict storage ``batch.ops`` is None, so the generic driver runs
@@ -92,73 +90,32 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional
 
-#: gate callback: ``gate(k, ctx) -> bool`` — False skips activation k
-#: (the scheduler counts it as skipped); True performs any pre-step
-#: setup (write trackers) and licenses the step.
-GateFn = Callable[[int, Any], bool]
-#: after callback: ``after(k, ctx, stepped) -> bool`` — runs the
-#: scheduler's per-activation accounting; True aborts the batch
-#: (stop condition fired).
-#:
-#: INTERLEAVING CONTRACT: the callbacks carry per-activation state
-#: (the async scheduler's logical tick) between a gate call and its
-#: matching after call, so a bulk_step implementation MUST drive them
-#: strictly interleaved per activation — ``gate(k)``, then the step,
-#: then ``after(k)``, before ``gate(k+1)`` — exactly as
-#: :func:`drive_batch` does.  Batching all gates up front (e.g. to
-#: precompute a skip set) hands every ``after`` the final gate's tick
-#: and silently corrupts the dirty-aware skip accounting.
-#:
-#: Exception: a conflict-free batch (``ops`` and callbacks together)
-#: may be driven gates-first / sweep / afters-last.  Batchmates with
-#: pairwise disjoint closed neighbourhoods never appear in each other's
-#: skip scope, so no gate reads what a batchmate's after wrote; and because
-#: the scheduler's activations of one batch are contiguous in tick
-#: order, collapsing the batch's recorded ticks onto the final gate's
-#: tick preserves every cross-batch ``changed_at``/``stepped_at``
-#: comparison (any other node's tick lies strictly before or strictly
-#: after the whole batch).
-AfterFn = Callable[[int, Any, bool], bool]
-
 
 class BulkBatch:
     """One scheduler-issued batch of activations.
 
-    ``contexts`` are the per-node contexts in activation order;
+    ``contexts`` are the per-node contexts in activation order, every
+    one of which steps (skipped activations never reach a batch);
     ``indices`` the matching dense node indices on columnar storage
-    (None elsewhere); ``ops`` the backend's fused primitives (None when
-    only per-node semantics are licensed).  A protocol whose bulk sweep
-    wrote every node of the batch sets ``wrote_all`` so the scheduler
-    can mark the whole batch dirty in one pass instead of consuming
-    per-context ``wrote`` flags.
+    (None on dict storage and on the one-activation route); ``ops``
+    the backend's fused primitives (None when only per-node semantics
+    are licensed).  A protocol whose bulk sweep wrote every node of the
+    batch sets ``wrote_all`` so the scheduler can account the whole
+    batch in one pass instead of consuming per-context ``wrote`` flags.
 
-    One context with ``ops`` and no callbacks is the one-activation
-    license (see the module docstring): a single asynchronous
-    activation, whose skip check, accounting and stop check the
-    scheduler runs around the call.
-
-    Several contexts with ``ops`` and callbacks are a conflict-free
-    batch, the asynchronous fusion license (see the module docstring):
-    the scheduler vouches that the batch's activated nodes have
-    pairwise disjoint closed neighbourhoods, that its ``after`` never
-    aborts mid-batch, and that ``gate``/``after`` commute across the
-    batch — so a protocol may fuse the batch's own-register column
-    sweeps even though neighbour reads are live.
+    Several contexts with ``ops`` are a synchronous round or the
+    survivors of a conflict-free asynchronous batch; one context with
+    ``ops`` is the one-activation license (see the module docstring).
     """
 
-    __slots__ = ("contexts", "indices", "ops", "gate", "after",
-                 "wrote_all")
+    __slots__ = ("contexts", "indices", "ops", "wrote_all")
 
     def __init__(self, contexts: List[Any],
                  indices: Optional[List[int]] = None,
-                 ops: Optional["ColumnarBulkOps"] = None,
-                 gate: Optional[GateFn] = None,
-                 after: Optional[AfterFn] = None) -> None:
+                 ops: Optional["ColumnarBulkOps"] = None) -> None:
         self.contexts = contexts
         self.indices = indices
         self.ops = ops
-        self.gate = gate
-        self.after = after
         self.wrote_all = False
 
 
@@ -166,22 +123,12 @@ def drive_batch(step: Callable[[Any], None], batch: BulkBatch) -> None:
     """The generic per-node fallback driver.
 
     Executes the batch exactly like the scalar loops — one ``step(ctx)``
-    per context, in order, honouring ``gate``/``after`` — so a protocol
-    that cannot (or may not) fuse simply delegates here and stays
-    bit-for-bit equivalent on every backend.
+    per context, in order — so a protocol that cannot (or may not) fuse
+    simply delegates here and stays bit-for-bit equivalent on every
+    backend.
     """
-    gate = batch.gate
-    after = batch.after
-    if gate is None and after is None:
-        for ctx in batch.contexts:
-            step(ctx)
-        return
-    for k, ctx in enumerate(batch.contexts):
-        stepped = gate is None or gate(k, ctx)
-        if stepped:
-            step(ctx)
-        if after is not None and after(k, ctx, stepped):
-            return
+    for ctx in batch.contexts:
+        step(ctx)
 
 
 class ColumnarBulkOps:
@@ -190,8 +137,8 @@ class ColumnarBulkOps:
     Handed to protocols by the *synchronous* schedulers on columnar
     storage (neighbour reads come from ``snap``, the batch cannot abort
     mid-round), and by the asynchronous scheduler with ``snap=None``
-    (so ``snap is store``: reads are live) on conflict-free batches and
-    on single activations.  Being handed ops *is* the fusion license
+    (so ``snap is store``: reads are live) on the survivors of
+    conflict-free batches and on single activations.  Being handed ops *is* the fusion license
     (see the module docstring): an unlicensed batch carries
     ``ops=None``.  The per-value semantics of
     every primitive replicate the scalar context API exactly —

@@ -336,9 +336,8 @@ class Protocol:
     (synchronous), conflict-free daemon batches or single activations
     (asynchronous) instead of calling :meth:`step`.  The contract is
     strict: ``bulk_step(batch)`` must be observationally identical to
-    ``for ctx in batch.contexts: self.step(ctx)`` honouring the batch's
-    ``gate``/``after`` callbacks strictly interleaved per activation
-    (see the interleaving contract in :mod:`repro.sim.bulk`);
+    ``for ctx in batch.contexts: self.step(ctx)`` (the scheduler keeps
+    skip checks, accounting and stop checks outside the call);
     :func:`repro.sim.bulk.drive_batch` is the always-correct fallback
     driver, and fused column sweeps are licensed only by
     ``batch.ops``.  ``bulk_step = None`` (the base default) keeps the

@@ -375,6 +375,10 @@ class SynchronousScheduler:
         adjacency = self._neighbors_of()
         node_order = {v: i for i, v in enumerate(nodes)}
         snap, contexts = self._columnar_state()
+        # a restore between runs can move the stable epochs backwards,
+        # so no label-sentinel memo survives a run boundary
+        for ctx in contexts.values():
+            ctx._sent_key = None
         ops = self._bulk_ops_for(store, snap) if bulk_step is not None \
             else None
         executed = 0
@@ -616,10 +620,12 @@ class _CoverDaemon(Daemon):
     batch per ``next_batch`` call.
 
     Subclasses implement ``_cover(nodes)`` returning the sweep's batch
-    list; the base class owns the queue, the memoized distance-2 balls,
-    the greedy first-fit partitioner, issue accounting, snapshot
-    ``state()/set_state()``.  The asynchronous scheduler hands each
-    batch of two or more nodes to ``bulk_step`` as one call.
+    list; the base class owns the queue, the memoized closed
+    neighbourhoods (and, for tiles, distance-2 balls), the greedy
+    first-fit partitioner, issue accounting, snapshot
+    ``state()/set_state()``.  The asynchronous scheduler hands the
+    survivors of each batch of two or more nodes to ``bulk_step`` as
+    one call.
     """
 
     #: schedulers read this to grant the conflict-free license
@@ -631,59 +637,74 @@ class _CoverDaemon(Daemon):
         #: the current sweep's remaining batches (reversed: pop() serves
         #: them in cover order)
         self._queue: List[List[NodeId]] = []
-        #: node -> distance-<=2 ball (the G² closed neighbourhood),
-        #: as dense indices — memoized per node sequence
+        #: dense index -> closed neighbourhood N[v] as dense indices,
+        #: memoized per node sequence
+        self._nbhd: Optional[List[List[int]]] = None
+        #: dense index -> distance-<=2 ball (the G² closed
+        #: neighbourhood), sorted dense indices; built from ``_nbhd`` on
+        #: first request (only tiles need it)
         self._ball2: Optional[List[List[int]]] = None
-        self._order: Optional[Dict[NodeId, int]] = None
-        #: the exact node sequence the ball memo was built for: dense
+        #: the exact node sequence the memos were built for: dense
         #: indices are positions in this sequence, so a changed node set
-        #: (or order) must rebuild the memo rather than silently serve
-        #: stale balls that would corrupt covers under topology churn
-        self._ball_sig: Optional[Tuple[NodeId, ...]] = None
+        #: (or order) must rebuild the memos rather than silently serve
+        #: stale neighbourhoods that would corrupt covers under churn
+        self._sig: Optional[Tuple[NodeId, ...]] = None
         #: batches issued / sweeps started (accounting)
         self.batches = 0
         self.sweeps = 0
 
-    def _balls(self, nodes: Sequence[NodeId]):
-        """Dense-indexed distance-2 balls: two nodes are G²-adjacent
-        (closed neighbourhoods intersect) iff one lies in the other's
-        ball.  Memoized on the node sequence and rebuilt when it
-        changes between sweeps.  Each ball is sorted so downstream tile
-        construction is deterministic across interpreter builds."""
+    def _closed(self, nodes: Sequence[NodeId]) -> List[List[int]]:
+        """Dense-indexed closed neighbourhoods, memoized on the node
+        sequence and rebuilt when it changes between sweeps."""
         sig = tuple(nodes)
-        if self._ball2 is None or self._ball_sig != sig:
-            graph = self.graph
-            order = self._order = {v: k for k, v in enumerate(nodes)}
-            ball2 = self._ball2 = []
-            for v in nodes:
-                ball: set = {v}
-                for u in graph.neighbors(v):
-                    ball.add(u)
-                    ball.update(graph.neighbors(u))
-                ball2.append(sorted(order[w] for w in ball))
-            self._ball_sig = sig
-        return self._ball2, self._order
+        if self._nbhd is None or self._sig != sig:
+            order = {v: k for k, v in enumerate(nodes)}
+            neighbors = self.graph.neighbors
+            self._nbhd = [[k] + [order[u] for u in neighbors(v)]
+                          for k, v in enumerate(nodes)]
+            self._ball2 = None
+            self._sig = sig
+        return self._nbhd
 
-    def _partition(self, scan: Sequence[NodeId], ball2,
-                   order) -> List[List[NodeId]]:
-        """Greedy first-fit partition of ``scan`` (in order) into
-        G²-independent batches: a node joins the first batch containing
-        no other node within distance 2.  Per-node bitmasks of blocked
-        batches (a dense list over the node indices) make it
-        O(sum |ball2(v)|) int ops."""
-        blocked = [0] * len(ball2)
+    def _balls(self, nodes: Sequence[NodeId]) -> List[List[int]]:
+        """Dense-indexed distance-2 balls, ball2(v) = the union of N[u]
+        over u in N[v]: two nodes are G²-adjacent (closed neighbourhoods
+        intersect) iff one lies in the other's ball.  Each ball is
+        sorted so tile construction is deterministic across interpreter
+        builds."""
+        nbhd = self._closed(nodes)
+        if self._ball2 is None:
+            self._ball2 = [sorted({w for u in nb for w in nbhd[u]})
+                           for nb in nbhd]
+        return self._ball2
+
+    @staticmethod
+    def _partition(scan: Sequence[int], nbhd: List[List[int]],
+                   nodes: Sequence[NodeId]) -> List[List[NodeId]]:
+        """Greedy first-fit partition of the dense indices ``scan`` (in
+        order) into G²-independent batches of nodes: a node joins the
+        first batch containing no other node within distance 2.
+
+        ``near[u]`` holds the batch bits of the nodes already placed in
+        N[u].  A placed node w is within distance 2 of v iff some u in
+        N[v] has w in N[u], so the batches blocked for v are the OR of
+        ``near`` over N[v]: each node reads and writes |N[v]| masks,
+        O(sum |N[v]|) int ops per partition."""
+        near = [0] * len(nbhd)
         batches: List[List[NodeId]] = []
-        for v in scan:
-            k = order[v]
-            m = blocked[k]
+        for k in scan:
+            nb = nbhd[k]
+            m = 0
+            for u in nb:
+                m |= near[u]
             b = (~m & (m + 1)).bit_length() - 1   # lowest clear bit
             if b == len(batches):
-                batches.append([v])
+                batches.append([nodes[k]])
             else:
-                batches[b].append(v)
+                batches[b].append(nodes[k])
             bit = 1 << b
-            for w in ball2[k]:
-                blocked[w] |= bit
+            for u in nb:
+                near[u] |= bit
         return batches
 
     def _cover(self, nodes: Sequence[NodeId]) -> List[List[NodeId]]:
@@ -697,7 +718,8 @@ class _CoverDaemon(Daemon):
         return self._queue.pop()
 
     def state(self) -> Dict[str, Any]:
-        # ball memos are static-topology caches, rebuilt on demand
+        # neighbourhood memos are static-topology caches, rebuilt on
+        # demand
         return {"rng": self.rng.getstate(),
                 "queue": [batch[:] for batch in self._queue],
                 "batches": self.batches, "sweeps": self.sweeps}
@@ -709,15 +731,15 @@ class _CoverDaemon(Daemon):
         self.sweeps = state["sweeps"]
 
     def topology_changed(self) -> None:
-        # queued batches are served *before* the ball-signature check
-        # (the signature is only consulted when the queue empties), so
-        # an in-flight sweep naming removed nodes must be discarded
-        # here; the ball memo is invalidated outright rather than left
-        # to the signature, which cannot see a pure edge reweight
+        # queued batches are served *before* the signature check (the
+        # signature is only consulted when the queue empties), so an
+        # in-flight sweep naming removed nodes must be discarded here;
+        # the memos are invalidated outright rather than left to the
+        # signature, which cannot see a pure edge reweight
         self._queue = []
+        self._nbhd = None
         self._ball2 = None
-        self._order = None
-        self._ball_sig = None
+        self._sig = None
 
 
 class ConflictFreeDaemon(_CoverDaemon):
@@ -755,11 +777,13 @@ class ConflictFreeDaemon(_CoverDaemon):
 
     def _cover(self, nodes: Sequence[NodeId]) -> List[List[NodeId]]:
         """Greedy first-fit cover of ``nodes`` by G²-independent sets,
-        scanned in a fresh random order."""
-        ball2, order = self._balls(nodes)
-        perm = list(nodes)
+        scanned in a fresh random order.  ``shuffle`` permutes by
+        position alone, so shuffling the dense indices draws the same
+        random stream and the same order as shuffling the nodes."""
+        nbhd = self._closed(nodes)
+        perm = list(range(len(nodes)))
         self.rng.shuffle(perm)
-        return self._partition(perm, ball2, order)
+        return self._partition(perm, nbhd, nodes)
 
 
 class TiledConflictFreeDaemon(_CoverDaemon):
@@ -789,18 +813,19 @@ class TiledConflictFreeDaemon(_CoverDaemon):
     """
 
     def _cover(self, nodes: Sequence[NodeId]) -> List[List[NodeId]]:
-        ball2, order = self._balls(nodes)
-        centers = list(nodes)
+        nbhd = self._closed(nodes)
+        ball2 = self._balls(nodes)
+        centers = list(range(len(nodes)))
         self.rng.shuffle(centers)
         covered = [False] * len(centers)
         batches: List[List[NodeId]] = []
         for c in centers:
-            tile = [nodes[k] for k in ball2[order[c]] if not covered[k]]
+            tile = [k for k in ball2[c] if not covered[k]]
             if not tile:
                 continue
-            for v in tile:
-                covered[order[v]] = True
-            batches.extend(self._partition(tile, ball2, order))
+            for k in tile:
+                covered[k] = True
+            batches.extend(self._partition(tile, nbhd, nodes))
         return batches
 
 
@@ -848,18 +873,27 @@ class AsynchronousScheduler:
     """Daemon-driven execution with asynchronous-round accounting.
 
     The scheduler is *dirty-aware* by default: per-node contexts over the
-    live registers are built once per ``run()`` and reused across
-    activations (no per-activation mapping rebuild), every activation
-    tracks whether the step actually changed a register, and an
-    activation of a node whose closed neighbourhood is unchanged since
-    the node's own last (no-op) step is *skipped* — by protocol
-    determinism the step would rewrite exactly the current state.
-    Skipped activations still count toward activations, round coverage,
-    and the stop condition, so the execution is bit-for-bit equivalent
-    to the naive activation loop (``dirty_aware=False``); protocols that
-    override ``on_round_end`` fall back automatically, and every
-    ``run()`` restarts the tracking, so external register writes between
-    runs (fault injection) are always observed.
+    live registers are reused across activations (no per-activation
+    mapping rebuild), every activation tracks whether the step actually
+    changed a register, and an activation of a node whose closed
+    neighbourhood is unchanged since the node's own last (no-op) step is
+    *skipped* — by protocol determinism the step would rewrite exactly
+    the current state.  Skipped activations still count toward
+    activations, round coverage, and the stop condition, so the
+    execution is bit-for-bit equivalent to the naive activation loop
+    (``dirty_aware=False``); protocols that override ``on_round_end``
+    fall back automatically, and every ``run()`` restarts the tracking,
+    so external register writes between runs (fault injection) are
+    always observed.
+
+    On columnar storage the contexts and the neighbour map are built
+    once per column store and kept across ``run()`` calls (they alias
+    the store's columns, which restores and fault injection mutate in
+    place); ``topology_changed()`` drops them.  Each ``run()`` resets
+    the contexts' label-sentinel memos, because a snapshot restore can
+    move the store's stable epoch backwards.  Dict contexts alias
+    per-node register dicts, which a restore replaces, so they are
+    rebuilt every run.
     """
 
     def __init__(self, network: Network, protocol: Protocol,
@@ -878,55 +912,67 @@ class AsynchronousScheduler:
         self.dirty_aware = bool(dirty_aware) and (
             type(protocol).on_round_end is Protocol.on_round_end)
         #: bulk-activation plane, columnar storage only, for protocols
-        #: declaring ``bulk_step``: each batch of two or more nodes of a
-        #: *conflict-free* daemon (:class:`ConflictFreeDaemon`), whose
-        #: batches have pairwise disjoint closed neighbourhoods and
-        #: batch-granular stops, is one call with live fused column ops,
-        #: skip logic and accounting threaded through the batch
-        #: callbacks.  Every other batch runs the activation loop,
-        #: whose activations each route as a one-context batch with
-        #: live ops and no callbacks (the one-activation license: no
-        #: batchmate, no abort point); the skip check, accounting and
+        #: declaring ``bulk_step``: the survivors of each batch of two
+        #: or more nodes of a *conflict-free* daemon
+        #: (:class:`ConflictFreeDaemon`), whose batches have pairwise
+        #: disjoint closed neighbourhoods and batch-granular stops, are
+        #: one call with live fused column ops; the skip checks run
+        #: before it and the accounting after it.  Every other batch
+        #: runs the activation loop, whose activations each route as a
+        #: one-context batch with live ops (the one-activation license:
+        #: no batchmate, no abort point); the skip check, accounting and
         #: stop checks stay in the loop.
         self._bulk_step = protocol.bulk_step if bulk else None
         self._live_ops = None
+        #: (store, contexts, neighbour map) of the columnar runs
+        self._columnar = None
         self._storage = _storage_mode(storage)
         self._compiled = _bind_storage(network, protocol, self._storage)
 
     def topology_changed(self) -> None:
         """Invalidate topology-derived state after a churn event
-        (:mod:`repro.sim.churn`).  Per-run state (contexts, neighbour
-        maps, skip tracking) is already rebuilt every ``run()``, and
-        churn events apply *between* runs.  What persists across runs
-        is handled here: the round-coverage set drops removed nodes (a
-        crashed node can never complete a round), the live fused ops
-        are rebuilt, the daemon drops its memoized balls and in-flight
-        sweeps, and the protocol is
-        re-bound (clearing its label-derived verdict caches and its
-        vector sweep)."""
+        (:mod:`repro.sim.churn`).  Churn events apply *between* runs,
+        and skip tracking is rebuilt every ``run()``.  What persists
+        across runs is handled here: the round-coverage set drops
+        removed nodes (a crashed node can never complete a round), the
+        contexts, neighbour map and live fused ops are rebuilt, the
+        daemon drops its memoized neighbourhoods and in-flight sweeps,
+        and the protocol is re-bound (clearing its label-derived
+        verdict caches and its vector sweep)."""
         self._covered.intersection_update(self.network.graph.nodes())
         self._live_ops = None
+        self._columnar = None
         self.daemon.topology_changed()
         self.protocol._storage_binding = _UNBOUND
 
     def initialize(self) -> None:
         if self._initialized:
             return
-        for ctx in self._contexts().values():
+        for ctx in self._contexts()[0].values():
             self.protocol.init_node(ctx)
         self._initialized = True
 
-    def _contexts(self) -> Dict[NodeId, object]:
-        """Fresh reusable per-node contexts over the live registers."""
+    def _contexts(self):
+        """(per-node contexts over the live registers, neighbour map)."""
         network = self.network
         graph = network.graph
-        if self._compiled is not None:
-            store = network.columns
-            return {v: ColumnarNodeContext(network, v, store, None,
-                                           graph.neighbors(v))
-                    for v in graph.nodes()}
-        return {v: NodeContext(network, v, network.registers)
-                for v in graph.nodes()}
+        if self._compiled is None:
+            nodes = graph.nodes()
+            return ({v: NodeContext(network, v, network.registers)
+                     for v in nodes},
+                    {v: graph.neighbors(v) for v in nodes})
+        store = network.columns
+        cached = self._columnar
+        if cached is not None and cached[0] is store:
+            contexts = cached[1]
+            for ctx in contexts.values():
+                ctx._sent_key = None
+            return contexts, cached[2]
+        neighbors = {v: graph.neighbors(v) for v in graph.nodes()}
+        contexts = {v: ColumnarNodeContext(network, v, store, None, nbrs)
+                    for v, nbrs in neighbors.items()}
+        self._columnar = (store, contexts, neighbors)
+        return contexts, neighbors
 
     def run(self, max_rounds: int,
             stop_when: Optional[StopCondition] = None,
@@ -944,8 +990,7 @@ class AsynchronousScheduler:
         protocol = self.protocol
         nodes = network.graph.nodes()
         all_nodes = set(nodes)
-        neighbors = {v: network.graph.neighbors(v) for v in nodes}
-        contexts = self._contexts()
+        contexts, neighbors = self._contexts()
         columnar = self._compiled is not None
         dirty_aware = self.dirty_aware
         # per-run dirty tracking: registers may have been rewritten
@@ -982,55 +1027,52 @@ class AsynchronousScheduler:
             def step(ctx):
                 one_ctx[0] = ctx
                 live_step(one)
-        # bulk-plane callbacks: the exact per-activation semantics of the
-        # scalar loop below (skip check + write-tracker setup in ``gate``,
-        # tracking/accounting in ``after``), threaded through
-        # Protocol.bulk_step for conflict-free daemon batches — columnar
-        # storage only, and their stops resolve at batch boundaries, so
-        # ``after`` never aborts.
-        def gate(k, ctx):
-            nonlocal tick
-            tick += 1
-            if not dirty_aware:
-                return True
-            v = ctx.node
-            st = stepped_at.get(v)
-            if st is not None and changed_at.get(v, 0) < st:
-                skip = True
-                for u in neighbors[v]:
-                    if changed_at.get(u, 0) >= st:
-                        skip = False
-                        break
-                if skip:
-                    return False
-            ctx.wrote = False
-            return True
-
-        def after(k, ctx, stepped):
-            nonlocal budget
-            v = ctx.node
-            if not stepped:
-                self.steps_skipped += 1
-            elif dirty_aware:
-                if ctx.wrote:
-                    changed_at[v] = tick
-                stepped_at[v] = tick
-            self.activations += 1
-            budget -= 1
-            self._covered.add(v)
-            if self._covered == all_nodes:
-                self.rounds += 1
-                self._covered = set()
-                self.protocol.on_round_end(self.network, self.rounds)
-            return False
 
         while self.rounds - start_rounds < max_rounds and budget > 0:
             batch_nodes = self.daemon.next_batch(nodes)
             if cf_step is not None and len(batch_nodes) > 1:
-                # the conflict-free license: live fused column ops,
-                # commuting gate/after, stop at the batch boundary
-                cf_step(BulkBatch([contexts[v] for v in batch_nodes],
-                                  None, live_ops, gate=gate, after=after))
+                # the conflict-free license (see repro.sim.bulk): every
+                # skip check first, one call over the survivors, then
+                # every activation's accounting at the batch's final
+                # tick; the stop resolves at the batch boundary
+                tick += len(batch_nodes)
+                if dirty_aware:
+                    run_ctxs = []
+                    run_idx = []
+                    for v in batch_nodes:
+                        st = stepped_at.get(v)
+                        if st is not None and changed_at.get(v, 0) < st:
+                            for u in neighbors[v]:
+                                if changed_at.get(u, 0) >= st:
+                                    break
+                            else:
+                                continue
+                        ctx = contexts[v]
+                        ctx.wrote = False
+                        run_ctxs.append(ctx)
+                        run_idx.append(ctx._i)
+                    self.steps_skipped += len(batch_nodes) - len(run_ctxs)
+                else:
+                    run_ctxs = [contexts[v] for v in batch_nodes]
+                    run_idx = [ctx._i for ctx in run_ctxs]
+                if run_ctxs:
+                    batch = BulkBatch(run_ctxs, run_idx, live_ops)
+                    cf_step(batch)
+                    if dirty_aware:
+                        wrote_all = batch.wrote_all
+                        for ctx in run_ctxs:
+                            v = ctx.node
+                            if wrote_all or ctx.wrote:
+                                changed_at[v] = tick
+                            stepped_at[v] = tick
+                self.activations += len(batch_nodes)
+                budget -= len(batch_nodes)
+                for v in batch_nodes:
+                    self._covered.add(v)
+                    if self._covered == all_nodes:
+                        self.rounds += 1
+                        self._covered = set()
+                        protocol.on_round_end(network, self.rounds)
                 if stop_when is not None and stop_when(network):
                     return self.rounds - start_rounds
                 continue

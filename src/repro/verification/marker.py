@@ -47,6 +47,7 @@ def assemble_labels(tree: RootedTree, hierarchy: Hierarchy,
     graph = tree.graph
     strings = compute_node_strings(hierarchy)
     sizes = tree.subtree_sizes()
+    height = hierarchy.height     # a max over every fragment: read once
     labels: Dict[NodeId, Dict[str, Any]] = {}
     for v in graph.nodes():
         parent = tree.parent[v]
@@ -60,7 +61,7 @@ def assemble_labels(tree: RootedTree, hierarchy: Hierarchy,
             R.REG_DIST: tree.depth[v],
             R.REG_N: graph.n,
             R.REG_SUBTREE: sizes[v],
-            R.REG_ELL: hierarchy.height,
+            R.REG_ELL: height,
             R.REG_ROOTS: s.roots,
             R.REG_ENDP: s.endp,
             R.REG_PARENTS: s.parents,

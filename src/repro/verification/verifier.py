@@ -164,24 +164,20 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
     With fused column ops licensed (see :mod:`repro.sim.bulk`) every
     activation runs the per-node body of :func:`_fused_plane`, which
     executes the exact scalar ``step`` sequence per node, so the sweep
-    is bit-for-bit equivalent (``tests/test_bulk_plane.py``).  Per
-    license:
+    is bit-for-bit equivalent (``tests/test_bulk_plane.py``).  By batch
+    size:
 
-    * a *synchronous round* advances the step counters of the whole
-      batch in one ``array('q')`` sweep, gathers the budget ghost
-      registers once, and offers the batch to the vector tier before
-      the body loop;
-    * a *one-activation* batch (one context, no callbacks) advances the
-      node's counter through its context and runs the body directly:
-      no per-batch list, gather or vector probe, since asynchronous
-      daemons issue these one per scheduler call;
-    * a *conflict-free* batch arrives with the scheduler's
-      ``gate``/``after`` callbacks, which the license makes commute
-      across the batch: the sweep runs every gate first, fuses over the
-      gated survivors only (a skipped activation must not advance its
-      step counter), sets each survivor's ``wrote`` flag (every stepped
-      activation writes at least its counter, exactly the scalar
-      outcome), and then runs every after in activation order.
+    * a batch of several contexts (a synchronous round, or the
+      survivors of a conflict-free asynchronous batch) advances the
+      step counters of the whole batch in one ``array('q')`` sweep,
+      gathers the budget ghost registers once, and offers the batch to
+      the vector tier before the body loop.  Every activation writes at
+      least its step counter, so the sweep sets ``wrote_all``, exactly
+      the scalar outcome;
+    * a *one-activation* batch (one context) advances the node's
+      counter through its context and runs the body directly: no
+      per-batch list, gather or vector probe, since asynchronous
+      daemons issue these one per scheduler call.
 
     ``proto`` must carry the verifier-shaped surface: ``h_vstep``,
     ``h_bgt``, ``static_every``, ``_static_alarms``, ``budgets_for``,
@@ -194,41 +190,18 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
         fused = proto._fused = _fused_plane(proto, ops, trains,
                                             comparison)
     _, body, run_bodies, vec = fused
-    gate = batch.gate
-    after = batch.after
-    if gate is None and after is None:
-        if len(contexts) == 1:
-            ctx = contexts[0]
-            h_vstep = proto.h_vstep
-            step_no = (ctx.nat(h_vstep, cap=1 << 30) or 0) + 1
-            ctx.set(h_vstep, step_no)     # flags ctx.wrote
-            body(ctx, step_no, ctx.get(proto.h_bgt))
-            return
-        step_nos = ops.inc_nat(batch, proto.h_vstep)
-        batch.wrote_all = True
-        bgts = ops.gather(batch, proto.h_bgt)
-        if vec is None or not vec.run(contexts, step_nos, bgts,
-                                      run_bodies):
-            run_bodies(contexts, step_nos, bgts)
+    if len(contexts) == 1:
+        ctx = contexts[0]
+        h_vstep = proto.h_vstep
+        step_no = (ctx.nat(h_vstep, cap=1 << 30) or 0) + 1
+        ctx.set(h_vstep, step_no)     # flags ctx.wrote
+        body(ctx, step_no, ctx.get(proto.h_bgt))
         return
-    # conflict-free batch: commuting gates first, fused sweep over the
-    # survivors, afters last (in activation order)
-    stepped = [gate(k, ctx) for k, ctx in enumerate(contexts)]
-    active = [ctx for ctx, s in zip(contexts, stepped) if s]
-    if active:
-        store = ops.store
-        idx = [ctx._i for ctx in active]
-        step_nos = store.inc_nat_batch(idx, proto.h_vstep)
-        bgts = store.gather_values(idx, proto.h_bgt)
-        for ctx in active:
-            # every stepped activation writes its step counter, so the
-            # scalar loop would flag every survivor as written
-            ctx.wrote = True
-        if vec is None or not vec.run(active, step_nos, bgts,
-                                      run_bodies):
-            run_bodies(active, step_nos, bgts)
-    for k, ctx in enumerate(contexts):
-        after(k, ctx, stepped[k])
+    step_nos = ops.inc_nat(batch, proto.h_vstep)
+    batch.wrote_all = True
+    bgts = ops.gather(batch, proto.h_bgt)
+    if vec is None or not vec.run(contexts, step_nos, bgts, run_bodies):
+        run_bodies(contexts, step_nos, bgts)
 
 
 #: the budget thresholds the vector classifiers read, in the order

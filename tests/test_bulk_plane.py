@@ -373,6 +373,35 @@ def test_tiled_batches_are_independent_and_fair(campaign_seed):
                 (g.n, "a sweep must activate every node exactly once")
 
 
+def _recording(daemon):
+    """``daemon`` with its issued batch sizes recorded in a list."""
+    sizes = []
+    issue = daemon.next_batch
+
+    def next_batch(nodes):
+        batch = issue(nodes)
+        sizes.append(len(batch))
+        return batch
+
+    daemon.next_batch = next_batch
+    return daemon, sizes
+
+
+def _wide_batch_graph(seed):
+    """A sparse 40-node graph on which both cover daemons issue batches
+    of three or more nodes (the 12-14-node cells rarely exceed two)."""
+    return random_connected_graph(40, 12, seed=seed)
+
+
+def _assert_wide_batches(sizes, daemon_kind):
+    """The conflict-free route ran batches of three or more nodes, and
+    they carried at least a tenth of the activations (an eighth or more
+    under ``tiled``, four fifths under ``independent``, on seeds 0-39)."""
+    wide = sum(k for k in sizes if k >= 3)
+    assert max(sizes) >= 3 and wide * 10 >= sum(sizes), \
+        (daemon_kind, wide, sum(sizes))
+
+
 @pytest.mark.parametrize("daemon_kind", ["independent", "tiled"])
 @pytest.mark.parametrize("proto_kind", ["verifier", "hybrid", "sqlog"])
 def test_coalescing_on_off_bitwise_equal(daemon_kind, proto_kind,
@@ -381,16 +410,17 @@ def test_coalescing_on_off_bitwise_equal(daemon_kind, proto_kind,
     unobservable: with junk planted mid-sweep, the columnar and numpy
     runs match the dict oracle bit for bit — register traces at every
     stop poll, rounds, activations, skip accounting, alarms, and the
-    daemon's own sweep count.  (The name is kept from the differential
-    against batch coalescing, which no longer exists.)"""
-    g = random_connected_graph(14, 24, seed=campaign_seed % 919)
-
-    def run(storage):
+    daemon's own batches and sweep count.  Each cell runs on a 14-node
+    graph and on a sparse 40-node one whose batches reach three or more
+    nodes under both daemons; there sqlog's accepting steps write
+    nothing, so its skip accounting is exercised too.  (The name is kept
+    from the differential against batch coalescing, which no longer
+    exists.)"""
+    def run(g, storage):
         net = make_network(g)
         proto = _protocol(proto_kind, False)
-        sched = AsynchronousScheduler(net, proto,
-                                      _daemon(daemon_kind, g, 5),
-                                      storage=storage)
+        daemon, sizes = _recording(_daemon(daemon_kind, g, 5))
+        sched = AsynchronousScheduler(net, proto, daemon, storage=storage)
         sched.run(10)
         _plant_junk(net)
         trace = []
@@ -401,12 +431,19 @@ def test_coalescing_on_off_bitwise_equal(daemon_kind, proto_kind,
 
         r = sched.run(30, stop_when=record)
         return (r, sched.rounds, sched.activations, sched.steps_skipped,
-                sched.daemon.sweeps, net.alarms(), trace,
+                sched.daemon.sweeps, sizes, net.alarms(), trace,
                 {v: dict(regs) for v, regs in net.registers.items()})
 
-    ref = run("dict")
-    for storage in ("columnar", "numpy"):
-        assert run(storage) == ref, (storage, daemon_kind, proto_kind)
+    small = random_connected_graph(14, 24, seed=campaign_seed % 919)
+    wide = _wide_batch_graph(campaign_seed % 919)
+    for g in (small, wide):
+        ref = run(g, "dict")
+        for storage in ("columnar", "numpy"):
+            assert run(g, storage) == ref, \
+                (g.n, storage, daemon_kind, proto_kind)
+    _assert_wide_batches(ref[5], daemon_kind)
+    if proto_kind == "sqlog":
+        assert ref[3] > 0, "sqlog cell skipped no activation"
 
 
 def test_coalesced_stop_replays_batch_boundaries(campaign_seed):
@@ -675,19 +712,25 @@ def test_churn_sync_bulk_vs_scalar_equal(campaign_seed):
 def test_churn_coalescing_on_off_equal(daemon_kind, campaign_seed):
     """Conflict-free fused batches across crash/rejoin/reweight events:
     the columnar and numpy runs match the dict oracle — no fused batch
-    may span a topology change.  (The name is kept from the
-    differential against batch coalescing, which no longer exists.)"""
-    g = random_connected_graph(12, 20, seed=campaign_seed % 911)
-
-    def make(storage):
+    may span a topology change — on a 12-node graph and on a sparse
+    40-node one whose batches reach three or more nodes.  (The name is
+    kept from the differential against batch coalescing, which no
+    longer exists.)"""
+    def make(storage, sizes):
         def build(net, work):
             proto = _protocol("verifier", False)
+            daemon, issued = _recording(_daemon(daemon_kind, work, 5))
+            sizes.append(issued)
             return proto, AsynchronousScheduler(
-                net, proto, _daemon(daemon_kind, work, 5),
-                storage=storage)
+                net, proto, daemon, storage=storage)
         return build
 
-    ref = _churn_run(g, "dict", make("dict"), campaign_seed)
-    for storage in ("columnar", "numpy"):
-        got = _churn_run(g, storage, make(storage), campaign_seed)
-        assert got == ref, (storage, daemon_kind)
+    small = random_connected_graph(12, 20, seed=campaign_seed % 911)
+    wide = _wide_batch_graph(campaign_seed % 911)
+    for g in (small, wide):
+        sizes = []
+        ref = _churn_run(g, "dict", make("dict", sizes), campaign_seed)
+        for storage in ("columnar", "numpy"):
+            got = _churn_run(g, storage, make(storage, []), campaign_seed)
+            assert got == ref, (g.n, storage, daemon_kind)
+    _assert_wide_batches(sizes[0], daemon_kind)

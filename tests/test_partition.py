@@ -3,14 +3,21 @@ Merge, splitting, piece distribution, and the Multi_Wave primitive."""
 
 import pytest
 
+from repro.engine.scenarios import _subdivided_graph
+from repro.graphs import kruskal_mst
 from repro.graphs.generators import (caterpillar_graph, complete_graph,
-                                     path_graph, random_connected_graph,
-                                     star_graph)
+                                     grid_graph, path_graph,
+                                     random_connected_graph, star_graph)
+from repro.labels import registers as R
 from repro.labels.wellforming import log_threshold
 from repro.mst import run_sync_mst
-from repro.partition import (build_partitions, check_red_blue_partition,
-                             classify_fragments, merge_procedure, piece_of,
-                             run_multi_wave, top_ancestors_chain)
+from repro.partition import (bottom_fragments_within, build_partitions,
+                             check_red_blue_partition, classify_fragments,
+                             merge_procedure, piece_of, run_multi_wave,
+                             top_ancestors_chain)
+from repro.verification.adversary import (labels_for_claimed_tree,
+                                          swap_one_mst_edge)
+from repro.verification.marker import run_marker
 
 FAMILIES = [
     lambda: random_connected_graph(40, 70, seed=1),
@@ -193,3 +200,59 @@ class TestMultiWave:
         g, hierarchy = case
         res = run_multi_wave(hierarchy)
         assert res.pipelined_time <= 8 * g.n + 16
+
+
+SETUP_GRAPHS = [
+    lambda: random_connected_graph(90, 160, seed=7),
+    lambda: random_connected_graph(60, 60, seed=8),
+    lambda: _subdivided_graph(3, base_n=16, extra=24),
+    lambda: grid_graph(6, 7, seed=9),
+    lambda: path_graph(40, seed=10),
+    lambda: star_graph(30, seed=11),
+]
+
+
+def _marker_outputs(graph):
+    """The honest marker output, plus the strongest consistent
+    adversary's output for a non-MST spanning tree when one exists."""
+    outs = [run_marker(graph)]
+    swapped = swap_one_mst_edge(graph, kruskal_mst(graph))
+    if swapped is not None:
+        outs.append(labels_for_claimed_tree(graph, swapped))
+    return outs
+
+
+class TestSetupScans:
+    """The marker set-up's fragment lookups (the descendant walk of
+    ``bottom_fragments_within``, the bottom-part fragment lookup, the
+    hoisted hierarchy height) give exactly what the subset and max
+    scans over every fragment give."""
+
+    @pytest.mark.parametrize("make", SETUP_GRAPHS)
+    def test_labels_match_the_full_scans(self, make):
+        for out in _marker_outputs(make()):
+            hierarchy, layout = out.hierarchy, out.layout
+            classes = layout.classes
+            for frag in classes.bottom:
+                scan = sorted((f for f in classes.bottom
+                               if f.nodes <= frag.nodes),
+                              key=lambda f: (f.level, f.root))
+                assert bottom_fragments_within(classes, frag) == scan
+            for part in layout.bottom_parts:
+                if part.size == 1 and not any(
+                        f.size < classes.threshold and part.root in f.nodes
+                        for f in hierarchy.fragments):
+                    assert part.pieces == []
+                    continue
+                frag = next(f for f in hierarchy.fragments
+                            if f.root == part.root
+                            and f.nodes == frozenset(part.nodes)
+                            and f in classes.bottom)
+                assert part.pieces == [
+                    piece_of(f) for f in sorted(
+                        (f for f in classes.bottom
+                         if f.nodes <= frag.nodes),
+                        key=lambda f: (f.level, f.root))]
+            ell = max(f.level for f in hierarchy.fragments)
+            assert {regs[R.REG_ELL] for regs in out.labels.values()} == \
+                {ell}

@@ -625,3 +625,64 @@ def test_valid_snapshot_for_wrong_network_falls_back_cold(warm_dir,
         fallback = run_scenario(spec)
     assert fallback.cache_hit is False
     assert _strip(fallback) == _strip(cold)
+
+
+@pytest.mark.parametrize("storage", ["columnar", "numpy"])
+@pytest.mark.parametrize("schedule", ["sync", "independent"])
+def test_contexts_reused_across_backward_restore(schedule, storage):
+    """Both schedulers keep their columnar contexts across ``run()``
+    calls, and each context memoizes its label sentinel on the stores'
+    stable epochs.  A network restore between two runs moves the epoch
+    backwards; one label write then brings it back to the value the
+    memos were taken at, with a different node's label changed.  The
+    next run must still read the current labels: registers, alarms and
+    counters match a fresh scheduler restored to the same state."""
+    from repro.labels.registers import REG_DIST
+    from repro.sim.snapshot import capture_network, restore_network
+    from repro.verification import make_network
+    from repro.verification.verifier import MstVerifierProtocol
+
+    graph = random_connected_graph(30, 40, seed=3)
+
+    def build():
+        net = make_network(graph)
+        if schedule == "sync":
+            return net, SynchronousScheduler(
+                net, MstVerifierProtocol(synchronous=True),
+                storage=storage)
+        return net, AsynchronousScheduler(
+            net, MstVerifierProtocol(synchronous=False),
+            ConflictFreeDaemon(graph, seed=DAEMON_SEED), storage=storage)
+
+    def counters(sched):
+        return (sched.rounds, getattr(sched, "activations", None),
+                getattr(sched, "steps_skipped", None))
+
+    net, sched = build()
+    sched.run(8)
+    saved = capture_network(net)
+    epoch = net.columns.stable_epoch
+    # two nodes at distance >= 3, so no closed neighbourhood holds both
+    nodes = graph.nodes()
+    x = nodes[0]
+    near = {x} | {w for u in graph.neighbors(x)
+                  for w in (u, *graph.neighbors(u))}
+    y = next(v for v in nodes if v not in near)
+    net.registers[x][REG_DIST] += 1
+    sched.run(3)
+    assert net.has_alarm()
+    restore_network(net, saved)
+    assert net.columns.stable_epoch == epoch
+    net.registers[y][REG_DIST] += 1
+    assert net.columns.stable_epoch == epoch + 1
+    state = capture_run_state(net, sched, 8)
+    sched.run(3)
+
+    fresh_net, fresh = build()
+    restore_run_state(fresh_net, fresh, state)
+    fresh.run(3)
+    assert net.alarms() == fresh_net.alarms()
+    assert y in net.alarms()
+    assert counters(sched) == counters(fresh)
+    assert {v: dict(r) for v, r in net.registers.items()} == \
+        {v: dict(r) for v, r in fresh_net.registers.items()}
