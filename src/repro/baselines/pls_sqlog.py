@@ -20,9 +20,12 @@ from ..labels.wellforming import (check_ell, check_endp_parents,
                                   check_roots_string, check_size,
                                   check_spanning_tree, sorted_levels)
 from ..mst.sync_mst import run_sync_mst
-from ..sim.bulk import drive_batch
 from ..sim.network import NodeContext, Protocol
 from ..verification.marker import MarkerOutput
+
+# Unused here: the per-layer tracer of ``benchmarks/perf`` patches this
+# name in this module's namespace, so it must resolve.
+from ..sim.bulk import drive_batch  # noqa: F401
 
 REG_ALL_PIECES = "allpc"   # tuple of (root, level, weight), one per level
 
@@ -189,14 +192,6 @@ class SqLogPlsProtocol(Protocol):
             reasons = sqlog_check(ctx)
         if reasons:
             ctx.alarm(reasons[0])
-
-    def bulk_step(self, batch) -> None:
-        """Bulk-activation sweep: the generic per-node driver over
-        :meth:`step`.  The step is a static verdict check cached on the
-        stable sentinel, so an accepting batch performs no writes at
-        all, which is what lets the schedulers' quiescence/skip
-        machinery retire it wholesale."""
-        drive_batch(self.step, batch)
 
 
 def sqlog_marker_output(graph: WeightedGraph):

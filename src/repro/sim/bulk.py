@@ -10,24 +10,23 @@ guarantees.
 
 The plane has three layers:
 
-* **Protocols** declare the capability by overriding
-  :meth:`~repro.sim.network.Protocol.bulk_step` (``None`` on the base
-  class).  The contract: ``bulk_step(batch)`` must be *observationally
-  identical* to running ``self.step(ctx)`` for every context of the
-  batch in order — same register contents, same alarms, same write
-  tracking.  Protocols typically fuse their read-mostly phase (the
-  static-check sweep, PLS verdict checks, train bookkeeping reads)
-  across the batch and fall back to :func:`drive_batch` whenever fusion
-  is not licensed.
-* **Schedulers** route their activation batches through ``bulk_step``
-  when the protocol declares it (``bulk=False`` keeps the scalar loops):
-  the synchronous schedulers hand over one whole round of active nodes;
-  on columnar storage the asynchronous scheduler hands over the
-  survivors of each conflict-free daemon batch of two or more nodes as
-  one call and every other activation one at a time (see the licenses
-  below).  Skip logic, activation accounting, and stop conditions stay
-  in the scheduler, run before and after each call: a batch is always
-  a plain list of contexts to step.
+* **Protocols** receive every batch through
+  :meth:`~repro.sim.network.Protocol.bulk_step`, whose base method runs
+  :func:`drive_batch` over ``step``.  The contract for an override:
+  ``bulk_step(batch)`` must be *observationally identical* to running
+  ``self.step(ctx)`` for every context of the batch in order — same
+  register contents, same alarms, same write tracking.  Protocols
+  typically fuse their read-mostly phase (the static-check sweep, PLS
+  verdict checks, train bookkeeping reads) across the batch and fall
+  back to :func:`drive_batch` whenever fusion is not licensed.
+* **Schedulers** step nodes only through ``bulk_step``: the
+  synchronous schedulers hand over one whole round of active nodes;
+  the asynchronous scheduler hands over one *group* at a time — the
+  survivors of a conflict-free daemon batch, or a single activation of
+  any other daemon (see the licenses below).  Skip logic, activation
+  accounting, and stop conditions stay in the scheduler, run before
+  and after each call: a batch is always a plain list of contexts to
+  step.  ``bulk=False`` hands every batch over with ``ops=None``.
 * **Storage backends** supply the fused primitives.  On columnar
   storage (:class:`ColumnarBulkOps`) a fused read-modify-write is a
   single sweep over an ``array('q')`` column with one dirty mark per
@@ -67,23 +66,23 @@ one column sweep for the whole batch.  Three schedules grant it:
   the batch's final tick; since the batch's activations are contiguous
   in tick order, that preserves every cross-batch
   ``changed_at``/``stepped_at`` comparison (any other node's tick lies
-  strictly before or strictly after the whole batch);
+  strictly before or strictly after the whole batch).  The argument
+  needs no fused ops, so the scheduler runs a conflict-free batch this
+  way on every storage and under ``bulk=False`` too;
+* **one activation** — every asynchronous activation of a daemon
+  that is not conflict-free (the one-node daemons, and each
+  activation of the locality daemon's overlapping batches, which run
+  live with activation-granular stops) is a group of its own, handed
+  over as a one-context batch with live ops.  It has no batchmate
+  whose write it could observe and no point between activations where
+  it could be aborted, so both conditions hold trivially.  What this
+  licenses is the per-node body with its dispatch layers hoisted out,
+  not a cross-node sweep.  A conflict-free batch whose skip checks
+  leave one survivor is handed over the same way.
 
-* **one activation** — every asynchronous activation outside a
-  conflict-free batch of two or more nodes (the one-node batches of
-  every daemon, including the conflict-free ones, and each activation of
-  the locality daemon's overlapping batches, which run live with
-  activation-granular stops) is handed over alone, as a one-context
-  batch with live ops.  It has no batchmate whose write it could
-  observe and no point between activations where it could be aborted,
-  so both conditions hold trivially; the scheduler runs the skip check
-  before the call and the accounting, ``wrote`` marking and stop check
-  after it.  What this licenses is the per-node body with its dispatch
-  layers hoisted out, not a cross-node sweep.
-
-``bulk=False`` keeps the scalar ``step`` loops on every schedule, and
-on dict storage ``batch.ops`` is None, so the generic driver runs
-``step`` there.
+``bulk=False`` hands every batch over with ``ops=None``, and on dict
+storage ``batch.ops`` is None too, so the generic driver runs ``step``
+there.
 """
 
 from __future__ import annotations
@@ -96,12 +95,13 @@ class BulkBatch:
 
     ``contexts`` are the per-node contexts in activation order, every
     one of which steps (skipped activations never reach a batch);
-    ``indices`` the matching dense node indices on columnar storage
-    (None on dict storage and on the one-activation route); ``ops``
-    the backend's fused primitives (None when only per-node semantics
-    are licensed).  A protocol whose bulk sweep wrote every node of the
-    batch sets ``wrote_all`` so the scheduler can account the whole
-    batch in one pass instead of consuming per-context ``wrote`` flags.
+    ``indices`` the matching dense node indices when ``ops`` is given
+    (the asynchronous scheduler leaves them None on a one-context
+    batch); ``ops`` the backend's fused primitives (None when only
+    per-node semantics are licensed).  A protocol whose bulk sweep
+    wrote every node of the batch sets ``wrote_all`` so the scheduler
+    can account the whole batch in one pass instead of consuming
+    per-context ``wrote`` flags.
 
     Several contexts with ``ops`` are a synchronous round or the
     survivors of a conflict-free asynchronous batch; one context with
@@ -122,10 +122,11 @@ class BulkBatch:
 def drive_batch(step: Callable[[Any], None], batch: BulkBatch) -> None:
     """The generic per-node fallback driver.
 
-    Executes the batch exactly like the scalar loops — one ``step(ctx)``
-    per context, in order — so a protocol that cannot (or may not) fuse
-    simply delegates here and stays bit-for-bit equivalent on every
-    backend.
+    Executes the batch exactly like a scalar loop — one ``step(ctx)``
+    per context, in order.  The base
+    :meth:`~repro.sim.network.Protocol.bulk_step` runs it, and a
+    protocol that cannot (or may not) fuse delegates here and stays
+    bit-for-bit equivalent on every backend.
     """
     for ctx in batch.contexts:
         step(ctx)
@@ -137,13 +138,12 @@ class ColumnarBulkOps:
     Handed to protocols by the *synchronous* schedulers on columnar
     storage (neighbour reads come from ``snap``, the batch cannot abort
     mid-round), and by the asynchronous scheduler with ``snap=None``
-    (so ``snap is store``: reads are live) on the survivors of
-    conflict-free batches and on single activations.  Being handed ops *is* the fusion license
-    (see the module docstring): an unlicensed batch carries
-    ``ops=None``.  The per-value semantics of
-    every primitive replicate the scalar context API exactly —
-    including sentinel encodings, boxed-overflow junk, and
-    stable-version bookkeeping — so fusing is a pure reordering of
+    (so ``snap is store``: reads are live) on every activation group.
+    Being handed ops *is* the fusion license (see the module
+    docstring): an unlicensed batch carries ``ops=None``.  The
+    per-value semantics of every primitive replicate the scalar context
+    API exactly — including sentinel encodings, boxed-overflow junk,
+    and stable-version bookkeeping — so fusing is a pure reordering of
     own-register writes.
     """
 

@@ -13,6 +13,10 @@ A :class:`Protocol` provides two callbacks:
 * ``step(ctx)`` — one atomic step: read neighbours through ``ctx.read``
   and update own registers through ``ctx.set``.
 
+The schedulers reach ``step`` through :meth:`Protocol.bulk_step`, which
+runs it over a batch of contexts and which a protocol may override to
+fuse the batch (:mod:`repro.sim.bulk`).
+
 Protocols signal fault detection by setting the ``alarm`` register to a
 non-None reason string; the harness collects alarms via
 :meth:`Network.alarms`.
@@ -33,6 +37,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from ..graphs.weighted import NodeId, WeightedGraph
+from .bulk import drive_batch
 from .registers import (ALARM, CompiledSchema, RegisterSchema, RegisterView,
                         UNSET, compile_schema, nat_value, register_bits)
 
@@ -69,6 +74,12 @@ class Network:
         self.registers: Dict[NodeId, Dict[str, Any]] = {
             v: {} for v in graph.nodes()
         }
+        #: snapshot restores into this network so far
+        #: (:func:`~repro.sim.snapshot.restore_network` bumps it); a
+        #: scheduler re-binds its protocol when it moved, because a
+        #: restore truncates the interning pool the protocol's pool-id
+        #: caches point into
+        self.restores = 0
 
     def adopt_schema(self, schema, numpy: bool = False) -> CompiledSchema:
         """Convert node storage to per-register columns of ``schema``
@@ -226,22 +237,23 @@ class NodeContext:
     from ``snapshot`` (the previous round's state under the synchronous
     scheduler, the current state under asynchronous ones).
 
-    When ``dirty`` is given, the context records the node into it on the
-    first write that actually changes a register value — the fast-path
-    synchronous scheduler uses this to rebuild only the stale slice of its
-    snapshot and to skip re-stepping quiescent neighbourhoods.
+    ``wrote`` turns true on the first write that actually changes a
+    register value (the scheduler resets it before each step) — the
+    fast-path synchronous scheduler uses it to rebuild only the stale
+    slice of its snapshot and to skip re-stepping quiescent
+    neighbourhoods, the dirty-aware asynchronous one to skip
+    activations whose closed neighbourhood is unchanged.
     """
 
-    __slots__ = ("network", "node", "_snapshot", "_own", "_dirty")
+    __slots__ = ("network", "node", "_snapshot", "_own", "wrote")
 
     def __init__(self, network: Network, node: NodeId,
-                 snapshot: Mapping[NodeId, Mapping[str, Any]],
-                 dirty: Optional[set] = None) -> None:
+                 snapshot: Mapping[NodeId, Mapping[str, Any]]) -> None:
         self.network = network
         self.node = node
         self._snapshot = snapshot
         self._own = network.registers[node]
-        self._dirty = dirty
+        self.wrote = False
 
     # -- own state ------------------------------------------------------
     def get(self, name: str, default: Any = None) -> Any:
@@ -256,19 +268,17 @@ class NodeContext:
         return decoder(self._own.get(name))
 
     def set(self, name: str, value: Any) -> None:
-        dirty = self._dirty
-        if dirty is not None and self.node not in dirty:
+        if not self.wrote:
             prev = self._own.get(name, _MISSING)
             # the type check keeps equal-but-distinct writes (True -> 1)
             # from silently going stale in the fast-path snapshot
             if prev != value or type(prev) is not type(value):
-                dirty.add(self.node)
+                self.wrote = True
         self._own[name] = value
 
     def unset(self, name: str) -> None:
         if name in self._own:
-            if self._dirty is not None:
-                self._dirty.add(self.node)
+            self.wrote = True
             del self._own[name]
 
     def alarm(self, reason: str) -> None:
@@ -329,24 +339,16 @@ class Protocol:
     name-string handles for dict storage).  Protocols without a schema
     keep the legacy dict behaviour everywhere.
 
-    **Bulk-activation plane** (:mod:`repro.sim.bulk`): a protocol may
-    additionally declare that it can execute a whole scheduler batch at
-    once by overriding :attr:`bulk_step` with a method
-    ``bulk_step(batch)`` — the schedulers then hand it entire rounds
+    **Bulk-activation plane** (:mod:`repro.sim.bulk`): the schedulers
+    step nodes only through :meth:`bulk_step`, handing it entire rounds
     (synchronous), conflict-free daemon batches or single activations
-    (asynchronous) instead of calling :meth:`step`.  The contract is
+    (asynchronous).  The base method runs :meth:`step` per context; a
+    protocol that can fuse a batch overrides it.  The contract is
     strict: ``bulk_step(batch)`` must be observationally identical to
     ``for ctx in batch.contexts: self.step(ctx)`` (the scheduler keeps
-    skip checks, accounting and stop checks outside the call);
-    :func:`repro.sim.bulk.drive_batch` is the always-correct fallback
-    driver, and fused column sweeps are licensed only by
-    ``batch.ops``.  ``bulk_step = None`` (the base default) keeps the
-    scalar loops.
+    skip checks, accounting and stop checks outside the call), and
+    fused column sweeps are licensed only by ``batch.ops``.
     """
-
-    #: bulk-activation capability: None (scalar-only) on the base class;
-    #: protocols that can run whole batches override this with a method.
-    bulk_step = None
 
     def register_schema(self) -> Optional[RegisterSchema]:
         """The protocol's register declaration (None: undeclared)."""
@@ -360,6 +362,12 @@ class Protocol:
 
     def step(self, ctx: NodeContext) -> None:
         raise NotImplementedError
+
+    def bulk_step(self, batch) -> None:
+        """Step every context of ``batch`` in order (see the class
+        docstring); the generic driver :func:`repro.sim.bulk.drive_batch`
+        over :meth:`step`."""
+        drive_batch(self.step, batch)
 
     def on_round_end(self, network: Network, round_index: int) -> None:
         """Optional hook called by schedulers after each full round."""

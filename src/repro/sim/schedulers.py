@@ -26,20 +26,18 @@ bit-for-bit equivalent (``tests/test_storage_differential.py``).
 is accepted as an alias of ``"columnar"`` with a one-time
 :class:`DeprecationWarning`.
 
-Bulk-activation plane: when the protocol declares
-:meth:`Protocol.bulk_step` (and ``bulk=True``, the default), both
-schedulers route activation batches through it instead of stepping node
-by node — the synchronous scheduler hands over whole rounds of active
-nodes (with fused column ops licensed on columnar storage).  On
-columnar storage the asynchronous scheduler hands over each
-:class:`ConflictFreeDaemon` batch of two or more nodes as one call
-under the *conflict-free license* (pairwise disjoint closed
-neighbourhoods, so live reads cannot observe a batchmate's write; skip
-logic and accounting threaded through the batch callbacks), and every
-other activation alone under the *one-activation license*, with the
-skip check, accounting and stop check run around the call.  ``bulk=False`` keeps the scalar loops; both
-modes are bit-for-bit equivalent (``tests/test_bulk_plane.py``).  See
-:mod:`repro.sim.bulk`.
+Bulk-activation plane: both schedulers step nodes only through
+:meth:`Protocol.bulk_step`.  The synchronous scheduler hands over whole
+rounds of active nodes.  The asynchronous scheduler hands over one
+*group* at a time: a :class:`ConflictFreeDaemon` batch is one group
+(pairwise disjoint closed neighbourhoods, so live reads cannot observe
+a batchmate's write), and every other daemon's batch is one group per
+activation.  The scheduler runs each group's skip checks before the
+call and its accounting and stop check after it.  On columnar storage
+with ``bulk=True`` (the default) the batch carries fused column ops;
+``bulk=False`` hands it ``ops=None``, so the protocol steps node by
+node.  Both modes are bit-for-bit equivalent
+(``tests/test_bulk_plane.py``).  See :mod:`repro.sim.bulk`.
 """
 
 from __future__ import annotations
@@ -113,9 +111,15 @@ def _bind_storage(network: Network, protocol: Protocol, storage: str):
         if schema is not None:
             compiled = network.adopt_schema(
                 schema, numpy=storage == STORAGE_NUMPY)
-    protocol.bind_registers(compiled)
-    protocol._storage_binding = compiled
+    _bind(protocol, network, compiled)
     return compiled
+
+
+def _bind(protocol: Protocol, network: Network, compiled) -> None:
+    """Bind the protocol's handles and record the storage and the
+    network restore count they were bound at."""
+    protocol.bind_registers(compiled)
+    protocol._storage_binding = (compiled, network.restores)
 
 
 def _ensure_storage(network: Network, protocol: Protocol,
@@ -133,19 +137,20 @@ def _ensure_storage(network: Network, protocol: Protocol,
     return compiled
 
 
-def _ensure_binding(protocol: Protocol, compiled) -> None:
+def _ensure_binding(protocol: Protocol, network: Network,
+                    compiled) -> None:
     """Re-bind before running if another scheduler re-bound the protocol
-    since construction.  Binding clears the protocol's label-derived
-    caches, so a protocol shared across schedulers/networks (legal, if
-    unusual) never runs with another network's handles or serves another
-    network's cached verdicts — at the cost of a cache flush per
-    hand-over."""
-    if getattr(protocol, "_storage_binding", _UNBOUND) is not compiled:
-        protocol.bind_registers(compiled)
-        protocol._storage_binding = compiled
-
-
-_UNBOUND = object()
+    since construction, or a snapshot was restored into the network
+    since the last binding.  Binding clears the protocol's
+    label-derived caches, so a protocol shared across
+    schedulers/networks (legal, if unusual) never runs with another
+    network's handles or serves another network's cached verdicts — at
+    the cost of a cache flush per hand-over — and no pool-id cache
+    outlives the pool truncation of a restore."""
+    bound = getattr(protocol, "_storage_binding", None)
+    if bound is None or bound[0] is not compiled or \
+            bound[1] != network.restores:
+        _bind(protocol, network, compiled)
 
 
 class SynchronousScheduler:
@@ -188,9 +193,10 @@ class SynchronousScheduler:
         self._initialized = False
         self.fast_path = bool(fast_path) and (
             type(protocol).on_round_end is Protocol.on_round_end)
-        #: bulk-activation plane: hand whole rounds to the protocol's
-        #: declared ``bulk_step`` (``bulk=False`` keeps the scalar loop)
-        self._bulk_step = protocol.bulk_step if bulk else None
+        #: bulk-activation plane: license fused column ops on the
+        #: rounds handed to ``bulk_step`` (``bulk=False`` hands them
+        #: over with ``ops=None``, so the protocol steps node by node)
+        self._bulk = bool(bulk)
         self._storage = _storage_mode(storage)
         self._compiled = _bind_storage(network, protocol, self._storage)
         self._adjacency: Optional[Dict[NodeId, List[NodeId]]] = None
@@ -218,7 +224,7 @@ class SynchronousScheduler:
         self._snap_store = None
         self._col_contexts = None
         self._bulk_ops = None
-        self.protocol._storage_binding = _UNBOUND
+        self.protocol._storage_binding = None
 
     def _columnar_state(self):
         """(snapshot store, per-node contexts), rebuilt when the network's
@@ -270,7 +276,7 @@ class SynchronousScheduler:
         Stops early (after completing a round) when ``stop_when(network)``
         becomes true.
         """
-        _ensure_binding(self.protocol, self._compiled)
+        _ensure_binding(self.protocol, self.network, self._compiled)
         self._compiled = _ensure_storage(self.network, self.protocol,
                                          self._storage, self._compiled)
         self.initialize()
@@ -279,17 +285,11 @@ class SynchronousScheduler:
         if self.fast_path:
             return self._run_fast(max_rounds, stop_when)
         executed = 0
-        bulk_step = self._bulk_step
+        bulk_step = self.protocol.bulk_step
         for _ in range(max_rounds):
             snapshot = self._snapshot()
-            if bulk_step is not None:
-                bulk_step(BulkBatch([
-                    NodeContext(self.network, v, snapshot)
-                    for v in self.network.graph.nodes()]))
-            else:
-                for v in self.network.graph.nodes():
-                    self.protocol.step(NodeContext(self.network, v,
-                                                   snapshot))
+            bulk_step(BulkBatch([NodeContext(self.network, v, snapshot)
+                                 for v in self.network.graph.nodes()]))
             self.rounds += 1
             executed += 1
             self.protocol.on_round_end(self.network, self.rounds)
@@ -300,8 +300,7 @@ class SynchronousScheduler:
     def _run_fast(self, max_rounds: int,
                   stop_when: Optional[StopCondition]) -> int:
         network = self.network
-        protocol = self.protocol
-        bulk_step = self._bulk_step
+        bulk_step = self.protocol.bulk_step
         nodes = network.graph.nodes()
         neighbors = network.graph.neighbors
         registers = network.registers
@@ -311,7 +310,7 @@ class SynchronousScheduler:
         # registers may have been rewritten externally since the last call
         # (fault injection, resets): the first round re-snapshots and
         # re-steps everything, exactly like the naive loop.
-        changed_prev: Optional[Set[NodeId]] = None
+        changed_prev: Optional[List[NodeId]] = None
         while executed < max_rounds:
             if changed_prev is None:
                 snapshot = {v: dict(regs) for v, regs in registers.items()}
@@ -338,19 +337,12 @@ class SynchronousScheduler:
                     active = (nodes if len(stale) >= len(nodes)
                               else sorted(stale,
                                           key=node_order.__getitem__))
-            changed: Set[NodeId] = set()
-            if bulk_step is not None:
-                bulk_step(BulkBatch([
-                    NodeContext(network, v, snapshot, changed)
-                    for v in active]))
-            else:
-                for v in active:
-                    protocol.step(NodeContext(network, v, snapshot,
-                                              changed))
+            ctxs = [NodeContext(network, v, snapshot) for v in active]
+            bulk_step(BulkBatch(ctxs))
             self.rounds += 1
             executed += 1
             self.protocol.on_round_end(network, self.rounds)
-            changed_prev = changed
+            changed_prev = [ctx.node for ctx in ctxs if ctx.wrote]
             if stop_when is not None and stop_when(network):
                 break
         return executed
@@ -369,7 +361,7 @@ class SynchronousScheduler:
         full refresh, then every node steps."""
         network = self.network
         protocol = self.protocol
-        bulk_step = self._bulk_step
+        bulk_step = protocol.bulk_step
         nodes = network.graph.nodes()
         store = network.columns
         adjacency = self._neighbors_of()
@@ -379,8 +371,7 @@ class SynchronousScheduler:
         # so no label-sentinel memo survives a run boundary
         for ctx in contexts.values():
             ctx._sent_key = None
-        ops = self._bulk_ops_for(store, snap) if bulk_step is not None \
-            else None
+        ops = self._bulk_ops_for(store, snap) if self._bulk else None
         executed = 0
         # external writes (fault injection, resets) since the last call
         # are not round-tracked: the first round re-snapshots and
@@ -413,47 +404,36 @@ class SynchronousScheduler:
                 store.clear_dirty()
             dn = store.dirty_nodes
             dlist = store.dirty_node_list
-            if bulk_step is not None:
-                batch_ctxs = []
-                batch_idx = []
-                capp = batch_ctxs.append
-                iapp = batch_idx.append
-                for v in active:
-                    ctx = contexts[v]
-                    ctx.wrote = False
-                    capp(ctx)
-                    iapp(ctx._i)
-                batch = BulkBatch(batch_ctxs, batch_idx, ops)
-                bulk_step(batch)
-                if batch.wrote_all:
-                    # the protocol's fused sweep wrote every node of the
-                    # batch: mark the round dirty in one pass
-                    if len(batch_ctxs) == len(nodes):
-                        dn[:] = b"\x01" * len(dn)
-                        dlist[:] = nodes
-                    else:
-                        for ctx in batch_ctxs:
-                            i = ctx._i
-                            if not dn[i]:
-                                dn[i] = 1
-                                dlist.append(ctx.node)
+            batch_ctxs = []
+            batch_idx = []
+            capp = batch_ctxs.append
+            iapp = batch_idx.append
+            for v in active:
+                ctx = contexts[v]
+                ctx.wrote = False
+                capp(ctx)
+                iapp(ctx._i)
+            batch = BulkBatch(batch_ctxs, batch_idx, ops)
+            bulk_step(batch)
+            if batch.wrote_all:
+                # the protocol's fused sweep wrote every node of the
+                # batch: mark the round dirty in one pass
+                if len(batch_ctxs) == len(nodes):
+                    dn[:] = b"\x01" * len(dn)
+                    dlist[:] = nodes
                 else:
                     for ctx in batch_ctxs:
-                        if ctx.wrote:
-                            i = ctx._i
-                            if not dn[i]:
-                                dn[i] = 1
-                                dlist.append(ctx.node)
+                        i = ctx._i
+                        if not dn[i]:
+                            dn[i] = 1
+                            dlist.append(ctx.node)
             else:
-                for v in active:
-                    ctx = contexts[v]
-                    ctx.wrote = False
-                    protocol.step(ctx)
+                for ctx in batch_ctxs:
                     if ctx.wrote:
                         i = ctx._i
                         if not dn[i]:
                             dn[i] = 1
-                            dlist.append(v)
+                            dlist.append(ctx.node)
             self.rounds += 1
             executed += 1
             protocol.on_round_end(network, self.rounds)
@@ -623,9 +603,9 @@ class _CoverDaemon(Daemon):
     list; the base class owns the queue, the memoized closed
     neighbourhoods (and, for tiles, distance-2 balls), the greedy
     first-fit partitioner, issue accounting, snapshot
-    ``state()/set_state()``.  The asynchronous scheduler hands the
-    survivors of each batch of two or more nodes to ``bulk_step`` as
-    one call.
+    ``state()/set_state()``.  The asynchronous scheduler runs each
+    batch as one group: the survivors of its skip checks reach
+    ``bulk_step`` in one call.
     """
 
     #: schedulers read this to grant the conflict-free license
@@ -757,17 +737,17 @@ class ConflictFreeDaemon(_CoverDaemon):
     in any order (or fused into one column sweep) are indistinguishable
     from the sequential one.  The daemon therefore *pre-declares* its
     batches conflict-free (the ``conflict_free`` class attribute), and
-    the asynchronous scheduler hands each batch of two or more nodes to
-    the protocol's ``bulk_step`` as one
-    :class:`~repro.sim.bulk.BulkBatch` with live fused column ops, which
-    is what lets the fused columnar kernels of the bulk plane run off
-    the synchronous-only path (see :mod:`repro.sim.bulk`).
+    the asynchronous scheduler hands the survivors of each batch to the
+    protocol's ``bulk_step`` as one :class:`~repro.sim.bulk.BulkBatch`
+    with live fused column ops, which is what lets the fused columnar
+    kernels of the bulk plane sweep several nodes off the synchronous
+    path (see :mod:`repro.sim.bulk`).
 
     Semantics: a conflict-free batch models the distributed daemon
     activating a whole independent set *simultaneously*; the scheduler
     accordingly resolves stop conditions at batch boundaries (exactly
     as synchronous rounds resolve them at round boundaries) — for every
-    storage backend and for the scalar loop too, so ``bulk`` stays an
+    storage backend and for ``bulk=False`` too, so ``bulk`` stays an
     implementation-only flag under this daemon.
 
     The closed neighbourhoods are memoized per node sequence (static
@@ -911,18 +891,11 @@ class AsynchronousScheduler:
         self._initialized = False
         self.dirty_aware = bool(dirty_aware) and (
             type(protocol).on_round_end is Protocol.on_round_end)
-        #: bulk-activation plane, columnar storage only, for protocols
-        #: declaring ``bulk_step``: the survivors of each batch of two
-        #: or more nodes of a *conflict-free* daemon
-        #: (:class:`ConflictFreeDaemon`), whose batches have pairwise
-        #: disjoint closed neighbourhoods and batch-granular stops, are
-        #: one call with live fused column ops; the skip checks run
-        #: before it and the accounting after it.  Every other batch
-        #: runs the activation loop, whose activations each route as a
-        #: one-context batch with live ops (the one-activation license:
-        #: no batchmate, no abort point); the skip check, accounting and
-        #: stop checks stay in the loop.
-        self._bulk_step = protocol.bulk_step if bulk else None
+        #: bulk-activation plane: on columnar storage every activation
+        #: group reaches ``bulk_step`` with live fused column ops (see
+        #: :meth:`run`); ``bulk=False`` hands it ``ops=None``, so the
+        #: protocol steps node by node
+        self._bulk = bool(bulk)
         self._live_ops = None
         #: (store, contexts, neighbour map) of the columnar runs
         self._columnar = None
@@ -943,7 +916,7 @@ class AsynchronousScheduler:
         self._live_ops = None
         self._columnar = None
         self.daemon.topology_changed()
-        self.protocol._storage_binding = _UNBOUND
+        self.protocol._storage_binding = None
 
     def initialize(self) -> None:
         if self._initialized:
@@ -981,17 +954,28 @@ class AsynchronousScheduler:
         stop condition fires — checked at activation granularity, except
         under a conflict-free daemon, whose batches model simultaneous
         activations and resolve stops at batch boundaries).  Returns
-        the number of asynchronous rounds completed."""
-        _ensure_binding(self.protocol, self._compiled)
+        the number of asynchronous rounds completed.
+
+        Every activation passes through one *group* loop.  A
+        conflict-free daemon's batch is one group; every other daemon's
+        batch is one group per activation.  A group advances the tick by
+        its size, runs every skip check, hands the survivors to
+        ``bulk_step`` in one call, records their accounting at the
+        group's final tick, updates round coverage and checks the stop
+        condition.  A group of several nodes is sound because its
+        closed neighbourhoods are pairwise disjoint (see
+        :mod:`repro.sim.bulk`).  ``max_activations`` is checked at
+        daemon-batch boundaries."""
+        _ensure_binding(self.protocol, self.network, self._compiled)
         self._compiled = _ensure_storage(self.network, self.protocol,
                                          self._storage, self._compiled)
         self.initialize()
         network = self.network
         protocol = self.protocol
+        bulk_step = protocol.bulk_step
         nodes = network.graph.nodes()
         all_nodes = set(nodes)
         contexts, neighbors = self._contexts()
-        columnar = self._compiled is not None
         dirty_aware = self.dirty_aware
         # per-run dirty tracking: registers may have been rewritten
         # externally since the last call, so no skip survives a run()
@@ -1003,43 +987,36 @@ class AsynchronousScheduler:
         budget = max_activations if max_activations is not None else (
             max_rounds * len(nodes) * 4 + 64)
         # conflict-free daemons: batches are simultaneous activations,
-        # so stop conditions resolve at batch boundaries (for every
-        # storage and for the scalar loop alike — the semantics belong
-        # to the daemon, not to the bulk flag), and on columnar storage
-        # the batches route to ``bulk_step`` with live fused ops under
-        # the ``conflict_free`` license; every other activation routes
-        # alone under the one-activation license.
-        batch_stop = getattr(self.daemon, "conflict_free", False)
-        live_step = self._bulk_step if columnar else None
-        cf_step = live_step if batch_stop else None
-        if live_step is None:
-            step = protocol.step
-        else:
+        # so a whole batch is one group and stop conditions resolve at
+        # batch boundaries (for every storage and for ``bulk=False``
+        # alike — the semantics belong to the daemon, not to the bulk
+        # flag)
+        batch_groups = getattr(self.daemon, "conflict_free", False)
+        ops = None
+        if self._compiled is not None and self._bulk:
             store = network.columns
-            live_ops = self._live_ops
-            if live_ops is None or live_ops.store is not store:
-                live_ops = self._live_ops = ColumnarBulkOps(store)
-            # the one-activation license: every activation of the loop
-            # below routes as a one-context batch with live ops
-            one = BulkBatch([None], None, live_ops)
-            one_ctx = one.contexts
-
-            def step(ctx):
-                one_ctx[0] = ctx
-                live_step(one)
-
+            ops = self._live_ops
+            if ops is None or ops.store is not store:
+                ops = self._live_ops = ColumnarBulkOps(store)
+        # one batch object for the whole run; ``indices`` are filled only
+        # for a fused group of several contexts
+        batch = BulkBatch([], None, ops)
+        run_ctxs = batch.contexts
+        append = run_ctxs.append
+        indexed = ops is not None and batch_groups
+        covered = self._covered
         while self.rounds - start_rounds < max_rounds and budget > 0:
             batch_nodes = self.daemon.next_batch(nodes)
-            if cf_step is not None and len(batch_nodes) > 1:
-                # the conflict-free license (see repro.sim.bulk): every
-                # skip check first, one call over the survivors, then
-                # every activation's accounting at the batch's final
-                # tick; the stop resolves at the batch boundary
-                tick += len(batch_nodes)
-                if dirty_aware:
-                    run_ctxs = []
-                    run_idx = []
-                    for v in batch_nodes:
+            # a one-node batch is one group under every daemon
+            groups = (batch_nodes,) \
+                if batch_groups or len(batch_nodes) == 1 \
+                else zip(batch_nodes)
+            for group in groups:
+                size = len(group)
+                tick += size
+                run_ctxs.clear()
+                for v in group:
+                    if dirty_aware:
                         st = stepped_at.get(v)
                         if st is not None and changed_at.get(v, 0) < st:
                             for u in neighbors[v]:
@@ -1047,17 +1024,16 @@ class AsynchronousScheduler:
                                     break
                             else:
                                 continue
-                        ctx = contexts[v]
-                        ctx.wrote = False
-                        run_ctxs.append(ctx)
-                        run_idx.append(ctx._i)
-                    self.steps_skipped += len(batch_nodes) - len(run_ctxs)
-                else:
-                    run_ctxs = [contexts[v] for v in batch_nodes]
-                    run_idx = [ctx._i for ctx in run_ctxs]
-                if run_ctxs:
-                    batch = BulkBatch(run_ctxs, run_idx, live_ops)
-                    cf_step(batch)
+                    ctx = contexts[v]
+                    ctx.wrote = False
+                    append(ctx)
+                ran = len(run_ctxs)
+                if ran:
+                    if indexed:
+                        batch.indices = [ctx._i for ctx in run_ctxs] \
+                            if ran > 1 else None
+                    batch.wrote_all = False
+                    bulk_step(batch)
                     if dirty_aware:
                         wrote_all = batch.wrote_all
                         for ctx in run_ctxs:
@@ -1065,64 +1041,16 @@ class AsynchronousScheduler:
                             if wrote_all or ctx.wrote:
                                 changed_at[v] = tick
                             stepped_at[v] = tick
-                self.activations += len(batch_nodes)
-                budget -= len(batch_nodes)
-                for v in batch_nodes:
-                    self._covered.add(v)
-                    if self._covered == all_nodes:
+                if ran != size:
+                    self.steps_skipped += size - ran
+                self.activations += size
+                budget -= size
+                for v in group:
+                    covered.add(v)
+                    if covered == all_nodes:
                         self.rounds += 1
-                        self._covered = set()
+                        covered = self._covered = set()
                         protocol.on_round_end(network, self.rounds)
                 if stop_when is not None and stop_when(network):
                     return self.rounds - start_rounds
-                continue
-            for v in batch_nodes:
-                tick += 1
-                skip = False
-                if dirty_aware:
-                    st = stepped_at.get(v)
-                    if st is not None and changed_at.get(v, 0) < st:
-                        skip = True
-                        for u in neighbors[v]:
-                            if changed_at.get(u, 0) >= st:
-                                skip = False
-                                break
-                if skip:
-                    self.steps_skipped += 1
-                else:
-                    ctx = contexts[v]
-                    if not dirty_aware:
-                        step(ctx)
-                    elif columnar:
-                        ctx.wrote = False
-                        step(ctx)
-                        if ctx.wrote:
-                            changed_at[v] = tick
-                        stepped_at[v] = tick
-                    else:
-                        tracker = set()
-                        ctx._dirty = tracker
-                        protocol.step(ctx)
-                        ctx._dirty = None
-                        if tracker:
-                            changed_at[v] = tick
-                        stepped_at[v] = tick
-                self.activations += 1
-                budget -= 1
-                self._covered.add(v)
-                if self._covered == all_nodes:
-                    self.rounds += 1
-                    self._covered = set()
-                    self.protocol.on_round_end(self.network, self.rounds)
-                # activation granularity: a daemon handing out multi-node
-                # batches must not delay the stop past the activation that
-                # made it true (conflict-free daemons excepted: their
-                # batches are simultaneous, so the stop resolves below at
-                # the batch boundary).
-                if not batch_stop and stop_when is not None and \
-                        stop_when(self.network):
-                    return self.rounds - start_rounds
-            if batch_stop and stop_when is not None and \
-                    stop_when(self.network):
-                return self.rounds - start_rounds
         return self.rounds - start_rounds

@@ -41,9 +41,10 @@ register-file backend was retired (``backend: "schema"`` with a native
 
 Protocol instances hold no cross-activation semantic state (label- and
 budget-derived caches are rebuilt by ``bind_registers``; per-activation
-scratch is sentinel-validated), so a restore re-binds the *fresh*
-protocol to the restored registers rather than shipping protocol
-objects — see ``restore_run_state``.
+scratch is sentinel-validated), so protocol objects are not shipped:
+``restore_network`` bumps the network's ``restores`` counter, and a
+scheduler re-binds its protocol to the restored registers at the start
+of its next ``run()`` when the counter moved.
 """
 
 from __future__ import annotations
@@ -120,7 +121,11 @@ def restore_network(network: Network, state: Mapping[str, Any]) -> None:
     Uses the native section when the payload's backend matches the
     network's and the layout fits; otherwise installs the neutral
     values through the register interface.  Mutates storage in place
-    (schedulers and contexts alias the underlying columns)."""
+    (schedulers and contexts alias the underlying columns) and bumps
+    ``network.restores``, so every scheduler over the network re-binds
+    its protocol before its next run: a restore truncates the interning
+    pool, and no pool-id cache may outlive that."""
+    network.restores += 1
     backend = state.get("backend")
     if backend == "columnar" and network.columns is not None:
         try:
@@ -209,10 +214,10 @@ def restore_run_state(network: Network, scheduler: Any,
 
     Validation happens up front — version, scheduler kind, daemon
     class, topology — and any mismatch raises :class:`SnapshotError`
-    with the pair untouched.  After the state moves, the protocol is
-    re-bound to its storage handles: label-derived protocol caches must
-    not survive a wholesale register replacement, and re-binding a
-    fresh protocol recomputes them from the restored registers (the
+    with the pair untouched.  The scheduler re-binds the protocol at the
+    start of its next run (see :func:`restore_network`): label-derived
+    protocol caches must not survive a wholesale register replacement,
+    and re-binding recomputes them from the restored registers (the
     equivalence matrix proves this reaches bit-for-bit identical
     continuations)."""
     try:
@@ -252,11 +257,6 @@ def restore_run_state(network: Network, scheduler: Any,
                             "churn state differ)")
     restore_network(network, net_state)
     restore_scheduler(scheduler, sched_state)
-    protocol = getattr(scheduler, "protocol", None)
-    compiled = getattr(scheduler, "_compiled", None)
-    if protocol is not None:
-        protocol.bind_registers(compiled)
-        protocol._storage_binding = compiled
     return settle_rounds
 
 

@@ -559,10 +559,11 @@ class TrainVerifierProtocol(Protocol):
     def bind_registers(self, compiled) -> None:
         """Resolve register handles and reset every cache derived from
         register contents.  Checkpoint restore leans on this contract:
-        after :func:`repro.sim.snapshot.restore_run_state` swaps the
-        registers wholesale it re-binds, and because the caches below
-        are rebuilt lazily from (sentinel-validated) restored state the
-        continuation is bit-for-bit the uninterrupted run's."""
+        after :func:`repro.sim.snapshot.restore_network` swaps the
+        registers wholesale the scheduler re-binds, and because the
+        caches below are rebuilt lazily from (sentinel-validated)
+        restored state the continuation is bit-for-bit the
+        uninterrupted run's."""
         resolve = handle_resolver(compiled)
         self.h_alarm = resolve(ALARM)
         self.h_vstep = resolve(REG_VSTEP)

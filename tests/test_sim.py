@@ -283,15 +283,14 @@ class TestFastPathScheduler:
 
         net = Network(path_graph(2))
         net.install({0: {"a": 1}, 1: {}})
-        dirty = set()
         snapshot = {v: dict(r) for v, r in net.registers.items()}
-        ctx = NodeContext(net, 0, snapshot, dirty)
+        ctx = NodeContext(net, 0, snapshot)
         ctx.set("a", 1)          # no-op write
-        assert dirty == set()
+        assert not ctx.wrote
         ctx.set("a", 2)
-        assert dirty == {0}
-        dirty.clear()
+        assert ctx.wrote
+        ctx.wrote = False        # what a scheduler does before a step
         ctx.unset("missing")     # removing nothing is not a change
-        assert dirty == set()
+        assert not ctx.wrote
         ctx.unset("a")
-        assert dirty == {0}
+        assert ctx.wrote

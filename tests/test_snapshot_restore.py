@@ -686,3 +686,61 @@ def test_contexts_reused_across_backward_restore(schedule, storage):
     assert counters(sched) == counters(fresh)
     assert {v: dict(r) for v, r in net.registers.items()} == \
         {v: dict(r) for v, r in fresh_net.registers.items()}
+
+
+@pytest.mark.parametrize("schedule,storage,vector_floors", [
+    ("sync", "numpy", False),
+    ("independent", "columnar", False),
+    ("independent", "numpy", True),
+])
+def test_scheduler_rebinds_after_restore_network(schedule, storage,
+                                                 vector_floors):
+    """A ``restore_network`` between two runs of one scheduler truncates
+    the interning pool under the protocol's pool-id caches (the fused
+    plane's and the vector sweep's).  The scheduler must re-bind the
+    protocol before its next run: the continuation neither crashes nor
+    differs from a fresh scheduler restored to the same state.  The
+    third cell lowers the vector sweep's floors so the asynchronous
+    conflict-free batches reach it on this instance."""
+    from contextlib import nullcontext
+    from unittest import mock
+
+    from repro.labels.registers import REG_DIST
+    from repro.sim.snapshot import capture_network, restore_network
+    from repro.verification import make_network
+    from repro.verification.verifier import (MstVerifierProtocol,
+                                             _VectorSweep)
+
+    graph = random_connected_graph(120, 200, seed=3)
+    nodes = graph.nodes()
+
+    def build():
+        net = make_network(graph)
+        if schedule == "sync":
+            return net, SynchronousScheduler(
+                net, MstVerifierProtocol(synchronous=True),
+                storage=storage)
+        return net, AsynchronousScheduler(
+            net, MstVerifierProtocol(synchronous=False),
+            ConflictFreeDaemon(graph, seed=DAEMON_SEED), storage=storage)
+
+    floors = mock.patch.multiple(_VectorSweep, MIN_BATCH=2, TRAFFIC_MIN=2) \
+        if vector_floors else nullcontext()
+    with floors:
+        net, sched = build()
+        sched.run(8)
+        saved = capture_network(net)
+        net.registers[nodes[0]][REG_DIST] += 1
+        sched.run(3)
+        restore_network(net, saved)
+        net.registers[nodes[5]][REG_DIST] += 1
+        state = capture_run_state(net, sched, 8)
+        sched.run(3)
+
+        fresh_net, fresh = build()
+        restore_run_state(fresh_net, fresh, state)
+        fresh.run(3)
+    assert net.alarms() == fresh_net.alarms()
+    assert sched.rounds == fresh.rounds
+    assert {v: dict(r) for v, r in net.registers.items()} == \
+        {v: dict(r) for v, r in fresh_net.registers.items()}

@@ -326,3 +326,93 @@ def test_shared_network_across_storage_schedulers():
         return {v: dict(r) for v, r in net.registers.items()}
 
     assert interleave("numpy") == interleave("columnar")
+
+
+@pytest.mark.parametrize("proto_kind", ["verifier", "sqlog"])
+@pytest.mark.parametrize("daemon_kind", ["locality", "independent",
+                                         "permutation"])
+def test_async_max_activations_storage_independent(daemon_kind, proto_kind,
+                                                   campaign_seed):
+    """``max_activations`` and ``stop_when`` end an asynchronous run at
+    the same point on every storage: the dict store is the reference,
+    columnar and numpy run with fused live ops (``bulk=True``), with
+    dirty-aware skipping on and off (sqlog's accepting steps write
+    nothing, so its runs skip).
+
+    A probe copy of the daemon gives the batch boundaries, so the budget
+    ends one activation into a multi-node batch (the budget is checked
+    at batch boundaries: the batch completes), and the stop condition
+    turns true one activation into another multi-node batch, after a
+    fault.  The stop resolves at that activation under the locality
+    daemon and at the batch's end under the conflict-free one."""
+    from itertools import accumulate
+
+    from repro.baselines.pls_sqlog import SqLogPlsProtocol, sqlog_labels
+
+    g = random_connected_graph(14, 24, seed=campaign_seed % 983)
+    n = g.n
+    labels = sqlog_labels(g) if proto_kind == "sqlog" else None
+
+    def make_daemon():
+        if daemon_kind == "locality":
+            return LocalityBatchDaemon(g, seed=3)
+        if daemon_kind == "independent":
+            return ConflictFreeDaemon(g, seed=3)
+        return PermutationDaemon(seed=3)
+
+    probe = make_daemon()
+    sizes = [len(probe.next_batch(g.nodes())) for _ in range(12 * n)]
+    ends = list(accumulate(sizes))
+
+    def inside(after):
+        """(an activation one into the first batch starting at or past
+        ``after``, preferring multi-node batches, and that batch's end)."""
+        for k, size in enumerate(sizes):
+            begin = ends[k] - size
+            if begin >= after and (size > 1 or daemon_kind == "permutation"):
+                return begin + 1, ends[k]
+        raise AssertionError("no multi-node batch in the probe")
+
+    budget, budget_end = inside(3 * n)
+    stop_at, stop_end = inside(budget_end + 2 * n)
+    if daemon_kind != "permutation":
+        assert budget < budget_end and stop_at < stop_end
+
+    def run(storage, dirty_aware):
+        if labels is None:
+            net = make_network(g)
+            proto = MstVerifierProtocol(synchronous=False)
+        else:
+            net = Network(g)
+            net.install(labels)
+            proto = SqLogPlsProtocol()
+        sched = AsynchronousScheduler(net, proto, make_daemon(),
+                                      storage=storage,
+                                      dirty_aware=dirty_aware, bulk=True)
+        trace = []
+
+        def record(r):
+            trace.append((r, sched.rounds, sched.activations,
+                          sched.steps_skipped, net.alarms(),
+                          {v: dict(regs)
+                           for v, regs in net.registers.items()}))
+
+        record(sched.run(10_000, max_activations=budget))
+        assert sched.activations == budget_end
+        FaultInjector(net, seed=campaign_seed).corrupt_random_nodes(
+            2, fraction=0.5)
+        record(sched.run(10_000,
+                         stop_when=lambda _: sched.activations >= stop_at))
+        assert sched.activations == (stop_end if daemon_kind == "independent"
+                                     else stop_at)
+        return trace
+
+    for dirty_aware in (False, True):
+        ref = run("dict", dirty_aware)
+        for storage in ("columnar", "numpy"):
+            assert run(storage, dirty_aware) == ref, (storage, dirty_aware)
+    naive = run("dict", False)
+    aware = run("dict", True)
+    assert [t[:3] + t[4:] for t in naive] == [t[:3] + t[4:] for t in aware]
+    if proto_kind == "sqlog":
+        assert aware[-1][3] > 0
