@@ -154,7 +154,9 @@ def _async_bulk_times(graph, rounds, repeats=2):
     (``bulk=False`` — the PR 3 per-activation path) vs the live fused
     column sweeps the ``conflict_free`` license enables, interleaved
     like :func:`_patrol_times`.  Both sides run the *same* daemon, so
-    the ratio isolates the per-step effect of the fusion."""
+    the ratio isolates the per-step effect of the fusion.  Callers ask
+    for ``repeats * 3`` like the numpy rows: the speedup floors sit
+    close to the run-to-run spread, which best-of-2 does not damp."""
     best = {False: None, True: None}
     for _ in range(repeats):
         for bulk in (False, True):
@@ -320,8 +322,8 @@ def measure(n=N, big_n=BIG_N, quiescent_rounds=QUIESCENT_ROUNDS,
     bulk_big = _bulk_times(big, big_patrol_rounds, repeats)
     # asynchronous bulk plane: conflict-free daemon batches, scalar vs
     # live fused column sweeps, same two scales
-    async_bulk = _async_bulk_times(g, async_rounds, repeats)
-    async_bulk_big = _async_bulk_times(big, big_async_rounds, repeats)
+    async_bulk = _async_bulk_times(g, async_rounds, repeats * 3)
+    async_bulk_big = _async_bulk_times(big, big_async_rounds, repeats * 3)
     # numpy vector tier vs the fused columnar plane (both bulk=True),
     # steady-state interleaved best-of; None when numpy is unavailable
     # (the tier itself degrades to columnar with a warning, which would

@@ -27,13 +27,15 @@ Sentinel encoding (int columns): stored values live in
 never-written slot (``UNSET_S``), an explicit ``None`` (``NONE_S``), and
 a boxed overflow value (``BOX_S``).
 
-Dirty handling is **column + node** grained instead of per-slot sets:
-a write flags its column in a bytearray, and the scheduler marks the
-stepping node once per activation off the context's ``wrote`` flag; the
-synchronous fast path's snapshot refresh then bulk-copies exactly the
-dirty columns (slice assignment — ``memcpy`` for arrays, a C pointer
-copy for lists) instead of walking per-node mark sets.  Write tracking
-is *conservative* (every write marks, no previous-value comparison):
+Dirty handling is **column** grained instead of per-slot sets: a write
+flags its column in a bytearray (undeclared registers flag their node
+in ``extras_dirty``).  Which *nodes* changed is not recorded here: the
+stepping context's ``wrote`` flag is the only node-level record, and
+the schedulers keep it per round or activation.  The synchronous fast
+path's snapshot refresh then bulk-copies exactly the dirty columns
+(slice assignment — ``memcpy`` for arrays, a C pointer copy for
+lists) instead of walking per-node mark sets.  Write tracking is
+*conservative* (every write marks, no previous-value comparison):
 skipping stays sound — a node is skipped only when no write at all
 happened in its closed neighbourhood, in which case its deterministic
 step would rewrite exactly the current state — and the quiescent
@@ -161,8 +163,7 @@ class ColumnStore:
                  "stable_versions", "stable_epoch",
                  "extras", "pool_values", "pool_index", "pool_typed",
                  "detached",
-                 "dirty_cols", "dirty_nodes", "dirty_node_list",
-                 "extras_dirty", "_zero_cols", "_zero_nodes")
+                 "dirty_cols", "extras_dirty", "_zero_cols")
 
     def __init__(self, schema: CompiledSchema,
                  nodes: List[NodeId]) -> None:
@@ -209,11 +210,8 @@ class ColumnStore:
         self.detached: Dict[NodeId, int] = {}
         # -- write tracking (conservative: every write marks) ----------
         self.dirty_cols = bytearray(size)
-        self.dirty_nodes = bytearray(n)
-        self.dirty_node_list: List[NodeId] = []
         self.extras_dirty: set = set()
         self._zero_cols = bytes(size)
-        self._zero_nodes = bytes(n)
 
     # -- value encoding -------------------------------------------------
     def intern(self, value: Any) -> int:
@@ -315,7 +313,7 @@ class ColumnStore:
         dec = self.decoded[slot]
         if dec is not None:
             dec[i] = NO_DECODE
-        self.mark_dirty(i, slot)
+        self.dirty_cols[slot] = 1
         if self.schema.stable_mask[slot]:
             self.stable_versions[i] += 1
             self.stable_epoch += 1
@@ -329,27 +327,13 @@ class ColumnStore:
         dec = self.decoded[slot]
         if dec is not None:
             dec[i] = NO_DECODE
-        self.mark_dirty(i, slot)
+        self.dirty_cols[slot] = 1
         if self.schema.stable_mask[slot]:
             self.stable_versions[i] += 1
             self.stable_epoch += 1
 
-    def mark_dirty(self, i: int, slot: int) -> None:
-        self.dirty_cols[slot] = 1
-        if not self.dirty_nodes[i]:
-            self.dirty_nodes[i] = 1
-            self.dirty_node_list.append(self.nodes[i])
-
-    def mark_node(self, i: int) -> None:
-        """Node-only dirt (extras changes, which refresh separately)."""
-        if not self.dirty_nodes[i]:
-            self.dirty_nodes[i] = 1
-            self.dirty_node_list.append(self.nodes[i])
-
     def clear_dirty(self) -> None:
         self.dirty_cols[:] = self._zero_cols
-        self.dirty_nodes[:] = self._zero_nodes
-        self.dirty_node_list.clear()
         self.extras_dirty.clear()
 
     # -- batch entry points (the bulk-activation plane) ------------------
@@ -362,9 +346,9 @@ class ColumnStore:
         Matches :class:`ColumnarNodeContext` bit for bit: sentinel
         entries (UNSET/None), boxed junk, bools, and over-cap ints all
         coerce to 0 and restart at 1; stale boxed-overflow entries are
-        dropped exactly as a scalar write would drop them.  Node-level
-        dirty tracking is the caller's job (the bulk driver marks the
-        whole batch).  Returns the new values in ``idx`` order."""
+        dropped exactly as a scalar write would drop them.  Per-context
+        ``wrote`` flags are the caller's job (typically
+        ``batch.wrote_all``).  Returns the new values in ``idx`` order."""
         col = self.data[slot]
         out: List[int] = []
         append = out.append
@@ -496,7 +480,6 @@ class ColumnStore:
             self.dirty_cols[slot] = 1
         self.extras[i] = None
         self.extras_dirty.add(i)
-        self.mark_node(i)
         self.stable_versions[i] += 1
         self.stable_epoch += 1
 
@@ -572,7 +555,6 @@ class ColumnStore:
             extra = self.extras[i] = {}
         extra[name] = value
         self.extras_dirty.add(i)
-        self.mark_node(i)
 
     def has_name(self, i: int, name: str) -> bool:
         slot = self.schema.slots.get(name)
@@ -590,7 +572,6 @@ class ColumnStore:
             return
         del self.extras[i][name]
         self.extras_dirty.add(i)
-        self.mark_node(i)
 
     # -- snapshots -------------------------------------------------------
     def fork(self) -> "ColumnStore":
@@ -620,11 +601,8 @@ class ColumnStore:
         snap.stable_epoch = self.stable_epoch
         snap.extras = [dict(e) if e else None for e in self.extras]
         snap.dirty_cols = bytearray(self.schema.size)
-        snap.dirty_nodes = bytearray(self.n)
-        snap.dirty_node_list = []
         snap.extras_dirty = set()
         snap._zero_cols = self._zero_cols
-        snap._zero_nodes = self._zero_nodes
         return snap
 
     # -- checkpoint serialization (:mod:`repro.sim.snapshot`) ------------
@@ -730,12 +708,16 @@ class ColumnStore:
         self.none_decode[:] = [NO_DECODE] * size
         self.clear_dirty()
 
-    def refresh_from(self, live: "ColumnStore", full: bool = False) -> None:
+    def refresh_from(self, live: "ColumnStore", full: bool = False,
+                     rows: Optional[List[int]] = None) -> None:
         """Bulk-refresh this snapshot from ``live``'s dirty state.
 
         ``full=True`` recopies everything (run boundaries, where external
         writes may be untracked).  Otherwise only the dirty columns are
         copied — slice assignment, so arrays are a single ``memcpy``.
+        ``rows``, the dense rows written since ``live``'s dirt was last
+        cleared, lets the numpy tier copy only those rows; whole-column
+        copies do not need it.
         Boxed columns' per-node decode caches follow the live side's
         (live entries for rewritten slots are already invalidated;
         decode results are pure functions of the value, so sharing or
@@ -781,11 +763,11 @@ class ColumnarNodeContext:
     Own registers are read and written live; neighbour reads go to the
     ``snap`` store (a scheduler snapshot under the synchronous fast
     path, the live store itself under asynchronous execution).  Every
-    write flags its column dirty and sets :attr:`wrote`; the schedulers
-    mark the node dirty once per activation off that flag (writes
-    outside a scheduler step — markers, fault injection, view pokes —
-    are covered by the run-boundary full refresh, exactly as on dict
-    storage).
+    write flags its column dirty and sets :attr:`wrote`, the only
+    record of which nodes changed: the schedulers read it after each
+    round or activation (writes outside a scheduler step — markers,
+    fault injection, view pokes — are covered by the run-boundary full
+    refresh, exactly as on dict storage).
     """
 
     __slots__ = ("network", "node", "neighbors", "store", "snap",

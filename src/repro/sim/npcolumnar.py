@@ -20,10 +20,11 @@ by the bulk-plane batch operations:
   gathers with an all-real fast path (``.tolist()`` hands back Python
   ints, so numpy scalars never leak into register values);
 * :meth:`NumpyColumnStore.refresh_from` — the snapshot refresh as
-  boolean-mask row copies: when few nodes wrote last round, only their
-  rows are copied per dirty column (sound because the store's write
-  tracking is conservative — every write marks its node — which the
-  dirty-aware schedulers already rely on).
+  fancy-indexed row copies: when few nodes wrote last round, only
+  their rows are copied per dirty column (sound because the caller
+  passes every written row: the synchronous scheduler's changed
+  contexts, whose ``wrote`` flags are conservative — every write sets
+  one).
 
 The vectorized *protocol* sweeps (train convergecast / broadcast, the
 Ask/Show comparison kernels) live with their scalar twins in
@@ -43,7 +44,7 @@ from __future__ import annotations
 import os
 import warnings
 from array import array
-from typing import Any, List, Optional
+from typing import Any, List
 
 try:
     import numpy as _np
@@ -144,24 +145,24 @@ class NumpyColumnStore(ColumnStore):
         # decode handles None/default/overflow/pool exactly
         return super().gather_values(idx, slot, default)
 
-    def refresh_from(self, live: "ColumnStore", full: bool = False):
+    def refresh_from(self, live: "ColumnStore", full: bool = False,
+                     rows=None):
         np = numpy_or_none()
         if np is None or full:
             return super().refresh_from(live, full)
-        rows = None
-        # masked row copy only pays when few nodes wrote; the node marks
-        # are conservative-complete (every write marks), so untouched
-        # rows are bitwise equal already and skipping them is exact
-        if 0 < len(live.dirty_node_list) * 4 < live.n >= VECTOR_MIN:
-            rows = np.flatnonzero(
-                np.frombuffer(live.dirty_nodes, dtype=np.uint8))
+        mask = None
+        # masked row copy only pays when few nodes wrote; ``rows`` names
+        # every written row, so the others are bitwise equal already and
+        # skipping them is exact
+        if rows is not None and 0 < len(rows) * 4 < live.n >= VECTOR_MIN:
+            mask = np.asarray(rows, dtype=np.intp)
         size = self.schema.size
         for s in range(size):
             if not live.dirty_cols[s]:
                 continue
             col = self.data[s]
-            if rows is not None and type(col) is not list:
-                view64(col)[rows] = view64(live.data[s])[rows]
+            if mask is not None and type(col) is not list:
+                view64(col)[mask] = view64(live.data[s])[mask]
             else:
                 col[:] = live.data[s]
             dec = live.decoded[s]
@@ -264,14 +265,6 @@ def put_rows(store: ColumnStore, slot: int, rows, vals) -> None:
             ovf.pop(i, None)
     view64(store.data[slot])[rows] = vals
     store.dirty_cols[slot] = 1
-
-
-def int64_or_none(x: Any) -> Optional[int]:
-    """``x`` when it is a *plain* int representable in int64 headroom
-    (excluding bool — ``True == 1`` must not alias), else None."""
-    if type(x) is int and -(1 << 62) < x < (1 << 62):
-        return x
-    return None
 
 
 #: encodings used by the vectorized protocol kernels.  All are far
@@ -439,14 +432,3 @@ class VecTopo:
                     w_exact[a + e] = False
         self.flat, self.off, self.degs = flat, off, degs
         self.wts, self.w_exact = wts, w_exact
-
-    def seg_sum(self, edge_vals, ia=None):
-        """Per-node sums of an edge-aligned array (empty rows -> 0);
-        ``ia`` selects a node subset."""
-        np = _np
-        c = np.zeros(len(edge_vals) + 1, edge_vals.dtype)
-        np.cumsum(edge_vals, out=c[1:])
-        off = self.off
-        if ia is None:
-            return c[off[1:]] - c[off[:-1]]
-        return c[off[ia + 1]] - c[off[ia]]

@@ -122,35 +122,31 @@ def _bind(protocol: Protocol, network: Network, compiled) -> None:
     protocol._storage_binding = (compiled, network.restores)
 
 
-def _ensure_storage(network: Network, protocol: Protocol,
-                    storage: str, compiled):
-    """Re-adopt the scheduler's store class if another scheduler
-    switched the shared network between columnar and numpy since the
-    last run; returns the compiled schema now backing it (``compiled``
-    when unchanged)."""
-    if compiled is None:
-        return None
-    from .npcolumnar import NumpyColumnStore
-    if (type(network.columns) is NumpyColumnStore) != \
-            (storage == STORAGE_NUMPY):
-        return _bind_storage(network, protocol, storage)
-    return compiled
+def _ensure_bound(network: Network, protocol: Protocol, storage: str,
+                  compiled):
+    """The run-start binding check; returns the compiled schema now
+    backing the run (``compiled`` when unchanged).
 
-
-def _ensure_binding(protocol: Protocol, network: Network,
-                    compiled) -> None:
-    """Re-bind before running if another scheduler re-bound the protocol
-    since construction, or a snapshot was restored into the network
-    since the last binding.  Binding clears the protocol's
-    label-derived caches, so a protocol shared across
+    If another scheduler switched the shared network between columnar
+    and numpy since the last run, the scheduler's store class is
+    re-adopted (and the protocol re-bound).  Otherwise the protocol is
+    re-bound when another scheduler bound it since, or a snapshot was
+    restored into the network since the last binding.  Binding clears
+    the protocol's label-derived caches, so a protocol shared across
     schedulers/networks (legal, if unusual) never runs with another
     network's handles or serves another network's cached verdicts — at
     the cost of a cache flush per hand-over — and no pool-id cache
     outlives the pool truncation of a restore."""
+    if compiled is not None:
+        from .npcolumnar import NumpyColumnStore
+        if (type(network.columns) is NumpyColumnStore) != \
+                (storage == STORAGE_NUMPY):
+            return _bind_storage(network, protocol, storage)
     bound = getattr(protocol, "_storage_binding", None)
     if bound is None or bound[0] is not compiled or \
             bound[1] != network.restores:
         _bind(protocol, network, compiled)
+    return compiled
 
 
 class SynchronousScheduler:
@@ -199,71 +195,80 @@ class SynchronousScheduler:
         self._bulk = bool(bulk)
         self._storage = _storage_mode(storage)
         self._compiled = _bind_storage(network, protocol, self._storage)
-        self._adjacency: Optional[Dict[NodeId, List[NodeId]]] = None
-        self._snap_store = None
-        self._col_contexts = None
-        self._bulk_ops = None
-
-    def _neighbors_of(self) -> Dict[NodeId, List[NodeId]]:
-        if self._adjacency is None:
-            graph = self.network.graph
-            self._adjacency = {v: graph.neighbors(v) for v in graph.nodes()}
-        return self._adjacency
+        #: (store, contexts, refresh, ops) of the columnar runs
+        self._columnar = None
 
     def topology_changed(self) -> None:
         """Invalidate every topology-derived cache after a churn event
-        (:mod:`repro.sim.churn`): the adjacency map, the columnar
-        snapshot/context pair, and the fused batch ops are rebuilt on
-        the next ``run()``, and the protocol is re-bound (binding
-        clears its label-derived verdict caches, whose stable-version
-        keys are not collision-free across a change of read scope).
-        Churn events apply *between* ``run()`` calls, which already
-        fence the fast path: every run starts from a full snapshot and
-        a full step round."""
-        self._adjacency = None
-        self._snap_store = None
-        self._col_contexts = None
-        self._bulk_ops = None
+        (:mod:`repro.sim.churn`): the columnar snapshot, contexts and
+        fused batch ops are rebuilt on the next ``run()``, and the
+        protocol is re-bound (binding clears its label-derived verdict
+        caches, whose stable-version keys are not collision-free across
+        a change of read scope).  Churn events apply *between* ``run()``
+        calls, which already fence the fast path: every run starts from
+        a full snapshot and a full step round."""
+        self._columnar = None
         self.protocol._storage_binding = None
 
-    def _columnar_state(self):
-        """(snapshot store, per-node contexts), rebuilt when the network's
-        column store was replaced (storage switch, re-adoption)."""
-        store = self.network.columns
-        snap = self._snap_store
-        if snap is None or snap.schema is not store.schema or \
-                self._col_contexts is None or \
-                self._col_contexts[0] is not store:
-            snap = store.fork()
-            adjacency = self._neighbors_of()
-            contexts = {v: ColumnarNodeContext(self.network, v, store, snap,
-                                               adjacency[v])
-                        for v in self.network.graph.nodes()}
-            self._snap_store = snap
-            self._col_contexts = (store, contexts)
-        return self._snap_store, self._col_contexts[1]
+    def _round_state(self):
+        """The run's ``(contexts, refresh, ops)``: per-node contexts
+        reading neighbours from a snapshot, ``refresh(changed)`` to
+        bring that snapshot up to date (``changed``: the contexts that
+        wrote since the last refresh; None: everything), and the fused
+        batch ops (None on dict storage or with ``bulk=False``)."""
+        network = self.network
+        nodes = network.graph.nodes()
+        if self._compiled is None:
+            # rebuilt every run: a restore or ``Network.clear`` replaces
+            # the register dicts the contexts write to
+            registers = network.registers
+            snapshot: Dict[NodeId, Dict[str, Any]] = {}
 
-    def _bulk_ops_for(self, store, snap):
-        """The fused batch ops for (store, snap), cached so protocols
-        can key their fused closures on the ops object's identity."""
-        ops = self._bulk_ops
-        if ops is None or ops.store is not store or ops.snap is not snap:
-            ops = self._bulk_ops = ColumnarBulkOps(store, snap)
-        return ops
+            def refresh(changed) -> None:
+                if changed is None:
+                    for v, regs in registers.items():
+                        snapshot[v] = dict(regs)
+                else:
+                    for ctx in changed:
+                        v = ctx.node
+                        snapshot[v] = dict(registers[v])
+
+            return ({v: NodeContext(network, v, snapshot) for v in nodes},
+                    refresh, None)
+        store = network.columns
+        cached = self._columnar
+        if cached is None or cached[0] is not store:
+            snap = store.fork()
+
+            def refresh(changed) -> None:
+                if changed is None:
+                    snap.refresh_from(store, full=True)
+                else:
+                    snap.refresh_from(store, rows=[c._i for c in changed])
+                store.clear_dirty()
+
+            # the ops persist with the snapshot so protocols can key
+            # their fused closures on the ops object's identity
+            cached = self._columnar = (
+                store,
+                {v: ColumnarNodeContext(network, v, store, snap)
+                 for v in nodes},
+                refresh, ColumnarBulkOps(store, snap))
+        _, contexts, refresh, ops = cached
+        # a restore between runs can move the stable epochs backwards,
+        # so no label-sentinel memo survives a run boundary
+        for ctx in contexts.values():
+            ctx._sent_key = None
+        return contexts, refresh, ops if self._bulk else None
 
     def initialize(self) -> None:
         """Run ``init_node`` at every node (idempotent)."""
         if self._initialized:
             return
-        if self._compiled is not None:
-            snap, contexts = self._columnar_state()
-            snap.refresh_from(self.network.columns, full=True)
-            for v in self.network.graph.nodes():
-                self.protocol.init_node(contexts[v])
-        else:
-            snapshot = self._snapshot()
-            for v in self.network.graph.nodes():
-                self.protocol.init_node(NodeContext(self.network, v, snapshot))
+        contexts, refresh, _ = self._round_state()
+        refresh(None)
+        for v in self.network.graph.nodes():
+            self.protocol.init_node(contexts[v])
         self._initialized = True
 
     def _snapshot(self):
@@ -276,14 +281,11 @@ class SynchronousScheduler:
         Stops early (after completing a round) when ``stop_when(network)``
         becomes true.
         """
-        _ensure_binding(self.protocol, self.network, self._compiled)
-        self._compiled = _ensure_storage(self.network, self.protocol,
-                                         self._storage, self._compiled)
+        self._compiled = _ensure_bound(self.network, self.protocol,
+                                       self._storage, self._compiled)
         self.initialize()
-        if self._compiled is not None:
-            return self._run_columns(max_rounds, stop_when)
-        if self.fast_path:
-            return self._run_fast(max_rounds, stop_when)
+        if self._compiled is not None or self.fast_path:
+            return self._run_rounds(max_rounds, stop_when)
         executed = 0
         bulk_step = self.protocol.bulk_step
         for _ in range(max_rounds):
@@ -297,143 +299,67 @@ class SynchronousScheduler:
                 break
         return executed
 
-    def _run_fast(self, max_rounds: int,
-                  stop_when: Optional[StopCondition]) -> int:
+    def _run_rounds(self, max_rounds: int,
+                    stop_when: Optional[StopCondition]) -> int:
+        """The round loop of every storage but the naive dict oracle.
+
+        The loop keeps the round's changed contexts itself: the whole
+        batch when the protocol's sweep set ``batch.wrote_all``, else
+        the contexts whose ``wrote`` flag is set.  They drive the next
+        refresh (on columnar storage a bulk copy of exactly the dirty
+        columns), the stale-set skip — sound because a node is only
+        skipped when *no write at all* happened in its closed
+        neighbourhood, in which case its deterministic step would
+        rewrite its current state — and the quiescence fast-forward.
+        Off the fast path (or under an overridden ``on_round_end``)
+        every round is the naive one: a full refresh, then every node
+        steps."""
         network = self.network
-        bulk_step = self.protocol.bulk_step
+        protocol = self.protocol
+        bulk_step = protocol.bulk_step
         nodes = network.graph.nodes()
-        neighbors = network.graph.neighbors
-        registers = network.registers
         node_order = {v: i for i, v in enumerate(nodes)}
+        contexts, refresh, ops = self._round_state()
+        naive = not self.fast_path
         executed = 0
-        snapshot: dict = {}
-        # registers may have been rewritten externally since the last call
-        # (fault injection, resets): the first round re-snapshots and
+        # external writes (fault injection, resets) since the last call
+        # are not round-tracked: the first round re-snapshots and
         # re-steps everything, exactly like the naive loop.
-        changed_prev: Optional[List[NodeId]] = None
+        changed: Optional[List[Any]] = None
         while executed < max_rounds:
-            if changed_prev is None:
-                snapshot = {v: dict(regs) for v, regs in registers.items()}
+            if changed is None:
+                refresh(None)
                 active: Sequence[NodeId] = nodes
             else:
-                for v in changed_prev:
-                    snapshot[v] = dict(registers[v])
-                if not changed_prev:
+                if not changed:
                     # global quiescence: every remaining round is a no-op
-                    # (and stop_when stayed false after the last change).
+                    # (and stop_when stayed false after the last change)
                     self.rounds += max_rounds - executed
                     return max_rounds
-                if len(changed_prev) == len(nodes):
+                refresh(changed)
+                if len(changed) == len(nodes):
                     # full churn (e.g. the train verifier): skip the
                     # stale-set construction entirely
                     active = nodes
                 else:
                     stale: Set[NodeId] = set()
-                    for u in changed_prev:
-                        stale.add(u)
-                        stale.update(neighbors(u))
+                    for ctx in changed:
+                        stale.add(ctx.node)
+                        stale.update(ctx.neighbors)
                     # O(|stale| log |stale|), not O(n): localized churn
                     # must not pay a full-network scan every round
                     active = (nodes if len(stale) >= len(nodes)
                               else sorted(stale,
                                           key=node_order.__getitem__))
-            ctxs = [NodeContext(network, v, snapshot) for v in active]
-            bulk_step(BulkBatch(ctxs))
-            self.rounds += 1
-            executed += 1
-            self.protocol.on_round_end(network, self.rounds)
-            changed_prev = [ctx.node for ctx in ctxs if ctx.wrote]
-            if stop_when is not None and stop_when(network):
-                break
-        return executed
-
-    # -- columnar path ---------------------------------------------------
-    def _run_columns(self, max_rounds: int,
-                     stop_when: Optional[StopCondition]) -> int:
-        """The loop over columns.  On the fast path the snapshot refresh
-        is a bulk copy of exactly the dirty columns (slice assignment,
-        not per-slot loops), and the quiescence skip keys off the
-        store's conservative dirty node list — sound because a node is
-        only skipped when *no write at all* happened in its closed
-        neighbourhood last round, in which case its deterministic step
-        would rewrite its current state.  Off the fast path (or under
-        an overridden ``on_round_end``) every round is the naive one: a
-        full refresh, then every node steps."""
-        network = self.network
-        protocol = self.protocol
-        bulk_step = protocol.bulk_step
-        nodes = network.graph.nodes()
-        store = network.columns
-        adjacency = self._neighbors_of()
-        node_order = {v: i for i, v in enumerate(nodes)}
-        snap, contexts = self._columnar_state()
-        # a restore between runs can move the stable epochs backwards,
-        # so no label-sentinel memo survives a run boundary
-        for ctx in contexts.values():
-            ctx._sent_key = None
-        ops = self._bulk_ops_for(store, snap) if self._bulk else None
-        executed = 0
-        # external writes (fault injection, resets) since the last call
-        # are not round-tracked: the first round re-snapshots and
-        # re-steps everything, exactly like the naive loop.
-        first = True
-        naive = not self.fast_path
-        while executed < max_rounds:
-            if first or naive:
-                snap.refresh_from(store, full=True)
-                store.clear_dirty()
-                active: Sequence[NodeId] = nodes
-                first = False
-            else:
-                dirty = store.dirty_node_list
-                if not dirty:
-                    # global quiescence: every remaining round is a no-op
-                    self.rounds += max_rounds - executed
-                    return max_rounds
-                snap.refresh_from(store)
-                if len(dirty) == len(nodes):
-                    active = nodes
-                else:
-                    stale: Set[NodeId] = set()
-                    for u in dirty:
-                        stale.add(u)
-                        stale.update(adjacency[u])
-                    active = (nodes if len(stale) >= len(nodes)
-                              else sorted(stale,
-                                          key=node_order.__getitem__))
-                store.clear_dirty()
-            dn = store.dirty_nodes
-            dlist = store.dirty_node_list
-            batch_ctxs = []
-            batch_idx = []
-            capp = batch_ctxs.append
-            iapp = batch_idx.append
-            for v in active:
-                ctx = contexts[v]
+            batch_ctxs = [contexts[v] for v in active]
+            for ctx in batch_ctxs:
                 ctx.wrote = False
-                capp(ctx)
-                iapp(ctx._i)
-            batch = BulkBatch(batch_ctxs, batch_idx, ops)
+            batch = BulkBatch(batch_ctxs, None if ops is None
+                              else [ctx._i for ctx in batch_ctxs], ops)
             bulk_step(batch)
-            if batch.wrote_all:
-                # the protocol's fused sweep wrote every node of the
-                # batch: mark the round dirty in one pass
-                if len(batch_ctxs) == len(nodes):
-                    dn[:] = b"\x01" * len(dn)
-                    dlist[:] = nodes
-                else:
-                    for ctx in batch_ctxs:
-                        i = ctx._i
-                        if not dn[i]:
-                            dn[i] = 1
-                            dlist.append(ctx.node)
-            else:
-                for ctx in batch_ctxs:
-                    if ctx.wrote:
-                        i = ctx._i
-                        if not dn[i]:
-                            dn[i] = 1
-                            dlist.append(ctx.node)
+            if not naive:
+                changed = batch_ctxs if batch.wrote_all else [
+                    ctx for ctx in batch_ctxs if ctx.wrote]
             self.rounds += 1
             executed += 1
             protocol.on_round_end(network, self.rounds)
@@ -966,9 +892,8 @@ class AsynchronousScheduler:
         closed neighbourhoods are pairwise disjoint (see
         :mod:`repro.sim.bulk`).  ``max_activations`` is checked at
         daemon-batch boundaries."""
-        _ensure_binding(self.protocol, self.network, self._compiled)
-        self._compiled = _ensure_storage(self.network, self.protocol,
-                                         self._storage, self._compiled)
+        self._compiled = _ensure_bound(self.network, self.protocol,
+                                       self._storage, self._compiled)
         self.initialize()
         network = self.network
         protocol = self.protocol

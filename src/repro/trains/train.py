@@ -278,10 +278,6 @@ class TrainComponent:
             ctx.set(handle, default)
 
     # -- topology inside the part ----------------------------------------
-    def part_root_id(self, ctx) -> Optional[int]:
-        root = ctx.get(self.h_root)
-        return root if isinstance(root, int) else None
-
     def part_parent(self, ctx) -> Optional[int]:
         pid = ctx.get(self.h_pid)
         if pid is None or pid not in ctx.neighbors:
@@ -304,9 +300,6 @@ class TrainComponent:
         if not isinstance(pieces, tuple):
             return ()
         return tuple(pc for pc in pieces if valid_piece(pc))
-
-    def is_part_root(self, ctx) -> bool:
-        return self.part_parent(ctx) is None
 
     # -- membership flags (Section 7.1) -----------------------------------
     def membership_flag(self, ctx, piece: Tuple, parent_flag: bool) -> bool:

@@ -130,11 +130,11 @@ def test_conservative_dirty_marking():
     ctx.set(compiled.slot("count"), 0)     # same value as default: still
     assert ctx.wrote                       # a write (conservative)
     assert store.dirty_cols[compiled.slot("count")]
-    view = RegisterView(store, 2)
-    view["count"] = 3                      # view writes mark the node
-    assert 2 in store.dirty_node_list
     store.clear_dirty()
-    assert not store.dirty_node_list
+    view = RegisterView(store, 2)
+    view["count"] = 3                      # view writes mark the column
+    assert store.dirty_cols[compiled.slot("count")]
+    store.clear_dirty()
     assert not any(store.dirty_cols)
 
 
@@ -188,7 +188,7 @@ def test_serialize_restore_roundtrips_pool_and_overflow_exactly():
     assert fresh.get_value(0, count) == 1 << 70
     assert fresh.get_value(1, count) == 7
     # dirty tracking restarts clean after a restore
-    assert not fresh.dirty_node_list and not any(fresh.dirty_cols)
+    assert not fresh.extras_dirty and not any(fresh.dirty_cols)
 
 
 def test_restore_serialized_validates_before_mutating():

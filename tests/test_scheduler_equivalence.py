@@ -9,16 +9,22 @@ drive the full MST verifier (never quiescent: the trains patrol
 forever) across the full fast_path x storage grid, the Boruvka
 construction protocol (quiescent once every node is done — exercises the
 skip and the fast-forward; schema-less, so it also pins the dict path),
-and the 1-round PLS verifier (quiescent immediately), through
-settle/inject/detect phases.
+the other schema-less protocols (Wave&Echo, the TTL wave, the data link
+and the reset wave), and the 1-round PLS verifier (quiescent
+immediately), through settle/inject/detect phases.
 """
 
 import pytest
 
 from repro.baselines.pls_sqlog import SqLogPlsProtocol, sqlog_labels
-from repro.graphs.generators import random_connected_graph
+from repro.graphs.generators import path_graph, random_connected_graph
+from repro.graphs.mst_reference import kruskal_mst
+from repro.graphs.spanning import RootedTree
 from repro.mst.boruvka_protocol import BoruvkaProtocol
+from repro.selfstab import REG_RESET_EPOCH, ResetWaveProtocol
 from repro.sim import FaultInjector, Network, SynchronousScheduler
+from repro.sim.datalink import DataLinkProtocol, LinkEndpoints
+from repro.sim.waves import TimeToLiveWave, WaveEchoProtocol, sum_command
 from repro.verification import make_network
 from repro.verification.verifier import MstVerifierProtocol
 
@@ -125,6 +131,61 @@ class TestBoruvkaEquivalence:
         assert results[False][2] == results[True][2]
         assert results[False][3] == results[True][3]
         assert_equivalent(results[False][0], results[True][0])
+
+
+def _wave_echo():
+    g = random_connected_graph(20, 30, seed=3)
+    tree = RootedTree.from_edges(g, kruskal_mst(g), g.nodes()[0])
+    net = Network(g)
+    net.install({v: {"pid": tree.parent[v]} for v in g.nodes()})
+    values = {v: 3 * v + 1 for v in g.nodes()}
+    return net, WaveEchoProtocol(sum_command(values)), None
+
+
+def _ttl_wave():
+    g = random_connected_graph(20, 30, seed=4)
+    tree = RootedTree.from_edges(g, kruskal_mst(g), g.nodes()[0])
+    net = Network(g)
+    net.install({v: {"pid": tree.parent[v]} for v in g.nodes()})
+    return net, TimeToLiveWave(3), None
+
+
+def _data_link():
+    g = path_graph(6, seed=5)
+    net = Network(g)
+    inbox = []
+    proto = DataLinkProtocol(LinkEndpoints(2, 3), list("abcde"), inbox)
+    return net, proto, inbox
+
+
+def _reset_wave():
+    g = random_connected_graph(16, 24, seed=6)
+    net = Network(g)
+    net.install({v: {"junk": v, "_ghost": 1} for v in g.nodes()})
+    net.registers[0] = {REG_RESET_EPOCH: 5, "_ghost": 1}
+    return net, ResetWaveProtocol(), None
+
+
+class TestSchemaLessEquivalence:
+    """The other protocols that declare no register schema run on dict
+    storage, where the round loop is their only fast path: wave fronts
+    (Wave&Echo, the TTL wave, the reset flood) and a two-node data link
+    write a few nodes per round, then fall quiescent."""
+
+    @pytest.mark.parametrize("make", [_wave_echo, _ttl_wave, _data_link,
+                                      _reset_wave])
+    def test_fast_matches_naive(self, make):
+        results = {}
+        for fast in (False, True):
+            net, proto, inbox = make()
+            sched, trace, executed = run_traced(net, proto, 60, fast,
+                                                storage="dict")
+            results[fast] = (trace, executed, sched.rounds, inbox,
+                            {v: dict(r) for v, r in net.registers.items()})
+        assert results[False][1:] == results[True][1:]
+        assert_equivalent(results[False][0], results[True][0])
+        # the fast path fast-forwarded a quiescent tail
+        assert len(results[True][0]) < len(results[False][0])
 
 
 class TestQuiescentVerifierEquivalence:

@@ -2,9 +2,11 @@
 
 Three backends coexist: the per-node dict store (the reference
 semantics), the columnar store (``repro.sim.columnar`` — ``array('q')``
-columns, interning pool, conservative column/node dirty tracking), and
+columns, interning pool, conservative column dirty tracking, with the
+contexts' write flags as the only record of which nodes changed), and
 the numpy tier (``repro.sim.npcolumnar`` — the same columnar
-representation with vectorized bulk sweeps).  They
+representation with vectorized bulk sweeps and masked-row snapshot
+refreshes).  They
 re-represent node state, but none of that may be *observable*: the
 same scenario must produce identical alarms, rounds, activations,
 register contents, and memory-bit accounting under every backend, for
@@ -20,7 +22,8 @@ Two layers of evidence:
 * direct scheduler-level runs comparing full register traces through
   settle/inject/detect phases across all three label formats (train
   verifier, hybrid, sqlog), including the dirty-aware asynchronous
-  scheduler's skip logic and the locality-batching daemon.
+  scheduler's skip logic, the locality-batching daemon, and 64-node
+  synchronous numpy runs that refresh their snapshot row by row.
 """
 
 import dataclasses
@@ -32,9 +35,10 @@ from repro.graphs.generators import random_connected_graph
 from repro.sim import (STORAGE_KINDS, AsynchronousScheduler,
                        ConflictFreeDaemon, FaultInjector,
                        LocalityBatchDaemon, Network, PermutationDaemon,
-                       RandomDaemon, RoundRobinDaemon,
+                       Protocol, RandomDaemon, RoundRobinDaemon,
                        SynchronousScheduler, TiledConflictFreeDaemon,
                        first_alarm)
+from repro.sim.registers import RegisterSchema
 from repro.verification import make_network
 from repro.verification.hybrid import HybridVerifierProtocol, hybrid_labels
 from repro.verification.marker import run_marker
@@ -152,6 +156,139 @@ def test_sync_register_trace_bitwise_equal(proto_kind, campaign_seed):
                                ("numpy", True)]:
         got = _run_sync(g, storage, fast_path, campaign_seed, proto_kind)
         assert got == ref, (storage, fast_path)
+
+
+def _masked_refresh_graph(campaign_seed):
+    """A 64-node instance (above ``VECTOR_MIN``, so the numpy tier may
+    mask its snapshot refresh)."""
+    from repro.sim.npcolumnar import VECTOR_MIN
+
+    g = random_connected_graph(
+        64, 110, seed=derive_seed(campaign_seed, "masked-refresh") % 1009)
+    assert g.n >= VECTOR_MIN
+    return g
+
+
+def _trace_until_still(sched, net, rounds):
+    """Run until a round leaves every register unchanged; returns
+    (rounds executed, per-round register trace)."""
+    trace = []
+
+    def record(n):
+        trace.append({v: dict(r) for v, r in n.registers.items()})
+        return len(trace) > 1 and trace[-1] == trace[-2]
+
+    return sched.run(rounds, stop_when=record), trace
+
+
+def _track_refreshes(monkeypatch):
+    """Record every numpy snapshot refresh as (rows given, live node
+    count, columns row-copied through ``view64``)."""
+    from repro.sim import npcolumnar
+
+    calls = []
+    refreshing = []
+    view64 = npcolumnar.view64
+    refresh_from = npcolumnar.NumpyColumnStore.refresh_from
+
+    def counting_view64(col):
+        if refreshing:
+            refreshing[-1].append(col)
+        return view64(col)
+
+    def tracked_refresh(self, live, full=False, rows=None):
+        copied = []
+        calls.append((rows, live.n, copied))
+        refreshing.append(copied)
+        try:
+            return refresh_from(self, live, full, rows)
+        finally:
+            refreshing.pop()
+
+    monkeypatch.setattr(npcolumnar, "view64", counting_view64)
+    monkeypatch.setattr(npcolumnar.NumpyColumnStore, "refresh_from",
+                        tracked_refresh)
+    return calls
+
+
+def test_numpy_masked_refresh_matches_naive_dict(campaign_seed,
+                                                 monkeypatch):
+    """A synchronous numpy run in which few nodes write per round hands
+    the snapshot refresh few enough rows to mask, and still matches the
+    naive dict loop's full register traces.  sqlog settles quiescent;
+    after one node is corrupted only the nodes around the fault raise
+    alarms, and the run goes on until the registers stop changing."""
+    from repro.baselines.pls_sqlog import SqLogPlsProtocol, sqlog_labels
+    from repro.sim.npcolumnar import numpy_or_none
+
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = _masked_refresh_graph(campaign_seed)
+    labels = sqlog_labels(g)
+
+    def run(storage, fast_path):
+        net = Network(g)
+        net.install(labels)
+        sched = SynchronousScheduler(net, SqLogPlsProtocol(),
+                                     fast_path=fast_path, storage=storage)
+        settle = sched.run(40)
+        FaultInjector(net, seed=campaign_seed).corrupt_random_nodes(
+            1, fraction=0.8)
+        detect, trace = _trace_until_still(sched, net, 200)
+        return settle, detect, sched.rounds, net.alarms(), trace
+
+    ref = run("dict", False)
+    assert ref[3], "sqlog must detect the corruption"
+    calls = _track_refreshes(monkeypatch)
+    assert run("numpy", True) == ref
+    assert any(rows is not None and 0 < len(rows) * 4 < n
+               for rows, n, _ in calls), "no refresh was masked"
+
+
+class _HopFlood(Protocol):
+    """Hop distance from node 0 in one declared nat register: only the
+    flood's frontier writes, so most rounds change a few rows of an
+    ``array('q')`` column."""
+
+    def register_schema(self):
+        schema = RegisterSchema()
+        schema.declare("hop", "nat", None)
+        return schema
+
+    def step(self, ctx):
+        if ctx.node == 0:
+            best = 0
+        else:
+            hops = [h for u in ctx.neighbors
+                    if (h := ctx.read_nat(u, "hop")) is not None]
+            best = min(hops) + 1 if hops else None
+        if ctx.get("hop") != best:
+            ctx.set("hop", best)
+
+
+def test_numpy_masked_row_copy_matches_naive_dict(campaign_seed,
+                                                  monkeypatch):
+    """The masked refresh's row copy into a nat column: a hop-count
+    flood on numpy storage copies only the frontier's rows into its
+    snapshot and matches the naive dict loop's register traces."""
+    from repro.sim.npcolumnar import numpy_or_none
+
+    if numpy_or_none() is None:
+        pytest.skip("numpy unavailable")
+    g = _masked_refresh_graph(campaign_seed)
+
+    def run(storage, fast_path):
+        net = Network(g)
+        sched = SynchronousScheduler(net, _HopFlood(),
+                                     fast_path=fast_path, storage=storage)
+        return _trace_until_still(sched, net, 200)
+
+    ref = run("dict", False)
+    assert all(r["hop"] is not None for r in ref[1][-1].values())
+    calls = _track_refreshes(monkeypatch)
+    assert run("numpy", True) == ref
+    assert any(copied for _, _, copied in calls), \
+        "no refresh copied masked rows"
 
 
 @pytest.mark.parametrize("daemon_cls", [PermutationDaemon, RoundRobinDaemon,
