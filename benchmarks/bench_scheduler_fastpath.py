@@ -29,8 +29,10 @@ Dimensions on verifier workloads:
 * **bulk plane** (PR 4) — the same columnar patrol workload with the
   scalar activation loop (``bulk=False``, PR 3's per-step path) vs the
   bulk-activation plane (``repro.sim.bulk``): fused ``array('q')``
-  sweeps for the step counters plus column-inlined train/Ask
-  bookkeeping, proven bit-for-bit equivalent by
+  sweeps for the step counters plus column-inlined train bookkeeping
+  (the Ask/Show comparison runs its scalar step on both sides, so the
+  flattened step speeds up the ``bulk=False`` control as well), proven
+  bit-for-bit equivalent by
   ``tests/test_bulk_plane.py``.  Honest numbers with interleaved
   best-of-repeats; the assertions gate the repeatable floor and the
   report documents the shortfall against the 1.5x target where the
@@ -40,9 +42,10 @@ Dimensions on verifier workloads:
   ``independent``) pre-declares batches with pairwise disjoint closed
   neighbourhoods, which licenses the fused columnar kernels on the
   live (daemon-driven) path — one ``array('q')`` counter sweep per
-  batch, column-inlined trains, and the fused comparison kernels in
-  Want mode (``make_bulk_step``/``make_bulk_held``) — against the
-  scalar asynchronous columnar loop under the *same* daemon.
+  batch, column-inlined trains, and the scalar Want-mode comparison
+  (``ComparisonComponent.step``/``held_levels``) on the columnar
+  contexts — against the scalar asynchronous columnar loop under the
+  *same* daemon.
   Interleaved best-of-repeats at n=500 and n=2000; floors asserted at
   1.15x, shortfall vs the 1.3x target documented.
 * **numpy tier** (PR 7) — the vectorized kernel tier
@@ -450,7 +453,7 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
             f" peak memory is {mem_factor:.2f}x.  The bulk rows measure"
             " the bulk-activation plane (PR 4) against the scalar"
             " columnar loop those storage rows use: fused column sweeps"
-            f" for the step counters plus column-inlined train/Ask"
+            f" for the step counters plus column-inlined train"
             f" bookkeeping buy {b_small:.2f}x per step at n = {n}"
             f" ({per_step:.1f}us per node-step) and {b_big:.2f}x at"
             f" n = {big_n}.  Honest shortfall note: the ISSUE's 1.5x"
@@ -463,7 +466,7 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
             " fused kernels off the synchronous-only path: the"
             " conflict-free daemon's disjoint closed-neighbourhood"
             " batches license live fusion (one counter sweep per"
-            " batch, column-inlined trains, fused Want-mode"
+            " batch, column-inlined trains, the scalar Want-mode"
             f" comparison), buying {a_small:.2f}x per step at n = {n}"
             f" and {a_big:.2f}x at n = {big_n} over the scalar async"
             " columnar loop under the *same* daemon — the 1.3x target"

@@ -237,87 +237,51 @@ def _make_sync(net: Network, proto: Protocol, params: dict, seed: int):
 
 
 def _slow_nodes_daemon(network: Network, params: dict, seed: int):
-    params = dict(params)
     count = params.pop("count", 2)
     slowdown = params.pop("slowdown", 3)
-    _no_params("slow_nodes", params)
     nodes = network.graph.nodes()
     slow = Random(seed).sample(nodes, min(count, len(nodes)))
     return SlowNodesDaemon(slow, slowdown, seed=seed)
 
 
-def _async_flags(kind: str, params: dict) -> dict:
-    return {"storage": _storage_flag(kind, params),
-            "dirty_aware": params.pop("dirty_aware", True),
-            "bulk": params.pop("bulk", True)}
+#: asynchronous schedule kind -> daemon builder(network, params, seed);
+#: a builder pops the schedule parameters it takes
+_DAEMON_BUILDERS: Dict[str, Callable[..., Any]] = {
+    "round_robin": lambda net, params, seed: RoundRobinDaemon(),
+    "permutation": lambda net, params, seed: PermutationDaemon(seed=seed),
+    "random": lambda net, params, seed: RandomDaemon(seed=seed),
+    "slow_nodes": _slow_nodes_daemon,
+    "locality": lambda net, params, seed:
+        LocalityBatchDaemon(net.graph, seed=seed),
+    "independent": lambda net, params, seed:
+        ConflictFreeDaemon(net.graph, seed=seed),
+    "tiled": lambda net, params, seed:
+        TiledConflictFreeDaemon(net.graph, seed=seed),
+}
 
 
-def _make_round_robin(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("round_robin", params)
-    _no_params("round_robin", params)
-    return AsynchronousScheduler(net, proto, RoundRobinDaemon(), **flags)
+def _async_factory(kind: str) -> Callable[..., Any]:
+    """The schedule factory of an asynchronous ``kind``: the scheduler
+    flags every kind takes (``storage``, ``dirty_aware``, ``bulk``),
+    then the daemon from its builder, which takes the rest."""
+    build = _DAEMON_BUILDERS[kind]
 
+    def factory(net: Network, proto: Protocol, params: dict, seed: int):
+        params = dict(params)
+        storage = _storage_flag(kind, params)
+        dirty_aware = params.pop("dirty_aware", True)
+        bulk = params.pop("bulk", True)
+        daemon = build(net, params, seed)
+        _no_params(kind, params)
+        return AsynchronousScheduler(net, proto, daemon, storage=storage,
+                                     dirty_aware=dirty_aware, bulk=bulk)
 
-def _make_permutation(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("permutation", params)
-    _no_params("permutation", params)
-    return AsynchronousScheduler(net, proto, PermutationDaemon(seed=seed),
-                                 **flags)
-
-
-def _make_random(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("random", params)
-    _no_params("random", params)
-    return AsynchronousScheduler(net, proto, RandomDaemon(seed=seed), **flags)
-
-
-def _make_slow_nodes(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("slow_nodes", params)
-    return AsynchronousScheduler(net, proto,
-                                 _slow_nodes_daemon(net, params, seed),
-                                 **flags)
-
-
-def _make_locality(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("locality", params)
-    _no_params("locality", params)
-    return AsynchronousScheduler(net, proto,
-                                 LocalityBatchDaemon(net.graph, seed=seed),
-                                 **flags)
-
-
-def _make_independent(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("independent", params)
-    _no_params("independent", params)
-    return AsynchronousScheduler(net, proto,
-                                 ConflictFreeDaemon(net.graph, seed=seed),
-                                 **flags)
-
-
-def _make_tiled(net, proto, params, seed):
-    params = dict(params)
-    flags = _async_flags("tiled", params)
-    _no_params("tiled", params)
-    return AsynchronousScheduler(net, proto,
-                                 TiledConflictFreeDaemon(net.graph,
-                                                         seed=seed),
-                                 **flags)
+    return factory
 
 
 register_schedule("sync", True, _make_sync)
-register_schedule("round_robin", False, _make_round_robin)
-register_schedule("permutation", False, _make_permutation)
-register_schedule("random", False, _make_random)
-register_schedule("slow_nodes", False, _make_slow_nodes)
-register_schedule("locality", False, _make_locality)
-register_schedule("independent", False, _make_independent)
-register_schedule("tiled", False, _make_tiled)
+for _kind in _DAEMON_BUILDERS:
+    register_schedule(_kind, False, _async_factory(_kind))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.weighted import GraphError, NodeId, WeightedGraph, edge_key
-from .network import Network
+from .network import Network, first_alarm
 from .registers import ALARM, compile_schema, is_ghost
 
 __all__ = ["ChurnEvent", "ChurnScript", "ChurnReport", "run_with_churn",
@@ -364,7 +364,7 @@ def run_with_churn(network: Network, scheduler, protocol,
         executed.append(event.key())
         pre_settled = settled is not None and settled(network)
 
-        det = scheduler.run(window, stop_when=_first_alarm)
+        det = scheduler.run(window, stop_when=first_alarm)
         detected = network.has_alarm()
         # a mid-round async stop reports 0 completed rounds; the partial
         # round happened, so charge it as one
@@ -379,7 +379,9 @@ def run_with_churn(network: Network, scheduler, protocol,
         settled_at: Optional[int] = None
         if not detected and settled is not None and settled(network):
             settled_at = 0 if pre_settled else det_rounds
-        stop = (_settle_stop if settled is None
+        # no settle predicate: the remainder window only watches for
+        # alarms
+        stop = (first_alarm if settled is None
                 else _settle_or_alarm(settled))
         while settled_at is None and spent < window:
             q = scheduler.run(window - spent, stop_when=stop)
@@ -405,15 +407,6 @@ def run_with_churn(network: Network, scheduler, protocol,
                        tuple(quiesce), tuple(alarms),
                        (avail_rounds / total_rounds) if total_rounds
                        else 1.0)
-
-
-def _first_alarm(network: Network) -> bool:
-    return network.has_alarm()
-
-
-def _settle_stop(network: Network) -> bool:
-    # no settle predicate: the remainder window only watches for alarms
-    return network.has_alarm()
 
 
 def _settle_or_alarm(settled: Callable[[Network], bool]

@@ -44,10 +44,10 @@ from ..sim.columnar import BOX_S, INT_HI, NONE_S, SENT_CEIL, UNSET_S
 from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, SHOW_NONE, WL_NEVER,
                               WL_ODD, PoolIdCache, csr_take, idx_of,
                               put_rows, seg_any, view64)
-from ..sim.registers import NO_DECODE, handle_resolver
+from ..sim.registers import handle_resolver
 from .budgets import Budgets
-from .train import (TrainComponent, TrainObservation, decode_observation,
-                    valid_piece, _NAT_CAP, _PieceTable)
+from .train import (TrainComponent, decode_observation, valid_piece,
+                    _NAT_CAP, _PieceTable)
 
 #: comparison modes
 MODE_SYNC_WINDOW = "sync-window"
@@ -163,6 +163,8 @@ class ComparisonComponent:
         self.h_pid = resolve(REG_PARENT_ID)
         self.h_parents = resolve(REG_PARENTS)
         self.h_roots = resolve(REG_ROOTS)
+        # the slots a neighbour shows pieces in, top train first
+        self._show_handles = (self.top.h_bbuf, self.bottom.h_bbuf)
         self._init_pairs = tuple(
             (resolve(name), default) for name, _kind, default in _CMP_DECLS)
         # label-derived cache: node -> (sentinel, levels, {level: u0})
@@ -188,33 +190,41 @@ class ComparisonComponent:
     # trains' broadcast steps)
     # ------------------------------------------------------------------
     def held_levels(self, ctx) -> Tuple[Optional[int], Optional[int]]:
-        """(top_level, bottom_level) this node must keep displayed."""
+        """(top_level, bottom_level) this node must keep displayed: train
+        x holds ``lvl`` iff its own show is flagged at ``lvl`` and some
+        neighbour's ``Want`` names ``(me, lvl)``.
+
+        The neighbours' requests are scanned first, because most
+        activations find none naming this node, and then the own shows
+        need no decoding.  The "simple" server honours one client per
+        turn, so only the neighbour whose turn it is can hold a level."""
         if self.mode == MODE_SYNC_WINDOW:
             return (None, None)
         me = ctx.node
-        serve_only = None
-        if self.mode == MODE_WANT_SIMPLE:
-            nbrs = ctx.neighbors
-            if nbrs:
-                turn = (ctx.nat(self.h_turn) or 0) % len(nbrs)
-                serve_only = nbrs[turn]
-        held_top = held_bot = None
-        for train, attr in ((self.top, 0), (self.bottom, 1)):
+        nbrs = ctx.neighbors
+        if self.mode == MODE_WANT_SIMPLE and nbrs:
+            nbrs = (nbrs[(ctx.nat(self.h_turn) or 0) % len(nbrs)],)
+        read = ctx.read
+        h_want = self.h_want
+        # a list, not a set: an adversarial want level may be
+        # unhashable, and ``in`` must compare with == like a scan would
+        wanted = None
+        for u in nbrs:
+            want = read(u, h_want)
+            if isinstance(want, tuple) and len(want) == 2 and \
+                    want[0] == me:
+                if wanted is None:
+                    wanted = [want[1]]
+                else:
+                    wanted.append(want[1])
+        if wanted is None:
+            return (None, None)
+        held = [None, None]
+        for k, train in enumerate((self.top, self.bottom)):
             show = train.own_show(ctx)
-            if show is None or not show.flag:
-                continue
-            lvl = show.piece[1]
-            for u in ctx.neighbors:
-                if serve_only is not None and u != serve_only:
-                    continue
-                want = ctx.read(u, self.h_want)
-                if isinstance(want, tuple) and len(want) == 2 and \
-                        want[0] == me and want[1] == lvl:
-                    if attr == 0:
-                        held_top = lvl
-                    else:
-                        held_bot = lvl
-        return (held_top, held_bot)
+            if show is not None and show.flag and show.piece[1] in wanted:
+                held[k] = show.piece[1]
+        return (held[0], held[1])
 
     def serve_turn(self, ctx) -> None:
         """Advance the round-robin pointer ("simple" server side)."""
@@ -264,15 +274,92 @@ class ComparisonComponent:
             self._try_acquire(ctx, levels, budgets, alarms)
             return alarms
 
-        if self.mode == MODE_SYNC_WINDOW:
-            self._sync_compare_all(ctx, ask, alarms)
+        # The events E(v, u, level).  The synchronous window (Section
+        # 7.2.1) compares every neighbour at once; the Want handshake
+        # (Section 7.2.2) serves one neighbour at a time.
+        sync = self.mode == MODE_SYNC_WINDOW
+        nbrs = ctx.neighbors
+        if sync:
+            scan = nbrs
+        else:
+            idx = ctx.nat(self.h_nbr) or 0
+            if idx >= len(nbrs):
+                self._advance(ctx, levels)
+                return alarms
+            scan = (nbrs[idx],)
+        z, level, weight = ask
+        bit = 1 << level
+        read_nat = ctx.read_nat
+        read_decoded = ctx.read_decoded
+        h_jmask = self.h_jmask
+        shows = self._show_handles
+        u0 = self._MISS     # the C1 candidate, looked up at first use
+        obs = None
+        for u in scan:
+            jmask_u = read_nat(u, h_jmask)
+            if jmask_u is not None and jmask_u & bit:
+                # u claims the level: the flagged piece it shows there
+                obs = None
+                for h in shows:
+                    d = read_decoded(u, h, decode_observation)
+                    if d is not None and d.flag and d.piece[1] == level:
+                        obs = d
+                        break
+                if obs is None:
+                    if sync:
+                        continue        # no event for this neighbour
+                    # no event yet: file the Want (in the "simple"
+                    # variant the server honours one client at a time,
+                    # which is what makes that variant Delta^2)
+                    ctx.set(self.h_want, (u, level))
+                    svc = (ctx.nat(self.h_svc) or 0) + 1
+                    ctx.set(self.h_svc, svc)
+                    scale = max(1, ctx.degree) \
+                        if self.mode == MODE_WANT_SIMPLE else 1
+                    if svc > budgets.service * scale:
+                        alarms.append("WANT: server never displayed the "
+                                      "requested piece")
+                        ctx.set(self.h_want, None)
+                        ctx.set(self.h_nbr, idx + 1)
+                        ctx.set(self.h_svc, 0)
+                    return alarms
+                if obs.piece[0] == z:
+                    # same claimed fragment: members must agree on the
+                    # piece (Claim 8.3), and the candidate edge of C1
+                    # must leave the fragment
+                    if tuple(obs.piece) != tuple(ask):
+                        alarms.append("AGREE: same fragment, different "
+                                      "piece (Claim 8.3)")
+                    if u0 is self._MISS:
+                        u0 = self._candidate_neighbor(ctx, level)
+                    if u0 == u:
+                        alarms.append("C1: candidate edge is internal to "
+                                      "its fragment")
+                    continue
+            # the edge (v, u) is outgoing: C2
+            if weight is None:
+                alarms.append("C2: the whole-tree fragment has an "
+                              "outgoing edge")
+                continue
+            try:
+                violated = ctx.weight(u) < weight
+            except TypeError:
+                alarms.append("C2: incomparable weights in piece")
+                continue
+            if violated:
+                alarms.append("C2: outgoing edge lighter than the claimed "
+                              "minimum")
+        if sync:
             wait = ctx.nat(self.h_wait) or 0
             if wait <= 1:
                 self._advance(ctx, levels)
             else:
                 ctx.set(self.h_wait, wait - 1)
         else:
-            self._async_serve_one(ctx, ask, budgets, alarms, levels)
+            if obs is not None:
+                ctx.set(self.h_want, None)
+            ctx.set(self.h_nbr, idx + 1)
+            ctx.set(self.h_svc, 0)
         return alarms
 
     # ------------------------------------------------------------------
@@ -365,436 +452,6 @@ class ComparisonComponent:
                               "candidate edge weight")
         return alarms
 
-    # ------------------------------------------------------------------
-    # the event E(v, u, j): compare my piece against what u shows
-    # ------------------------------------------------------------------
-    def _neighbor_piece(self, ctx, u, level) -> Optional[TrainObservation]:
-        read_decoded = ctx.read_decoded
-        for train in (self.top, self.bottom):
-            obs = read_decoded(u, train.h_bbuf, decode_observation)
-            if obs is not None and obs.flag and obs.piece[1] == level:
-                return obs
-        return None
-
-    def _compare_with(self, ctx, ask, u, obs: Optional[TrainObservation],
-                      u_has_level: bool, alarms: List[str]) -> bool:
-        """Run C1/C2/agreement for one neighbour; True when the event
-        happened (info was available)."""
-        z, level, weight = ask
-        u0 = self._candidate_neighbor(ctx, level)
-        if not u_has_level:
-            # u is in no level-j fragment: the edge is outgoing.
-            self._outgoing_checks(ctx, ask, u, u0, alarms)
-            return True
-        if obs is None:
-            return False
-        if obs.piece[0] == z:
-            # same claimed fragment: members must agree on the piece
-            if tuple(obs.piece) != tuple(ask):
-                alarms.append("AGREE: same fragment, different piece "
-                              "(Claim 8.3)")
-            if u0 == u:
-                alarms.append("C1: candidate edge is internal to its "
-                              "fragment")
-        else:
-            self._outgoing_checks(ctx, ask, u, u0, alarms)
-        return True
-
-    def _outgoing_checks(self, ctx, ask, u, u0, alarms: List[str]) -> None:
-        _z, _level, weight = ask
-        edge_w = ctx.weight(u)
-        if weight is None:
-            alarms.append("C2: the whole-tree fragment has an outgoing edge")
-            return
-        try:
-            violated = edge_w < weight
-        except TypeError:
-            alarms.append("C2: incomparable weights in piece")
-            return
-        if violated:
-            alarms.append("C2: outgoing edge lighter than the claimed "
-                          "minimum")
-
-    # ------------------------------------------------------------------
-    # synchronous window sampling (Section 7.2.1)
-    # ------------------------------------------------------------------
-    def _sync_compare_all(self, ctx, ask, alarms: List[str]) -> None:
-        level = ask[1]
-        bit = 1 << level
-        h_jmask = self.h_jmask
-        for u in ctx.neighbors:
-            jmask_u = ctx.read_nat(u, h_jmask)
-            u_has = jmask_u is not None and bool(jmask_u & bit)
-            obs = self._neighbor_piece(ctx, u, level) if u_has else None
-            self._compare_with(ctx, ask, u, obs, u_has, alarms)
-
-    # ------------------------------------------------------------------
-    # asynchronous Want mode (Section 7.2.2)
-    # ------------------------------------------------------------------
-    def _async_serve_one(self, ctx, ask, budgets: Budgets,
-                         alarms: List[str], levels: List[int]) -> None:
-        level = ask[1]
-        nbrs = ctx.neighbors
-        idx = ctx.nat(self.h_nbr) or 0
-        if idx >= len(nbrs):
-            self._advance(ctx, levels)
-            return
-        u = nbrs[idx]
-        jmask_u = ctx.read_nat(u, self.h_jmask)
-        u_has = jmask_u is not None and bool(jmask_u & (1 << level))
-        if not u_has:
-            self._compare_with(ctx, ask, u, None, False, alarms)
-            self._next_neighbor(ctx, idx)
-            return
-        # In the "simple" variant the client files its request just the
-        # same, but the server honours one client at a time (round robin),
-        # which is what makes that variant Delta^2.
-        obs = self._neighbor_piece(ctx, u, level)
-        if obs is not None:
-            self._compare_with(ctx, ask, u, obs, True, alarms)
-            ctx.set(self.h_want, None)
-            self._next_neighbor(ctx, idx)
-            return
-        ctx.set(self.h_want, (u, level))
-        svc = (ctx.nat(self.h_svc) or 0) + 1
-        ctx.set(self.h_svc, svc)
-        scale = max(1, ctx.degree) if self.mode == MODE_WANT_SIMPLE else 1
-        if svc > budgets.service * scale:
-            alarms.append("WANT: server never displayed the requested piece")
-            ctx.set(self.h_want, None)
-            self._next_neighbor(ctx, idx)
-
-    def _next_neighbor(self, ctx, idx: int) -> None:
-        ctx.set(self.h_nbr, idx + 1)
-        ctx.set(self.h_svc, 0)
-
-    # ------------------------------------------------------------------
-    # the bulk-activation plane (repro.sim.bulk)
-    # ------------------------------------------------------------------
-    def make_bulk_step(self, ops):
-        """A column-fused variant of :meth:`step`, for the bulk plane.
-
-        The Ask/Show comparison is the verifier's read-mostliest phase:
-        per held level it reads the neighbours' J-masks and broadcast
-        slots and writes only its own counters.  The closure inlines
-        those reads to direct column indexing against whatever store
-        the ops designate — the round snapshot under the synchronous
-        license, the live columns under the asynchronous
-        *conflict-free* license (``snap is store``), where no batchmate
-        is within the closed-neighbourhood radius.  Pooled observations
-        resolve through the shared per-pool-id decode memo, edge
-        weights through a per-node map built once per ops; the
-        infrequent transitions (acquire, advance, candidate fill) stay
-        on the scalar helpers.
-
-        One body serves every mode, as in :meth:`step`: the event
-        E(v, u, j) — C1, C2 and the Claim-8.3 agreement — is written
-        once and scans every neighbour in the synchronous window, or
-        only the served neighbour in the Want handshake.  Same control
-        flow, same junk coercions, same writes in the same order as
-        :meth:`step`; write-tracking contract as in
-        :meth:`TrainComponent.make_bulk_step
-        <repro.trains.train.TrainComponent.make_bulk_step>`.
-        """
-        sync = self.mode == MODE_SYNC_WINDOW
-        simple = self.mode == MODE_WANT_SIMPLE
-        store = ops.store
-        snap = ops.snap
-        data = store.data
-        sdata = snap.data
-        h_ask, h_wait, h_want = self.h_ask, self.h_wait, self.h_want
-        h_jmask = self.h_jmask
-        h_tb, h_bb = self.top.h_bbuf, self.bottom.h_bbuf
-        ask_col, wd_col, wait_col = data[h_ask], data[self.h_wd], \
-            data[h_wait]
-        want_col, nbr_col, svc_col = data[h_want], data[self.h_nbr], \
-            data[self.h_svc]
-        s_jmask, s_tb, s_bb = sdata[h_jmask], sdata[h_tb], sdata[h_bb]
-        pool = store.pool_values
-        overflow = store.overflow
-        soverflow = snap.overflow
-        none_decode = store.none_decode  # shared with the snapshot
-        memos = store.decode_memo        # shared with the snapshot
-        memo_for = store.memo_for
-        intern = store.intern
-        dc = store.dirty_cols
-        cache = self._label_cache
-        # fused nat writes via the store's canonical writer closures
-        # (one source of truth for the array-write encoding)
-        w_wd = store.make_nat_writer(self.h_wd)
-        w_wait = store.make_nat_writer(h_wait)
-        w_nbr = store.make_nat_writer(self.h_nbr)
-        w_svc = store.make_nat_writer(self.h_svc)
-        #: per-node neighbour-weight maps (topology is immutable, so
-        #: caching edge weights for the closure's lifetime is pure)
-        weight_maps: dict = {}
-        MISS = self._MISS
-
-        def w_want(i, val):
-            # the pooled branch of ctx.set for the Want register (a
-            # well-formed (server, level) tuple or None — both
-            # internable, so no unhashable branch is needed here)
-            ovf = overflow[h_want]
-            if ovf:
-                ovf.pop(i, None)
-            want_col[i] = NONE_S if val is None else intern(val)
-            dc[h_want] = 1
-
-        def fused(ctx, budgets, sentinel):
-            i = ctx._i
-            node = ctx.node
-            ent = cache.get(node)
-            if ent is None or ent[0] != sentinel:
-                ent = (sentinel, self._levels(ctx), {})
-                cache[node] = ent
-            levels = ent[1]
-            cands = ent[2]
-            self._cur_cands = cands
-            alarms: List[str] = []
-            if not levels:
-                return alarms
-            v = wd_col[i]
-            wd = (v if 0 <= v <= _NAT_CAP else 0) + 1
-            w_wd(i, wd)
-            if wd > budgets.ask_alarm:
-                alarms.append("ask: no comparison progress within budget")
-                w_wd(i, 0)
-            v = ask_col[i]
-            ask = pool[v] if v > SENT_CEIL else (
-                overflow[h_ask][i] if v == BOX_S else None)
-            if ask is not None and not valid_piece(ask):
-                ovf = overflow[h_ask]
-                if ovf:
-                    ovf.pop(i, None)
-                ask_col[i] = NONE_S
-                dc[h_ask] = 1
-                ask = None
-            if ask is None:
-                self._try_acquire(ctx, levels, budgets, alarms)
-                return alarms
-            nbrs = ctx.neighbors
-            if sync:
-                scan = range(len(nbrs))
-            else:
-                # _async_serve_one: only the served neighbour
-                v = nbr_col[i]
-                idx = v if 0 < v <= _NAT_CAP else 0
-                if idx >= len(nbrs):
-                    self._advance(ctx, levels)
-                    return alarms
-                scan = (idx,)
-            z, level, weight = ask
-            bit = 1 << level
-            # the candidate u0 and the weight map are pure label reads,
-            # looked up at their first use: a Want re-filing reads
-            # neither
-            u0 = MISS
-            wmap = None
-            nbr_idx = ctx._nbr_idx
-            obs = None
-            for k in scan:
-                # -- the event E(v, u, level): _compare_with, inlined
-                u = nbrs[k]
-                j = nbr_idx[k]
-                v = s_jmask[j]
-                if 0 <= v <= _NAT_CAP and v & bit:
-                    # u claims the level: find its displayed piece
-                    # (_neighbor_piece over both trains' slots)
-                    obs = None
-                    for s_col, h in ((s_tb, h_tb), (s_bb, h_bb)):
-                        v2 = s_col[j]
-                        if v2 >= 0:
-                            m = memos[h]
-                            try:
-                                d = m[v2]
-                            except (TypeError, IndexError):
-                                d = NO_DECODE
-                            if d is NO_DECODE:
-                                d = decode_observation(pool[v2])
-                                memo_for(h, v2)[v2] = d
-                        elif v2 == BOX_S:
-                            d = decode_observation(soverflow[h][j])
-                        else:
-                            d = none_decode[h]
-                            if d is NO_DECODE:
-                                d = none_decode[h] = \
-                                    decode_observation(None)
-                        if d is not None and d.flag and \
-                                d.piece[1] == level:
-                            obs = d
-                            break
-                    if obs is None:
-                        if sync:
-                            continue    # no event for this neighbour
-                        # no event yet: file the Want, bump the service
-                        # watchdog, alarm on a starving server
-                        w_want(i, (u, level))
-                        v = svc_col[i]
-                        svc = (v if 0 <= v <= _NAT_CAP else 0) + 1
-                        w_svc(i, svc)
-                        scale = max(1, ctx.degree) if simple else 1
-                        if svc > budgets.service * scale:
-                            alarms.append("WANT: server never displayed "
-                                          "the requested piece")
-                            w_want(i, None)
-                            w_nbr(i, idx + 1)
-                            w_svc(i, 0)
-                        return alarms
-                    if obs.piece[0] == z:
-                        if tuple(obs.piece) != tuple(ask):
-                            alarms.append("AGREE: same fragment, "
-                                          "different piece (Claim 8.3)")
-                        if u0 is MISS:
-                            u0 = cands.get(level, MISS)
-                            if u0 is MISS:
-                                u0 = cands[level] = \
-                                    self._candidate_neighbor_uncached(
-                                        ctx, level)
-                        if u0 == u:
-                            alarms.append("C1: candidate edge is "
-                                          "internal to its fragment")
-                        continue
-                # the edge is outgoing (_outgoing_checks)
-                if weight is None:
-                    alarms.append("C2: the whole-tree fragment has an "
-                                  "outgoing edge")
-                    continue
-                if wmap is None:
-                    wmap = weight_maps.get(node)
-                    if wmap is None:
-                        wmap = weight_maps[node] = {
-                            u: ctx.weight(u) for u in nbrs}
-                try:
-                    violated = wmap[u] < weight
-                except TypeError:
-                    alarms.append("C2: incomparable weights in piece")
-                    continue
-                if violated:
-                    alarms.append("C2: outgoing edge lighter than the "
-                                  "claimed minimum")
-            if sync:
-                v = wait_col[i]
-                wait = v if 0 <= v <= _NAT_CAP else 0
-                if wait <= 1:
-                    self._advance(ctx, levels)
-                else:
-                    w_wait(i, wait - 1)
-            else:
-                if obs is not None:
-                    w_want(i, None)
-                w_nbr(i, idx + 1)
-                w_svc(i, 0)
-            return alarms
-
-        return fused
-
-    def make_bulk_held(self, ops):
-        """A column-fused :meth:`held_levels` for the Want mode — the
-        per-activation scan every verifier step performs before its
-        trains move (which neighbours filed a Want for a piece this
-        node currently displays).  Own broadcast slots decode through
-        the shared per-pool-id memo; the neighbours' ``Want`` registers
-        gather straight off the designated column store (the round
-        snapshot under the synchronous ablation, the live columns under
-        the conflict-free asynchronous license).  Exact transcription
-        of the scalar scan — including the ``want-simple`` server's
-        round-robin filter, which reads only the neighbour whose turn
-        it is.  Returns None in the synchronous window mode, whose
-        servers never hold a piece.
-        """
-        if self.mode == MODE_SYNC_WINDOW:
-            return None
-        simple = self.mode == MODE_WANT_SIMPLE
-        store = ops.store
-        snap = ops.snap
-        data = store.data
-        sdata = snap.data
-        h_want = self.h_want
-        h_turn = self.h_turn
-        h_tb, h_bb = self.top.h_bbuf, self.bottom.h_bbuf
-        turn_col = data[h_turn]
-        s_want = sdata[h_want]
-        tb_col, bb_col = data[h_tb], data[h_bb]
-        pool = store.pool_values
-        overflow = store.overflow
-        soverflow = snap.overflow
-        none_decode = store.none_decode
-        memos = store.decode_memo
-        memo_for = store.memo_for
-
-        def held(ctx):
-            # scan the neighbours' Want column first: a node is asked
-            # to hold only when some neighbour's request names it, and
-            # most activations find none — skipping the own-show
-            # decodes entirely.  held_x = lvl iff (some neighbour wants
-            # (me, lvl)) and (train x's own show is flagged at lvl) —
-            # the same conjunction the scalar scan evaluates, with the
-            # quantifiers commuted.
-            i = ctx._i
-            me = ctx.node
-            if simple and ctx.neighbors:
-                # the simple server honours one client per turn: only
-                # that neighbour's request can hold a level (the same
-                # nat coercion ctx.nat applies, inlined)
-                v = turn_col[i]
-                if v > SENT_CEIL:
-                    t = v if 0 <= v <= _NAT_CAP else 0
-                elif v == BOX_S:
-                    x = overflow[h_turn][i]
-                    t = x if (isinstance(x, int)
-                              and not isinstance(x, bool)
-                              and 0 <= x <= _NAT_CAP) else 0
-                else:
-                    t = 0
-                scan = (ctx._nbr_idx[t % len(ctx.neighbors)],)
-            else:
-                scan = ctx._nbr_idx
-            wanted = None
-            for j in scan:
-                v2 = s_want[j]
-                want = pool[v2] if v2 > SENT_CEIL else (
-                    soverflow[h_want][j] if v2 == BOX_S else None)
-                if isinstance(want, tuple) and len(want) == 2 and \
-                        want[0] == me:
-                    # a list, not a set: an adversarial want level may
-                    # be unhashable, and ``in`` must compare with ==
-                    # exactly like the scalar scan
-                    if wanted is None:
-                        wanted = [want[1]]
-                    else:
-                        wanted.append(want[1])
-            if wanted is None:
-                return (None, None)
-            held_top = held_bot = None
-            for col, h, attr in ((tb_col, h_tb, 0), (bb_col, h_bb, 1)):
-                v = col[i]
-                if v >= 0:
-                    m = memos[h]
-                    try:
-                        show = m[v]
-                    except (TypeError, IndexError):
-                        show = NO_DECODE
-                    if show is NO_DECODE:
-                        show = decode_observation(pool[v])
-                        memo_for(h, v)[v] = show
-                elif v == BOX_S:
-                    show = decode_observation(overflow[h][i])
-                else:
-                    show = none_decode[h]
-                    if show is NO_DECODE:
-                        show = none_decode[h] = decode_observation(None)
-                if show is None or not show.flag:
-                    continue
-                lvl = show.piece[1]
-                if lvl in wanted:
-                    if attr == 0:
-                        held_top = lvl
-                    else:
-                        held_bot = lvl
-            return (held_top, held_bot)
-
-        return held
-
     def make_vector_kernel(self, ops, topo):
         """The whole-column classifier for the comparison half of the
         numpy-tier vector sweep (see
@@ -811,8 +468,7 @@ class ComparisonComponent:
         target level's flagged piece in the node's own slots, acquiring
         it, advancing to the next level — is planned as masked writes
         too.  Anything else — events, alarms, rows whose train replays,
-        boxed junk, odd ``==`` semantics — replays the scalar fused
-        body.
+        boxed junk, odd ``==`` semantics — replays :meth:`step`.
         """
         return _VectorCmpKernel(self, ops, topo)
 
@@ -837,12 +493,16 @@ def _f64bits(x: float) -> int:
 
 
 class _VectorCmpKernel:
-    """Vector classifier state for one :class:`ComparisonComponent`.
+    """Vector classifier state for one :class:`ComparisonComponent`:
+    the numpy transcription of :meth:`~ComparisonComponent.step`, the
+    only one besides the scalar method itself.
 
     ``classify`` dispatches on the mode (sync window / Want); ``held``
     is the Want mode's vectorized :meth:`~ComparisonComponent.held_levels`
     — it returns per-row hold flags for the train classifiers plus a
     soundness mask (rows whose hold could not be proven go scalar).
+    Every row a classifier cannot prove trivial replays the scalar
+    methods.
 
     Besides the held-ask paths, both modes plan the acquire cycle as
     masked writes of every register's final value: the *wait* for the
@@ -955,8 +615,8 @@ class _VectorCmpKernel:
 
     def rebuild(self, np, topo) -> None:
         """Refresh the level rotations, filling the label cache with
-        the exact fused-prologue fill code, and clear the (row, level)
-        tables."""
+        the exact fill code of :meth:`ComparisonComponent.step`, and
+        clear the (row, level) tables."""
         comp = self.comp
         cache = comp._label_cache
         n = topo.n

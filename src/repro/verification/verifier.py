@@ -76,24 +76,26 @@ def _fused_plane(proto, ops, trains, comparison):
     object and cached in ``proto._fused`` as ``(ops, body, run_bodies,
     vec)``.
 
-    ``body(ctx, step_no, cached)`` is the one transcription of the
-    per-node step with the dispatch layers hoisted out: the statics, the
-    ghost budgets (``cached`` is the node's ``_bgt`` register), the
-    Want-mode hold scan, the column-fused train and comparison steps
-    (:meth:`TrainComponent.make_bulk_step
-    <repro.trains.train.TrainComponent.make_bulk_step>`,
-    :meth:`ComparisonComponent.make_bulk_step
-    <repro.trains.comparison.ComparisonComponent.make_bulk_step>`,
-    :meth:`~repro.trains.comparison.ComparisonComponent.make_bulk_held`),
-    ``serve_turn`` in the want-simple ablation, and the alarm priority
+    ``body(ctx, step_no, cached)`` is the per-node step with the
+    dispatch layers hoisted out: the statics, the ghost budgets
+    (``cached`` is the node's ``_bgt`` register), the Want-mode hold
+    scan (:meth:`~repro.trains.comparison.ComparisonComponent.held_levels`),
+    the column-fused train steps (:meth:`TrainComponent.make_bulk_step
+    <repro.trains.train.TrainComponent.make_bulk_step>`), ``serve_turn``
+    in the want-simple ablation, the comparison step
+    (:meth:`ComparisonComponent.step
+    <repro.trains.comparison.ComparisonComponent.step>`, the one
+    scalar transcription every storage runs), and the alarm priority
     statics > trains in order > comparison.  Its caller has already
     advanced the step counter to ``step_no``.  ``run_bodies`` loops it
     over a batch; ``vec`` is the numpy tier's :class:`_VectorSweep`, or
     None.
     """
     steps = tuple(t.make_bulk_step(ops) for t in trains)
-    comp_step = comparison.make_bulk_step(ops)
-    held = comparison.make_bulk_held(ops)   # None: nothing is held
+    comp_step = comparison.step
+    # the synchronous window's servers never hold a piece
+    held = None if comparison.mode == MODE_SYNC_WINDOW \
+        else comparison.held_levels
     # serve_turn acts only in the serialized want-simple ablation; the
     # per-node no-op call is hoisted out of the body entirely
     serve = comparison.serve_turn \
@@ -152,8 +154,7 @@ def _fused_plane(proto, ops, trains, comparison):
     if (getattr(ops.store, "numpy_tier", False)
             and numpy_or_none() is not None
             and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
-        vec = _VectorSweep(proto, trains, comparison, ops, steps,
-                           comp_step, held)
+        vec = _VectorSweep(proto, trains, comparison, ops, steps)
     return (ops, body, run_bodies, vec)
 
 
@@ -259,8 +260,7 @@ class _VectorSweep:
     #: small instances
     TRAFFIC_MIN = 256
 
-    def __init__(self, proto, trains, comparison, ops, steps, comp_step,
-                 held) -> None:
+    def __init__(self, proto, trains, comparison, ops, steps) -> None:
         # a proxy, not a reference: the protocol owns this sweep (via
         # its ``_fused`` cache), and a strong back-reference would make
         # every verifier a reference cycle whose pool-sized vector
@@ -274,8 +274,10 @@ class _VectorSweep:
         self.comp_kern = comparison.make_vector_kernel(ops, self.topo)
         self.tr0 = steps[0]
         self.tr1 = steps[1] if len(steps) == 2 else None
-        self.comp_step = comp_step
-        self.held = held            # None in the sync window mode
+        self.comp_step = comparison.step
+        # None in the sync window mode, whose servers never hold a piece
+        self.held = None if comparison.mode == MODE_SYNC_WINDOW \
+            else comparison.held_levels
         self.key = None
         self.statics_empty = None
         self.row_of = None
@@ -442,7 +444,7 @@ class _VectorSweep:
 
     def _run_partial(self, resid, ctx_list, step_nos, bgts, trivs,
                      bc_dones, adopts, holds, held_ok) -> None:
-        """Replay the scalar fused bodies for every non-trivial
+        """Replay the per-node body for every non-trivial
         (component, row) pair — the exact ``run_bodies`` sequence with
         the already-applied components skipped."""
         proto = self.proto

@@ -72,8 +72,8 @@ def _run_sync(graph, storage, bulk, seed, proto_kind, fast_path=True,
 #: (protocol, comparison mode) cells; None is the protocol's default
 #: (the synchronous window), and the train verifiers also run the Want
 #: handshake and its serialized ablation under the synchronous
-#: scheduler, so every mode of the fused comparison body meets the
-#: dict oracle
+#: scheduler, so the fused trains meet the dict oracle beside every
+#: mode of the comparison step
 _SYNC_CELLS = [(kind, mode) for kind in ("verifier", "hybrid")
                for mode in (None, MODE_WANT, MODE_WANT_SIMPLE)] \
     + [("sqlog", None)]
