@@ -292,19 +292,21 @@ class ComparisonComponent:
         read_nat = ctx.read_nat
         read_decoded = ctx.read_decoded
         h_jmask = self.h_jmask
-        shows = self._show_handles
+        h_top, h_bot = self._show_handles
+        decode = decode_observation
         u0 = self._MISS     # the C1 candidate, looked up at first use
         obs = None
         for u in scan:
             jmask_u = read_nat(u, h_jmask)
             if jmask_u is not None and jmask_u & bit:
-                # u claims the level: the flagged piece it shows there
-                obs = None
-                for h in shows:
-                    d = read_decoded(u, h, decode_observation)
-                    if d is not None and d.flag and d.piece[1] == level:
-                        obs = d
-                        break
+                # u claims the level: the flagged piece it shows there,
+                # the top train's slot first
+                obs = read_decoded(u, h_top, decode)
+                if obs is None or not obs.flag or obs.piece[1] != level:
+                    obs = read_decoded(u, h_bot, decode)
+                    if obs is not None and (not obs.flag
+                                            or obs.piece[1] != level):
+                        obs = None
                 if obs is None:
                     if sync:
                         continue        # no event for this neighbour
