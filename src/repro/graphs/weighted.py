@@ -196,12 +196,6 @@ class WeightedGraph:
         except KeyError:
             raise GraphError(f"no edge ({u}, {v})") from None
 
-    def weights_of(self, u: NodeId) -> Dict[NodeId, Weight]:
-        """The live ``neighbour -> weight`` map of ``u``: it follows
-        :meth:`set_weight` in place, but a removal and restore of ``u``
-        replaces it.  Read-only by contract."""
-        return self._adj[u]
-
     def degree(self, u: NodeId) -> int:
         return len(self._adj[u])
 

@@ -773,8 +773,7 @@ class ColumnarNodeContext:
                  "_i", "_index", "_data", "_snap_data", "_pool",
                  "_memos", "_decs", "_snap_decs", "_stable", "_dc",
                  "_ovf", "_snap_ovf", "_nat_cols", "_snap_nat_cols",
-                 "_nbr_idx", "_weights", "wrote", "_sent_key",
-                 "_sent_val")
+                 "_nbr_idx", "wrote", "_sent_key", "_sent_val")
 
     def __init__(self, network, node: NodeId, store: ColumnStore,
                  snap: Optional[ColumnStore] = None,
@@ -802,7 +801,6 @@ class ColumnarNodeContext:
         self._nat_cols = store.nat_cols
         self._snap_nat_cols = snap.nat_cols
         self._nbr_idx = tuple(self._index[u] for u in self.neighbors)
-        self._weights = None
         self.wrote = False
         self._sent_key = None
         self._sent_val = 0
@@ -978,19 +976,6 @@ class ColumnarNodeContext:
         return nat_value(self._pool[v], cap) if v > SENT_CEIL else None
 
     def read_decoded(self, neighbor: NodeId, handle, decoder) -> Any:
-        # the hot case first: a pooled column's memoized decode (only
-        # pooled columns have per-id memos; a sentinel id is negative)
-        try:
-            v = self._snap_data[handle][self._index[neighbor]]
-            d = self._memos[handle][v]
-        except (TypeError, IndexError):
-            pass
-        else:
-            if d is not NO_DECODE and v >= 0:
-                return d
-        return self._read_decoded(neighbor, handle, decoder)
-
-    def _read_decoded(self, neighbor: NodeId, handle, decoder) -> Any:
         try:
             col = self._snap_data[handle]
         except TypeError:
@@ -1047,16 +1032,7 @@ class ColumnarNodeContext:
         return len(self.neighbors)
 
     def weight(self, neighbor: NodeId):
-        weights = self._weights
-        if weights is None:
-            # the graph's own map, so a reweight shows at once; the
-            # schedulers rebuild their contexts when a node rejoins
-            weights = self._weights = \
-                self.network.graph.weights_of(self.node)
-        try:
-            return weights[neighbor]
-        except KeyError:    # not a neighbour: the graph raises
-            return self.network.graph.weight(self.node, neighbor)
+        return self.network.graph.weight(self.node, neighbor)
 
     def port(self, neighbor: NodeId) -> int:
         return self.network.graph.port(self.node, neighbor)
