@@ -163,8 +163,6 @@ class ComparisonComponent:
         self.h_pid = resolve(REG_PARENT_ID)
         self.h_parents = resolve(REG_PARENTS)
         self.h_roots = resolve(REG_ROOTS)
-        # the slots a neighbour shows pieces in, top train first
-        self._show_handles = (self.top.h_bbuf, self.bottom.h_bbuf)
         self._init_pairs = tuple(
             (resolve(name), default) for name, _kind, default in _CMP_DECLS)
         # label-derived cache: node -> (sentinel, levels, {level: u0})
@@ -208,16 +206,13 @@ class ComparisonComponent:
         h_want = self.h_want
         # a list, not a set: an adversarial want level may be
         # unhashable, and ``in`` must compare with == like a scan would
-        wanted = None
+        wanted = []
         for u in nbrs:
             want = read(u, h_want)
             if isinstance(want, tuple) and len(want) == 2 and \
                     want[0] == me:
-                if wanted is None:
-                    wanted = [want[1]]
-                else:
-                    wanted.append(want[1])
-        if wanted is None:
+                wanted.append(want[1])
+        if not wanted:
             return (None, None)
         held = [None, None]
         for k, train in enumerate((self.top, self.bottom)):
@@ -292,7 +287,7 @@ class ComparisonComponent:
         read_nat = ctx.read_nat
         read_decoded = ctx.read_decoded
         h_jmask = self.h_jmask
-        h_top, h_bot = self._show_handles
+        h_top, h_bot = self.top.h_bbuf, self.bottom.h_bbuf
         decode = decode_observation
         u0 = self._MISS     # the C1 candidate, looked up at first use
         obs = None
