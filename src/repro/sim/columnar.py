@@ -425,12 +425,9 @@ class ColumnStore:
         """A closure replicating the array-column branch of
         :meth:`ColumnarNodeContext.set` — the single source of truth
         for fused nat writes (range check, ``None`` sentinel, boxed
-        overflow pop/re-box, dirty-column mark).  The bulk plane's
-        fused train sweeps (:meth:`TrainComponent.make_bulk_step
-        <repro.trains.train.TrainComponent.make_bulk_step>`) and the
-        vector comparison kernel bind one per written column;
-        per-context ``wrote`` flags are the caller's contract
-        (``batch.wrote_all``)."""
+        overflow pop/re-box, dirty-column mark).  The vector comparison
+        kernel binds one per written column; per-context ``wrote``
+        flags are the caller's contract (``batch.wrote_all``)."""
         col = self.data[slot]
         overflow = self.overflow
         box = self._box

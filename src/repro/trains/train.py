@@ -53,7 +53,7 @@ from ..sim.npcolumnar import (IDX_NOT, IDX_ODD, PLAIN_TYPES, PoolIdCache,
                               VecTopo, csr_span, csr_take, idx_of,
                               numpy_or_none, put_rows, seg_any, view64)
 from ..sim.registers import NO_DECODE, UNSET, handle_resolver
-from .budgets import Budgets, compute_budgets
+from .budgets import Budgets
 
 SEQ_MOD = 64
 _NAT_CAP = 1 << 30
@@ -271,7 +271,6 @@ class TrainComponent:
         # children, own pieces, count claim, needed mask)).  Only used
         # on columnar storage, where the sentinel detects label writes.
         self._label_cache = {}
-        self._cur_needed: Optional[int] = None
 
     def init_node(self, ctx) -> None:
         for handle, default in self._init_pairs:
@@ -389,14 +388,12 @@ class TrainComponent:
                 needed = self.needed_mask(ctx)
                 self._label_cache[ctx.node] = (
                     sentinel, (parent, children, own, count_claim, needed))
-            self._cur_needed = needed
         else:
             parent = self.part_parent(ctx)
             children = self.part_children(ctx)
             own = self.own_pieces(ctx)
             count_claim = ctx.nat(self.h_count, cap=4096)
             needed = None
-            self._cur_needed = None
 
         # --- epoch adoption (train self-stabilization) --------------------
         if parent is not None:
@@ -426,8 +423,8 @@ class TrainComponent:
 
         self._step_convergecast(ctx, parent, children, own)
         if not hold_broadcast:
-            alarms.extend(
-                self._step_broadcast(ctx, parent, children, count_claim))
+            alarms.extend(self._step_broadcast(ctx, parent, children,
+                                               count_claim, needed))
         return alarms
 
     # -- convergecast -----------------------------------------------------
@@ -510,7 +507,8 @@ class TrainComponent:
             ctx.set(self.h_src, 0)
 
     # -- broadcast ----------------------------------------------------------
-    def _step_broadcast(self, ctx, parent, children, count_claim) -> List[str]:
+    def _step_broadcast(self, ctx, parent, children, count_claim,
+                        needed) -> List[str]:
         alarms: List[str] = []
         bseq = ctx.nat(self.h_bseq, cap=SEQ_MOD) or 0
 
@@ -542,11 +540,15 @@ class TrainComponent:
         piece, flag = new_slot
         ctx.set(self.h_bbuf, (piece, flag))
         ctx.set(self.h_bseq, (bseq + 1) % SEQ_MOD)
-        alarms.extend(self._account_piece(ctx, piece, flag, count_claim))
+        alarms.extend(
+            self._account_piece(ctx, piece, flag, count_claim, needed))
         return alarms
 
     # -- rotation accounting (cycle-set checks of Section 8) ---------------
-    def _account_piece(self, ctx, piece, flag, count_claim) -> List[str]:
+    def _account_piece(self, ctx, piece, flag, count_claim,
+                       needed) -> List[str]:
+        """Account one broadcast piece; ``needed`` is this node's needed
+        mask, or None to derive it here (no label cache)."""
         alarms: List[str] = []
         key = piece_key(piece)
         last = ctx.get(self.h_last)
@@ -571,8 +573,8 @@ class TrainComponent:
             # node_alarm budget fires (Claim 8.2's detection).
             good = True
             if ctx.get(self.h_sync):
-                needed = self._cur_needed if self._cur_needed is not None \
-                    else self.needed_mask(ctx)
+                if needed is None:
+                    needed = self.needed_mask(ctx)
                 seen = ctx.nat(self.h_seen) or 0
                 if needed & ~seen:
                     good = False
@@ -600,379 +602,12 @@ class TrainComponent:
         """This node's own broadcast slot (its train's current piece)."""
         return ctx.get_decoded(self.h_bbuf, decode_observation)
 
-    # -- the bulk-activation plane (repro.sim.bulk) ------------------------
-    def make_bulk_step(self, ops):
-        """A column-fused variant of :meth:`step` for the bulk plane.
-
-        Returns a closure ``fused(ctx, budgets, hold_broadcast,
-        sentinel) -> List[str]`` that executes the exact scalar step —
-        same control flow, same junk coercions, same writes in the same
-        order — with every context accessor inlined to direct column
-        indexing against ``ops.store``/``ops.snap``.  Any bulk ops
-        license it (a synchronous round: neighbour reads hit the
-        snapshot; a conflict-free asynchronous batch: live reads no
-        batchmate can observe); the column types follow from the
-        schema kinds, so the closure always applies.
-
-        Write tracking: fused writes mark columns dirty but skip the
-        per-context ``wrote`` flag — the calling protocol's bulk sweep
-        declares ``batch.wrote_all`` instead (every batch node's step
-        counter advances, so the scalar path marks every node too).
-        Equivalence is proven by ``tests/test_bulk_plane.py`` (full
-        register traces, including planted junk in nat/tuple columns).
-        """
-        store = ops.store
-        snap = ops.snap
-        data = store.data
-        sdata = snap.data
-        h_out, h_src, h_cyc = self.h_out, self.h_src, self.h_cyc
-        h_done, h_act, h_tak, h_seq = (self.h_done, self.h_act,
-                                       self.h_tak, self.h_seq)
-        h_bseq, h_bbuf, h_seen = self.h_bseq, self.h_bbuf, self.h_seen
-        h_last, h_cnt, h_sync = self.h_last, self.h_cnt, self.h_sync
-        h_wd, h_ep, h_roots = self.h_wd, self.h_ep, self.h_roots
-        out_col, src_col, cyc_col = data[h_out], data[h_src], data[h_cyc]
-        done_col, act_col, tak_col = data[h_done], data[h_act], data[h_tak]
-        seq_col, bseq_col, bbuf_col = (data[h_seq], data[h_bseq],
-                                       data[h_bbuf])
-        seen_col, last_col, cnt_col = (data[h_seen], data[h_last],
-                                       data[h_cnt])
-        sync_col, wd_col, ep_col = data[h_sync], data[h_wd], data[h_ep]
-        roots_col = data[h_roots]
-        s_ep, s_act, s_tak = sdata[h_ep], sdata[h_act], sdata[h_tak]
-        s_done, s_out, s_bseq = sdata[h_done], sdata[h_out], sdata[h_bseq]
-        s_bbuf = sdata[h_bbuf]
-        index = store.index
-        pool = store.pool_values
-        overflow = store.overflow
-        soverflow = snap.overflow
-        decoded = store.decoded
-        none_decode = store.none_decode  # shared with the snapshot
-        memos = store.decode_memo        # shared with the snapshot
-        memo_for = store.memo_for
-        intern = store.intern
-        box = store._box
-        dc = store.dirty_cols
-        cache = self._label_cache
-        kind = self.kind
-
-        # fused writes: per-column nat writers from the store (the one
-        # source of truth for the array-write encoding) plus the pooled
-        # branch of ctx.set, minus handle dispatch and per-context
-        # wrote flags (see the write-tracking note above)
-        w_cyc = store.make_nat_writer(h_cyc)
-        w_src = store.make_nat_writer(h_src)
-        w_done = store.make_nat_writer(h_done)
-        w_seq = store.make_nat_writer(h_seq)
-        w_bseq = store.make_nat_writer(h_bseq)
-        w_seen = store.make_nat_writer(h_seen)
-        w_cnt = store.make_nat_writer(h_cnt)
-        w_wd = store.make_nat_writer(h_wd)
-
-        def _wpool(col, h, i, val):
-            ovf = overflow[h]
-            if ovf:
-                ovf.pop(i, None)
-            if val is None:
-                col[i] = NONE_S
-            else:
-                try:
-                    col[i] = intern(val)
-                except TypeError:       # unhashable adversarial junk
-                    col[i] = box(h, i, val)
-            dc[h] = 1
-
-        def conv(ctx, i, parent, children, own):
-            # _step_convergecast with inlined column access
-            me = ctx.node
-            v = cyc_col[i]
-            cyc = v if 0 <= v <= SEQ_MOD else 0
-            if parent is not None:
-                pj = index[parent]
-                v = s_act[pj]
-                pact = pool[v] if v > SENT_CEIL else (
-                    soverflow[h_act][pj] if v == BOX_S else None)
-                if not (isinstance(pact, tuple) and len(pact) == 2
-                        and pact[0] == me):
-                    return
-                new_cyc = _nat(pact[1], cap=SEQ_MOD)
-                if new_cyc is None:
-                    return
-                if new_cyc != cyc:
-                    w_cyc(i, new_cyc)
-                    w_src(i, 0)
-                    w_done(i, None)
-                    _wpool(act_col, h_act, i, None)
-                    cyc = new_cyc
-                v = done_col[i]
-                done = v if v > SENT_CEIL else (
-                    overflow[h_done][i] if v == BOX_S else None)
-                if done == cyc:
-                    return
-            v = out_col[i]
-            out = pool[v] if v > SENT_CEIL else (
-                overflow[h_out][i] if v == BOX_S else None)
-            if out is not None:
-                if v >= 0:
-                    m = memos[h_out]
-                    try:
-                        d = m[v]
-                    except (TypeError, IndexError):
-                        d = NO_DECODE
-                    if d is NO_DECODE:
-                        d = _decode_car(pool[v])
-                        memo_for(h_out, v)[v] = d
-                else:
-                    d = _decode_car(out)
-                if d is None:
-                    _wpool(out_col, h_out, i, None)
-                    out = None
-            if out is not None and parent is not None:
-                v = s_tak[pj]
-                ptak = pool[v] if v > SENT_CEIL else (
-                    soverflow[h_tak][pj] if v == BOX_S else None)
-                if isinstance(ptak, tuple) and len(ptak) == 2 and \
-                        ptak[0] == me and ptak[1] == out[0]:
-                    _wpool(out_col, h_out, i, None)
-                    out = None
-            if out is not None:
-                return
-            v = src_col[i]
-            src = v if 0 <= v <= 4096 else 0
-            v = seq_col[i]
-            seq = ((v if 0 <= v <= SEQ_MOD else 0) + 1) % SEQ_MOD
-            if src < len(own):
-                _wpool(out_col, h_out, i, (seq, own[src]))
-                w_seq(i, seq)
-                w_src(i, src + 1)
-                return
-            child_idx = src - len(own)
-            while child_idx < len(children):
-                child = children[child_idx]
-                _wpool(act_col, h_act, i, (child, cyc))
-                cj = index[child]
-                v = s_done[cj]
-                cdone = v if v > SENT_CEIL else (
-                    soverflow[h_done][cj] if v == BOX_S else None)
-                v = s_out[cj]
-                if v >= 0:
-                    m = memos[h_out]
-                    try:
-                        cout = m[v]
-                    except (TypeError, IndexError):
-                        cout = NO_DECODE
-                    if cout is NO_DECODE:
-                        cout = _decode_car(pool[v])
-                        memo_for(h_out, v)[v] = cout
-                elif v == BOX_S:
-                    cout = _decode_car(soverflow[h_out][cj])
-                else:
-                    cout = none_decode[h_out]
-                    if cout is NO_DECODE:
-                        cout = none_decode[h_out] = _decode_car(None)
-                if cout is not None:
-                    v = tak_col[i]
-                    tak = pool[v] if v > SENT_CEIL else (
-                        overflow[h_tak][i] if v == BOX_S else None)
-                    if tak != (child, cout[0]):
-                        _wpool(out_col, h_out, i, (seq, cout[1]))
-                        w_seq(i, seq)
-                        _wpool(tak_col, h_tak, i, (child, cout[0]))
-                        return
-                if cdone == cyc:
-                    child_idx += 1
-                    w_src(i, len(own) + child_idx)
-                    continue
-                return
-            _wpool(act_col, h_act, i, None)
-            if parent is not None:
-                w_done(i, cyc)
-            else:
-                w_cyc(i, (cyc + 1) % SEQ_MOD)
-                w_src(i, 0)
-
-        def account(ctx, i, piece, flag, count_claim):
-            # _account_piece with inlined column access
-            alarms = []
-            level = piece[1]
-            key = (level, piece[0])
-            v = last_col[i]
-            last = pool[v] if v > SENT_CEIL else (
-                overflow[h_last][i] if v == BOX_S else None)
-            boundary = _is_boundary(key, last)
-            v = roots_col[i]
-            roots = pool[v] if v > SENT_CEIL else (
-                overflow[h_roots][i] if v == BOX_S else None)
-            if flag and isinstance(roots, str) and level < len(roots):
-                if roots[level] == "1" and piece[0] != ctx.node:
-                    alarms.append(f"{kind}-train: fragment root id "
-                                  "mismatch")
-                if roots[level] == "0" and piece[0] == ctx.node:
-                    alarms.append(f"{kind}-train: member claims to be "
-                                  "the fragment root")
-            if boundary:
-                good = True
-                v = sync_col[i]
-                if v is not UNSET and v:
-                    needed = self._cur_needed \
-                        if self._cur_needed is not None \
-                        else self.needed_mask(ctx)
-                    v = seen_col[i]
-                    seen = v if 0 <= v <= _NAT_CAP else 0
-                    if needed & ~seen:
-                        good = False
-                    v = cnt_col[i]
-                    cnt = v if 0 <= v <= (1 << 20) else 0
-                    if count_claim is not None and cnt != count_claim:
-                        good = False
-                sync_col[i] = True
-                dec = decoded[h_sync]
-                if dec is not None:
-                    dec[i] = NO_DECODE
-                dc[h_sync] = 1
-                w_seen(i, (1 << level) if flag else 0)
-                w_cnt(i, 1)
-                if good:
-                    w_wd(i, 0)
-            else:
-                if flag:
-                    v = seen_col[i]
-                    seen = v if 0 <= v <= _NAT_CAP else 0
-                    w_seen(i, seen | (1 << level))
-                v = cnt_col[i]
-                cnt = v if 0 <= v <= (1 << 20) else 0
-                w_cnt(i, cnt + 1)
-            _wpool(last_col, h_last, i, key)
-            return alarms
-
-        def broadcast(ctx, i, parent, children, count_claim):
-            # _step_broadcast with inlined column access
-            alarms = []
-            v = bseq_col[i]
-            bseq = v if 0 <= v <= SEQ_MOD else 0
-            for child in children:
-                cj = index[child]
-                v = s_bseq[cj]
-                cbseq = v if v > SENT_CEIL else (
-                    soverflow[h_bseq][cj] if v == BOX_S else None)
-                if cbseq != bseq:
-                    return alarms
-            new_slot = None
-            if parent is None:
-                v = out_col[i]
-                if v >= 0:
-                    m = memos[h_out]
-                    try:
-                        out = m[v]
-                    except (TypeError, IndexError):
-                        out = NO_DECODE
-                    if out is NO_DECODE:
-                        out = _decode_car(pool[v])
-                        memo_for(h_out, v)[v] = out
-                elif v == BOX_S:
-                    out = _decode_car(overflow[h_out][i])
-                else:
-                    out = none_decode[h_out]
-                    if out is NO_DECODE:
-                        out = none_decode[h_out] = _decode_car(None)
-                if out is not None:
-                    piece = out[1]
-                    flag = self.membership_flag(ctx, piece,
-                                                parent_flag=False)
-                    new_slot = (piece, flag)
-                    _wpool(out_col, h_out, i, None)
-            else:
-                pj = index[parent]
-                v = s_bseq[pj]
-                pseq = v if 0 <= v <= SEQ_MOD else None
-                v = s_bbuf[pj]
-                if v >= 0:
-                    m = memos[h_bbuf]
-                    try:
-                        pobs = m[v]
-                    except (TypeError, IndexError):
-                        pobs = NO_DECODE
-                    if pobs is NO_DECODE:
-                        pobs = decode_observation(pool[v])
-                        memo_for(h_bbuf, v)[v] = pobs
-                elif v == BOX_S:
-                    pobs = decode_observation(soverflow[h_bbuf][pj])
-                else:
-                    pobs = none_decode[h_bbuf]
-                    if pobs is NO_DECODE:
-                        pobs = none_decode[h_bbuf] = \
-                            decode_observation(None)
-                if pseq is not None and pseq != bseq and pobs is not None:
-                    piece = pobs.piece
-                    flag = self.membership_flag(ctx, piece, pobs.flag)
-                    new_slot = (piece, flag)
-                    bseq = (pseq - 1) % SEQ_MOD
-            if new_slot is None:
-                return alarms
-            piece, flag = new_slot
-            _wpool(bbuf_col, h_bbuf, i, (piece, flag))
-            w_bseq(i, (bseq + 1) % SEQ_MOD)
-            alarms.extend(account(ctx, i, piece, flag, count_claim))
-            return alarms
-
-        def fused(ctx, budgets, hold_broadcast, sentinel):
-            # step() with the prologue (label row, epoch adoption,
-            # watchdogs) on direct column reads
-            alarms: List[str] = []
-            i = ctx._i
-            ent = cache.get(ctx.node)
-            if ent is not None and ent[0] == sentinel:
-                parent, children, own, count_claim, needed = ent[1]
-            else:
-                parent = self.part_parent(ctx)
-                children = self.part_children(ctx)
-                own = self.own_pieces(ctx)
-                count_claim = ctx.nat(self.h_count, cap=4096)
-                needed = self.needed_mask(ctx)
-                cache[ctx.node] = (
-                    sentinel, (parent, children, own, count_claim, needed))
-            self._cur_needed = needed
-            if parent is not None:
-                v = s_ep[index[parent]]
-                pep = v if 0 <= v <= SEQ_MOD else None
-                if pep is not None:
-                    v = ep_col[i]
-                    own_ep = v if v > SENT_CEIL else (
-                        overflow[h_ep][i] if v == BOX_S else None)
-                    if pep != own_ep:
-                        self._reset_dynamic(ctx, pep)
-                        return alarms
-            if not (count_claim == 0 and needed == 0):
-                v = wd_col[i]
-                wd = (v if 0 <= v <= _NAT_CAP else 0) + 1
-                w_wd(i, wd)
-                if parent is None and wd % budgets.root_reset == 0:
-                    v = ep_col[i]
-                    new_ep = ((v if 0 <= v <= SEQ_MOD else 0) + 1) \
-                        % SEQ_MOD
-                    self._reset_dynamic(ctx, new_ep)
-                    w_wd(i, wd)
-                    return alarms
-                if wd > budgets.node_alarm:
-                    alarms.append(
-                        f"{kind}-train: no good rotation within budget "
-                        "(missing levels, wrong piece count, or a "
-                        "starved train)")
-                    w_wd(i, 0)
-            conv(ctx, i, parent, children, own)
-            if not hold_broadcast:
-                alarms.extend(
-                    broadcast(ctx, i, parent, children, count_claim))
-            return alarms
-
-        return fused
-
     def make_vector_kernel(self, ops, topo):
         """The whole-column classifier behind the numpy-tier vector
         sweep (:func:`repro.verification.verifier.fused_verifier_sweep`
         on a :class:`~repro.sim.npcolumnar.NumpyColumnStore`).
 
-        The fused step of most nodes on most activations is *trivial*:
+        The step of most nodes on most activations is *trivial*:
         it bumps the watchdog and returns without any other write or
         alarm — the parent's activation car names another child (or is
         absent), the subtree is done for the cycle, the broadcast is
@@ -991,9 +626,8 @@ class TrainComponent:
         and written as masked slice-stores after the watchdog write.
         Everything else (new-cycle
         restarts, epoch adoption, boxed or custom-``==`` junk, alarms
-        — anything the masks cannot prove) replays the exact scalar
-        fused body.  Equivalence is
-        therefore by construction: the vector path only ever *skips*
+        — anything the masks cannot prove) replays the scalar
+        :meth:`step`.  Equivalence is therefore by construction: the vector path only ever *skips*
         per-node code whose effect it proved to be exactly the writes
         it applies.
 
@@ -1008,10 +642,11 @@ class _VectorTrainKernel:
     """Whole-column trivial-step classifier for one train component.
 
     ``rebuild`` (per stability epoch) fills the component's label cache
-    eagerly with the exact fill code of the fused prologue and freezes
-    the part topology into flat arrays; ``classify`` (per sweep) proves,
-    with pure reads only, which batch rows' fused step would be exactly
-    "bump the watchdog and return" or one of the planned transitions
+    eagerly with the exact fill code of :meth:`TrainComponent.step`'s
+    prologue and freezes the part topology into flat arrays;
+    ``classify`` (per sweep) proves, with pure reads only, which batch
+    rows' step would be exactly "bump the watchdog and return" or one
+    of the planned transitions
     (the convergecast's outcome table is :meth:`_conv_outcomes`).
     The reads of the child traffic — the children's cars and ``done``
     flags, own and parent ``tak`` — go through pool-id attribute caches
@@ -1024,7 +659,7 @@ class _VectorTrainKernel:
     the piece's pool ids live in the shared :class:`_PieceTable`.
     New-cycle restarts, rows under epoch adoption, rows whose reads hit boxed
     overflow or custom-``==`` junk, and anything the masks cannot
-    decide stay non-trivial and replay the scalar fused body verbatim.
+    decide stay non-trivial and replay the scalar step verbatim.
     """
 
     __slots__ = ("comp", "store", "snap", "vd", "vs", "act_cache",

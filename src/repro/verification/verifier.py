@@ -80,18 +80,19 @@ def _fused_plane(proto, ops, trains, comparison):
     dispatch layers hoisted out: the statics, the ghost budgets
     (``cached`` is the node's ``_bgt`` register), the Want-mode hold
     scan (:meth:`~repro.trains.comparison.ComparisonComponent.held_levels`),
-    the column-fused train steps (:meth:`TrainComponent.make_bulk_step
-    <repro.trains.train.TrainComponent.make_bulk_step>`), ``serve_turn``
-    in the want-simple ablation, the comparison step
+    the train steps (:meth:`TrainComponent.step
+    <repro.trains.train.TrainComponent.step>`), ``serve_turn`` in the
+    want-simple ablation, the comparison step
     (:meth:`ComparisonComponent.step
-    <repro.trains.comparison.ComparisonComponent.step>`, the one
-    scalar transcription every storage runs), and the alarm priority
-    statics > trains in order > comparison.  Its caller has already
-    advanced the step counter to ``step_no``.  ``run_bodies`` loops it
+    <repro.trains.comparison.ComparisonComponent.step>`), and the alarm
+    priority statics > trains in order > comparison.  The train and
+    comparison steps are the components' one scalar transcription,
+    the same methods :meth:`TrainVerifierProtocol.step` calls on every
+    storage.  Its caller has already advanced the step counter to
+    ``step_no``.  ``run_bodies`` loops it
     over a batch; ``vec`` is the numpy tier's :class:`_VectorSweep`, or
     None.
     """
-    steps = tuple(t.make_bulk_step(ops) for t in trains)
     comp_step = comparison.step
     # the synchronous window's servers never hold a piece
     held = None if comparison.mode == MODE_SYNC_WINDOW \
@@ -108,8 +109,8 @@ def _fused_plane(proto, ops, trains, comparison):
     me = weakref.proxy(proto)
     statics = type(proto)._static_alarms
     budgets_for = type(proto).budgets_for
-    tr0 = steps[0]
-    tr1 = steps[1] if len(steps) == 2 else None
+    tr0 = trains[0].step
+    tr1 = trains[1].step if len(trains) == 2 else None
     horizon = BUDGET_CACHE_STEPS
 
     def body(ctx, step_no, cached):
@@ -154,7 +155,7 @@ def _fused_plane(proto, ops, trains, comparison):
     if (getattr(ops.store, "numpy_tier", False)
             and numpy_or_none() is not None
             and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
-        vec = _VectorSweep(proto, trains, comparison, ops, steps)
+        vec = _VectorSweep(proto, trains, comparison, ops)
     return (ops, body, run_bodies, vec)
 
 
@@ -164,9 +165,11 @@ def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
 
     With fused column ops licensed (see :mod:`repro.sim.bulk`) every
     activation runs the per-node body of :func:`_fused_plane`, which
-    executes the exact scalar ``step`` sequence per node, so the sweep
-    is bit-for-bit equivalent (``tests/test_bulk_plane.py``).  By batch
-    size:
+    calls the components' scalar steps in the order of
+    :meth:`TrainVerifierProtocol.step`, so the sweep is bit-for-bit
+    equivalent (``tests/test_bulk_plane.py``; the absolute outcome is
+    pinned by ``tests/test_train_pins.py`` and
+    ``tests/test_comparison_pins.py``).  By batch size:
 
     * a batch of several contexts (a synchronous round, or the
       survivors of a conflict-free asynchronous batch) advances the
@@ -260,7 +263,7 @@ class _VectorSweep:
     #: small instances
     TRAFFIC_MIN = 256
 
-    def __init__(self, proto, trains, comparison, ops, steps) -> None:
+    def __init__(self, proto, trains, comparison, ops) -> None:
         # a proxy, not a reference: the protocol owns this sweep (via
         # its ``_fused`` cache), and a strong back-reference would make
         # every verifier a reference cycle whose pool-sized vector
@@ -272,8 +275,8 @@ class _VectorSweep:
         self.train_kerns = tuple(
             t.make_vector_kernel(ops, self.topo) for t in trains)
         self.comp_kern = comparison.make_vector_kernel(ops, self.topo)
-        self.tr0 = steps[0]
-        self.tr1 = steps[1] if len(steps) == 2 else None
+        self.tr0 = trains[0].step
+        self.tr1 = trains[1].step if len(trains) == 2 else None
         self.comp_step = comparison.step
         # None in the sync window mode, whose servers never hold a piece
         self.held = None if comparison.mode == MODE_SYNC_WINDOW \
