@@ -29,9 +29,10 @@ Dimensions on verifier workloads:
 * **bulk plane** (PR 4) — the same columnar patrol workload with the
   scalar activation loop (``bulk=False``, PR 3's per-step path) vs the
   bulk-activation plane (``repro.sim.bulk``): fused ``array('q')``
-  sweeps for the step counters plus column-inlined train bookkeeping
-  (the Ask/Show comparison runs its scalar step on both sides, so the
-  flattened step speeds up the ``bulk=False`` control as well), proven
+  sweeps for the step counters plus a per-node body with the dispatch
+  layers hoisted out (the trains and the Ask/Show comparison run their
+  scalar steps on both sides, so the flattened steps speed up the
+  ``bulk=False`` control as well), proven
   bit-for-bit equivalent by
   ``tests/test_bulk_plane.py``.  Honest numbers with interleaved
   best-of-repeats; the assertions gate the repeatable floor and the
@@ -42,7 +43,7 @@ Dimensions on verifier workloads:
   ``independent``) pre-declares batches with pairwise disjoint closed
   neighbourhoods, which licenses the fused columnar kernels on the
   live (daemon-driven) path — one ``array('q')`` counter sweep per
-  batch, column-inlined trains, and the scalar Want-mode comparison
+  batch, the scalar train steps, and the scalar Want-mode comparison
   (``ComparisonComponent.step``/``held_levels``) on the columnar
   contexts — against the scalar asynchronous columnar loop under the
   *same* daemon.
@@ -453,8 +454,8 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
             f" peak memory is {mem_factor:.2f}x.  The bulk rows measure"
             " the bulk-activation plane (PR 4) against the scalar"
             " columnar loop those storage rows use: fused column sweeps"
-            f" for the step counters plus column-inlined train"
-            f" bookkeeping buy {b_small:.2f}x per step at n = {n}"
+            " for the step counters plus the hoisted per-node body"
+            f" buy {b_small:.2f}x per step at n = {n}"
             f" ({per_step:.1f}us per node-step) and {b_big:.2f}x at"
             f" n = {big_n}.  Honest shortfall note: the ISSUE's 1.5x"
             " target is met at n = 500 on a quiet machine but the"
@@ -466,7 +467,7 @@ def render(n, big_n, quiescent, patrolling, storage, storage_big, memory,
             " fused kernels off the synchronous-only path: the"
             " conflict-free daemon's disjoint closed-neighbourhood"
             " batches license live fusion (one counter sweep per"
-            " batch, column-inlined trains, the scalar Want-mode"
+            " batch, the scalar train steps and Want-mode"
             f" comparison), buying {a_small:.2f}x per step at n = {n}"
             f" and {a_big:.2f}x at n = {big_n} over the scalar async"
             " columnar loop under the *same* daemon — the 1.3x target"

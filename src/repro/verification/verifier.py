@@ -89,9 +89,8 @@ def _fused_plane(proto, ops, trains, comparison):
     comparison steps are the components' one scalar transcription,
     the same methods :meth:`TrainVerifierProtocol.step` calls on every
     storage.  Its caller has already advanced the step counter to
-    ``step_no``.  ``run_bodies`` loops it
-    over a batch; ``vec`` is the numpy tier's :class:`_VectorSweep`, or
-    None.
+    ``step_no``.  ``run_bodies`` loops it over a batch; ``vec`` is the
+    numpy tier's :class:`_VectorSweep`, or None.
     """
     comp_step = comparison.step
     # the synchronous window's servers never hold a piece
