@@ -22,8 +22,8 @@ The plane has three layers:
 * **Schedulers** step nodes only through ``bulk_step``: the
   synchronous schedulers hand over one whole round of active nodes;
   the asynchronous scheduler hands over one *group* at a time — the
-  survivors of a conflict-free daemon batch, or a single activation of
-  any other daemon (see the licenses below).  Skip logic, activation
+  survivors of a conflict-free daemon batch (see the licenses below),
+  or a single activation of any other daemon.  Skip logic, activation
   accounting, and stop conditions stay in the scheduler, run before
   and after each call: a batch is always a plain list of contexts to
   step.  ``bulk=False`` hands every batch over with ``ops=None``.
@@ -43,7 +43,7 @@ guarantees that (a) no activation of the batch can observe a
 batchmate's write, and (b) the batch cannot be aborted between
 activations.  Under those two facts, hoisting *own-register* writes of
 distinct nodes past each other is unobservable, so a protocol may run
-one column sweep for the whole batch.  Three schedules grant it:
+one column sweep for the whole batch.  Two schedules grant it:
 
 * **synchronous rounds** — neighbour reads go to a snapshot (never the
   live store) and ``stop_when`` is checked at round boundaries;
@@ -68,21 +68,14 @@ one column sweep for the whole batch.  Three schedules grant it:
   ``changed_at``/``stepped_at`` comparison (any other node's tick lies
   strictly before or strictly after the whole batch).  The argument
   needs no fused ops, so the scheduler runs a conflict-free batch this
-  way on every storage and under ``bulk=False`` too;
-* **one activation** — every asynchronous activation of a daemon
-  that is not conflict-free (the one-node daemons, and each
-  activation of the locality daemon's overlapping batches, which run
-  live with activation-granular stops) is a group of its own, handed
-  over as a one-context batch with live ops.  It has no batchmate
-  whose write it could observe and no point between activations where
-  it could be aborted, so both conditions hold trivially.  What this
-  licenses is the per-node body with its dispatch layers hoisted out,
-  not a cross-node sweep.  A conflict-free batch whose skip checks
-  leave one survivor is handed over the same way.
+  way on every storage and under ``bulk=False`` too.
 
-``bulk=False`` hands every batch over with ``ops=None``, and on dict
-storage ``batch.ops`` is None too, so the generic driver runs ``step``
-there.
+Every other asynchronous activation (the one-node daemons, and each
+activation of the locality daemon's overlapping batches, which run
+live with activation-granular stops) is a group of its own with
+``ops=None``: one activation has nothing to fuse.  ``bulk=False``
+hands every batch over with ``ops=None``, and on dict storage
+``batch.ops`` is None too, so the generic driver runs ``step`` there.
 """
 
 from __future__ import annotations
@@ -95,17 +88,16 @@ class BulkBatch:
 
     ``contexts`` are the per-node contexts in activation order, every
     one of which steps (skipped activations never reach a batch);
-    ``indices`` the matching dense node indices when ``ops`` is given
-    (the asynchronous scheduler leaves them None on a one-context
-    batch); ``ops`` the backend's fused primitives (None when only
-    per-node semantics are licensed).  A protocol whose bulk sweep
+    ``indices`` the matching dense node indices when ``ops`` is given;
+    ``ops`` the backend's fused primitives (None when only per-node
+    semantics are licensed).  A protocol whose bulk sweep
     wrote every node of the batch sets ``wrote_all`` so the scheduler
     can account the whole batch in one pass instead of consuming
     per-context ``wrote`` flags.
 
-    Several contexts with ``ops`` are a synchronous round or the
-    survivors of a conflict-free asynchronous batch; one context with
-    ``ops`` is the one-activation license (see the module docstring).
+    A batch with ``ops`` is a synchronous round or the survivors of a
+    conflict-free asynchronous batch (see the module docstring); either
+    may hold a single context.
     """
 
     __slots__ = ("contexts", "indices", "ops", "wrote_all")
@@ -138,7 +130,8 @@ class ColumnarBulkOps:
     Handed to protocols by the *synchronous* schedulers on columnar
     storage (neighbour reads come from ``snap``, the batch cannot abort
     mid-round), and by the asynchronous scheduler with ``snap=None``
-    (so ``snap is store``: reads are live) on every activation group.
+    (so ``snap is store``: reads are live) on every conflict-free
+    group.
     Being handed ops *is* the fusion license (see the module
     docstring): an unlicensed batch carries ``ops=None``.  The
     per-value semantics of every primitive replicate the scalar context
@@ -166,6 +159,6 @@ class ColumnarBulkOps:
         """Batch read of an own-register column in batch order — the
         values a scalar ``ctx.get`` loop would return (see
         :meth:`~repro.sim.columnar.ColumnStore.gather_values`); the
-        verifier/hybrid sweeps read their budget ghost registers for
-        the whole batch through this."""
+        verifiers' numpy vector sweep reads its batch's budget ghost
+        registers through this."""
         return self.store.gather_values(batch.indices, handle, default)

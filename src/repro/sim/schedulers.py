@@ -34,10 +34,12 @@ rounds of active nodes.  The asynchronous scheduler hands over one
 a batchmate's write), and every other daemon's batch is one group per
 activation.  The scheduler runs each group's skip checks before the
 call and its accounting and stop check after it.  On columnar storage
-with ``bulk=True`` (the default) the batch carries fused column ops;
-``bulk=False`` hands it ``ops=None``, so the protocol steps node by
-node.  Both modes are bit-for-bit equivalent
-(``tests/test_bulk_plane.py``).  See :mod:`repro.sim.bulk`.
+with ``bulk=True`` (the default) a synchronous round and a
+conflict-free group carry fused column ops; every other daemon's
+group (one activation), and every batch under ``bulk=False``,
+carries ``ops=None``, so the protocol steps node by node.  Both modes are
+bit-for-bit equivalent (``tests/test_bulk_plane.py``).  See
+:mod:`repro.sim.bulk`.
 """
 
 from __future__ import annotations
@@ -665,9 +667,11 @@ class ConflictFreeDaemon(_CoverDaemon):
     batches conflict-free (the ``conflict_free`` class attribute), and
     the asynchronous scheduler hands the survivors of each batch to the
     protocol's ``bulk_step`` as one :class:`~repro.sim.bulk.BulkBatch`
-    with live fused column ops, which is what lets the fused columnar
-    kernels of the bulk plane sweep several nodes off the synchronous
-    path (see :mod:`repro.sim.bulk`).
+    with live fused column ops.  These are the only asynchronous
+    batches that carry ops (every other daemon's activations reach
+    ``bulk_step`` one at a time with ``ops=None``), so they are what
+    lets the bulk plane sweep several nodes off the synchronous path
+    (see :mod:`repro.sim.bulk`).
 
     Semantics: a conflict-free batch models the distributed daemon
     activating a whole independent set *simultaneously*; the scheduler
@@ -817,10 +821,10 @@ class AsynchronousScheduler:
         self._initialized = False
         self.dirty_aware = bool(dirty_aware) and (
             type(protocol).on_round_end is Protocol.on_round_end)
-        #: bulk-activation plane: on columnar storage every activation
-        #: group reaches ``bulk_step`` with live fused column ops (see
-        #: :meth:`run`); ``bulk=False`` hands it ``ops=None``, so the
-        #: protocol steps node by node
+        #: bulk-activation plane: on columnar storage every
+        #: conflict-free group reaches ``bulk_step`` with live fused
+        #: column ops (see :meth:`run`); ``bulk=False`` hands it
+        #: ``ops=None``, so the protocol steps node by node
         self._bulk = bool(bulk)
         self._live_ops = None
         #: (store, contexts, neighbour map) of the columnar runs
@@ -917,18 +921,19 @@ class AsynchronousScheduler:
         # alike — the semantics belong to the daemon, not to the bulk
         # flag)
         batch_groups = getattr(self.daemon, "conflict_free", False)
+        # fused column ops license only conflict-free groups: a group of
+        # one activation has nothing to fuse
         ops = None
-        if self._compiled is not None and self._bulk:
+        if self._compiled is not None and self._bulk and batch_groups:
             store = network.columns
             ops = self._live_ops
             if ops is None or ops.store is not store:
                 ops = self._live_ops = ColumnarBulkOps(store)
-        # one batch object for the whole run; ``indices`` are filled only
-        # for a fused group of several contexts
+        # one batch object for the whole run; ``indices`` are filled
+        # whenever it carries ops
         batch = BulkBatch([], None, ops)
         run_ctxs = batch.contexts
         append = run_ctxs.append
-        indexed = ops is not None and batch_groups
         covered = self._covered
         while self.rounds - start_rounds < max_rounds and budget > 0:
             batch_nodes = self.daemon.next_batch(nodes)
@@ -954,9 +959,8 @@ class AsynchronousScheduler:
                     append(ctx)
                 ran = len(run_ctxs)
                 if ran:
-                    if indexed:
-                        batch.indices = [ctx._i for ctx in run_ctxs] \
-                            if ran > 1 else None
+                    if ops is not None:
+                        batch.indices = [ctx._i for ctx in run_ctxs]
                     batch.wrote_all = False
                     bulk_step(batch)
                     if dirty_aware:

@@ -169,7 +169,6 @@ class ComparisonComponent:
         # (columnar storage only; invalidated when the stable
         # sentinel moves)
         self._label_cache = {}
-        self._cur_cands = None
 
     def _levels(self, ctx) -> List[int]:
         levels = sorted_levels(ctx.nat(self.h_jmask) or 0)
@@ -246,10 +245,10 @@ class ComparisonComponent:
                 ent = (sentinel, self._levels(ctx), {})
                 self._label_cache[ctx.node] = ent
             levels = ent[1]
-            self._cur_cands = ent[2]
+            cands = ent[2]
         else:
             levels = self._levels(ctx)
-            self._cur_cands = None
+            cands = None
         alarms: List[str] = []
         if not levels:
             return alarms
@@ -266,7 +265,7 @@ class ComparisonComponent:
             ask = None
 
         if ask is None:
-            self._try_acquire(ctx, levels, budgets, alarms)
+            self._try_acquire(ctx, levels, budgets, alarms, cands)
             return alarms
 
         # The events E(v, u, level).  The synchronous window (Section
@@ -328,7 +327,8 @@ class ComparisonComponent:
                         alarms.append("AGREE: same fragment, different "
                                       "piece (Claim 8.3)")
                     if u0 is self._MISS:
-                        u0 = self._candidate_neighbor(ctx, level)
+                        u0 = self._candidate_neighbor(ctx, level,
+                                                      cands)
                     if u0 == u:
                         alarms.append("C1: candidate edge is internal to "
                                       "its fragment")
@@ -378,8 +378,9 @@ class ComparisonComponent:
         ctx.set(self.h_wd, 0)
 
     def _try_acquire(self, ctx, levels: List[int], budgets: Budgets,
-                     alarms: List[str]) -> None:
-        """Sample the node's own trains for the target level's piece."""
+                     alarms: List[str], cands) -> None:
+        """Sample the node's own trains for the target level's piece;
+        ``cands`` is :meth:`_candidate_neighbor`'s memo."""
         target = self._target_level(ctx, levels)
         for train in (self.top, self.bottom):
             show = train.own_show(ctx)
@@ -388,7 +389,8 @@ class ComparisonComponent:
                 ctx.set(self.h_wait, budgets.ask_window)
                 ctx.set(self.h_nbr, 0)
                 ctx.set(self.h_svc, 0)
-                alarms.extend(self._on_acquire_checks(ctx, show.piece))
+                alarms.extend(
+                    self._on_acquire_checks(ctx, show.piece, cands))
                 return
 
     # ------------------------------------------------------------------
@@ -396,14 +398,15 @@ class ComparisonComponent:
     # ------------------------------------------------------------------
     _MISS = object()
 
-    def _candidate_neighbor(self, ctx, level: int) -> Optional[int]:
+    def _candidate_neighbor(self, ctx, level: int,
+                            cands=None) -> Optional[int]:
         """The other endpoint of the candidate edge of F_level(v), when v
         is the endpoint; None otherwise.
 
         A pure function of the labels in the closed neighbourhood —
-        memoized per level on columnar storage (``self._cur_cands`` is
-        the sentinel-validated cache installed by :meth:`step`)."""
-        cands = self._cur_cands
+        memoized per level in ``cands`` on columnar storage (the
+        sentinel-validated ``{level: u0}`` dict :meth:`step` passes
+        down; None computes afresh)."""
         if cands is not None:
             hit = cands.get(level, self._MISS)
             if hit is not self._MISS:
@@ -433,14 +436,14 @@ class ComparisonComponent:
                     return c
         return None
 
-    def _on_acquire_checks(self, ctx, piece) -> List[str]:
+    def _on_acquire_checks(self, ctx, piece, cands=None) -> List[str]:
         alarms: List[str] = []
         z, level, weight = piece
         roots = ctx.get(self.h_roots)
         if isinstance(roots, str) and level < len(roots):
             if roots[level] == "1" and z != ctx.node:
                 alarms.append("ask: fragment root id differs from the piece")
-        u0 = self._candidate_neighbor(ctx, level)
+        u0 = self._candidate_neighbor(ctx, level, cands)
         if u0 is not None:
             # C1 (weight half): the claimed minimum must be the candidate's
             # actual weight.

@@ -11,6 +11,10 @@ Per activation, every node:
 3. advances the Ask/Show comparison mechanism with the minimality checks
    C1/C2 and the Claim-8.3 piece-agreement check.
 
+That sequence is written once, in :meth:`TrainVerifierProtocol.step_at`;
+the scalar ``step`` and the bulk sweep (:func:`fused_verifier_sweep`)
+both advance the step counter and then run it.
+
 The protocol is parameterized by the execution model:
 
 * ``synchronous=True``  — timing budgets per Lemma 7.5; comparison mode
@@ -71,140 +75,42 @@ def _bulk_stats(proto):
     return stats
 
 
-def _fused_plane(proto, ops, trains, comparison):
-    """The fused plane of ``proto`` over ``ops``: built once per ops
-    object and cached in ``proto._fused`` as ``(ops, body, run_bodies,
-    vec)``.
+def fused_verifier_sweep(proto, batch) -> None:
+    """The fused bulk sweep of :class:`TrainVerifierProtocol` over a
+    licensed batch of several contexts (see :mod:`repro.sim.bulk`): a
+    synchronous round, or the survivors of a conflict-free asynchronous
+    batch.
 
-    ``body(ctx, step_no, cached)`` is the per-node step with the
-    dispatch layers hoisted out: the statics, the ghost budgets
-    (``cached`` is the node's ``_bgt`` register), the Want-mode hold
-    scan (:meth:`~repro.trains.comparison.ComparisonComponent.held_levels`),
-    the train steps (:meth:`TrainComponent.step
-    <repro.trains.train.TrainComponent.step>`), ``serve_turn`` in the
-    want-simple ablation, the comparison step
-    (:meth:`ComparisonComponent.step
-    <repro.trains.comparison.ComparisonComponent.step>`), and the alarm
-    priority statics > trains in order > comparison.  The train and
-    comparison steps are the components' one scalar transcription,
-    the same methods :meth:`TrainVerifierProtocol.step` calls on every
-    storage.  Its caller has already advanced the step counter to
-    ``step_no``.  ``run_bodies`` loops it over a batch; ``vec`` is the
-    numpy tier's :class:`_VectorSweep`, or None.
-    """
-    comp_step = comparison.step
-    # the synchronous window's servers never hold a piece
-    held = None if comparison.mode == MODE_SYNC_WINDOW \
-        else comparison.held_levels
-    # serve_turn acts only in the serialized want-simple ablation; the
-    # per-node no-op call is hoisted out of the body entirely
-    serve = comparison.serve_turn \
-        if comparison.mode == MODE_WANT_SIMPLE else None
-    se = proto.static_every
-    # the protocol owns this plane (``proto._fused``), so the body
-    # reaches it through a proxy, as :class:`_VectorSweep` does: a
-    # bound method here would make a reference cycle that keeps the
-    # plane's pool-sized caches alive until the cyclic collector runs
-    me = weakref.proxy(proto)
-    statics = type(proto)._static_alarms
-    budgets_for = type(proto).budgets_for
-    tr0 = trains[0].step
-    tr1 = trains[1].step if len(trains) == 2 else None
-    horizon = BUDGET_CACHE_STEPS
-
-    def body(ctx, step_no, cached):
-        sentinel = ctx.stable_sentinel()
-        first = statics(me, ctx, sentinel) if step_no % se == 0 \
-            else None
-        if isinstance(cached, tuple) and len(cached) == 2 and \
-                isinstance(cached[1], Budgets) and \
-                step_no - cached[0] < horizon:
-            budgets = cached[1]
-        else:
-            budgets = budgets_for(me, ctx, sentinel, step_no)
-        if held is None:
-            h0 = h1 = False
-        else:
-            ht, hb = held(ctx)
-            h0 = ht is not None
-            h1 = hb is not None
-        a = tr0(ctx, budgets, h0, sentinel)
-        if a and not first:
-            first = a
-        if tr1 is not None:
-            a = tr1(ctx, budgets, h1, sentinel)
-            if a and not first:
-                first = a
-        if serve is not None:
-            serve(ctx)
-        a = comp_step(ctx, budgets, sentinel)
-        if a and not first:
-            first = a
-        if first:
-            ctx.alarm(first[0])
-
-    def run_bodies(ctx_list, step_nos, bgts):
-        for k, ctx in enumerate(ctx_list):
-            body(ctx, step_nos[k], bgts[k])
-
-    # the vector tier: a numpy store, numpy importable, and a mode
-    # whose per-node bodies the classifiers model (want-simple's
-    # serialized server stays on the fused bodies)
-    vec = None
-    if (getattr(ops.store, "numpy_tier", False)
-            and numpy_or_none() is not None
-            and comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
-        vec = _VectorSweep(proto, trains, comparison, ops)
-    return (ops, body, run_bodies, vec)
-
-
-def fused_verifier_sweep(proto, batch, trains, comparison) -> None:
-    """The fused bulk sweep of :class:`TrainVerifierProtocol` over its
-    ``trains`` (both for the full verifier, only Top for the hybrid).
-
-    With fused column ops licensed (see :mod:`repro.sim.bulk`) every
-    activation runs the per-node body of :func:`_fused_plane`, which
-    calls the components' scalar steps in the order of
-    :meth:`TrainVerifierProtocol.step`, so the sweep is bit-for-bit
-    equivalent (``tests/test_bulk_plane.py``; the absolute outcome is
-    pinned by ``tests/test_train_pins.py`` and
-    ``tests/test_comparison_pins.py``).  By batch size:
-
-    * a batch of several contexts (a synchronous round, or the
-      survivors of a conflict-free asynchronous batch) advances the
-      step counters of the whole batch in one ``array('q')`` sweep,
-      gathers the budget ghost registers once, and offers the batch to
-      the vector tier before the body loop.  Every activation writes at
-      least its step counter, so the sweep sets ``wrote_all``, exactly
-      the scalar outcome;
-    * a *one-activation* batch (one context) advances the node's
-      counter through its context and runs the body directly: no
-      per-batch list, gather or vector probe, since asynchronous
-      daemons issue these one per scheduler call.
-
-    ``proto`` must carry the verifier-shaped surface: ``h_vstep``,
-    ``h_bgt``, ``static_every``, ``_static_alarms``, ``budgets_for``,
-    and the ``_fused`` cache (reset by ``bind_registers``).
+    The sweep advances the step counters of the whole batch in one
+    ``array('q')`` sweep and offers the batch to the numpy tier's
+    :class:`_VectorSweep`; otherwise it runs
+    :meth:`TrainVerifierProtocol.step_at` per context.  Every
+    activation writes at least its step counter, so the sweep sets
+    ``wrote_all``, exactly the scalar outcome.  Since ``step`` is the
+    same counter advance followed by ``step_at``, the sweep is
+    bit-for-bit equivalent (``tests/test_bulk_plane.py``; the absolute
+    outcome is pinned by ``tests/test_train_pins.py`` and
+    ``tests/test_comparison_pins.py``).
     """
     ops = batch.ops
-    contexts = batch.contexts
-    fused = proto._fused
-    if fused is None or fused[0] is not ops:
-        fused = proto._fused = _fused_plane(proto, ops, trains,
-                                            comparison)
-    _, body, run_bodies, vec = fused
-    if len(contexts) == 1:
-        ctx = contexts[0]
-        h_vstep = proto.h_vstep
-        step_no = (ctx.nat(h_vstep, cap=1 << 30) or 0) + 1
-        ctx.set(h_vstep, step_no)     # flags ctx.wrote
-        body(ctx, step_no, ctx.get(proto.h_bgt))
-        return
     step_nos = ops.inc_nat(batch, proto.h_vstep)
     batch.wrote_all = True
-    bgts = ops.gather(batch, proto.h_bgt)
-    if vec is None or not vec.run(contexts, step_nos, bgts, run_bodies):
-        run_bodies(contexts, step_nos, bgts)
+    vec = proto._vec
+    if vec is None or vec[0] is not ops:
+        # the vector tier: a numpy store, numpy importable, and a mode
+        # whose per-node steps the classifiers model (want-simple's
+        # serialized server stays on ``step_at``)
+        sweep = None
+        if (getattr(ops.store, "numpy_tier", False)
+                and numpy_or_none() is not None
+                and proto.comparison.mode in (MODE_SYNC_WINDOW, MODE_WANT)):
+            sweep = _VectorSweep(proto, ops)
+        vec = proto._vec = (ops, sweep)
+    sweep = vec[1]
+    if sweep is None or not sweep.run(batch, step_nos):
+        step_at = proto.step_at
+        for ctx, step_no in zip(batch.contexts, step_nos):
+            step_at(ctx, step_no)
 
 
 #: the budget thresholds the vector classifiers read, in the order
@@ -222,16 +128,16 @@ class _VectorSweep:
     """The numpy-tier whole-batch sweep behind
     :func:`fused_verifier_sweep`: one call per synchronous round or
     conflict-free daemon batch of at least :attr:`MIN_BATCH` rows,
-    which it classifies and applies in one go (smaller batches run the
-    scalar fused bodies).
+    which it classifies and applies in one go (smaller batches run
+    :meth:`TrainVerifierProtocol.step_at` per row).
 
     Each component's classifier proves, per batch row, whether that
     component's fused step is exactly its masked column write(s) — no
     alarm, no transition.  Trivial (component, row) pairs get the
-    write applied as one masked slice-store; the rest replay the exact
-    scalar fused bodies, *per component*: a row whose top train is
+    write applied as one masked slice-store; the rest replay the
+    components' scalar steps, *per component*: a row whose top train is
     mid-transition still vectorizes its bottom train and comparison
-    halves.  The replay loop mirrors ``run_bodies`` body for body
+    halves.  The replay loop follows ``step_at`` step for step
     (statics first, trains in order, comparison, alarm priority), so
     the sweep is bit-for-bit equivalent to the scalar path on every
     input, including planted junk; the split is conservative by
@@ -246,7 +152,7 @@ class _VectorSweep:
     """
 
     #: below this many rows the classification overhead beats the
-    #: savings, so the batch runs the scalar fused bodies instead
+    #: savings, so the batch runs ``step_at`` per row instead
     #: (conflict-free daemon batches are often small: a settled async
     #: patrol of ``random_connected_graph(2000, 3600, seed=21)`` under
     #: ``ConflictFreeDaemon(seed=7)`` sweeps 20-22 daemon batches per
@@ -262,9 +168,9 @@ class _VectorSweep:
     #: small instances
     TRAFFIC_MIN = 256
 
-    def __init__(self, proto, trains, comparison, ops) -> None:
+    def __init__(self, proto, ops) -> None:
         # a proxy, not a reference: the protocol owns this sweep (via
-        # its ``_fused`` cache), and a strong back-reference would make
+        # its ``_vec`` cache), and a strong back-reference would make
         # every verifier a reference cycle whose pool-sized vector
         # caches outlive their run until the cyclic collector runs
         self.proto = weakref.proxy(proto)
@@ -272,14 +178,9 @@ class _VectorSweep:
         self.snap = ops.snap
         self.topo = VecTopo(ops.store.n)
         self.train_kerns = tuple(
-            t.make_vector_kernel(ops, self.topo) for t in trains)
-        self.comp_kern = comparison.make_vector_kernel(ops, self.topo)
-        self.tr0 = trains[0].step
-        self.tr1 = trains[1].step if len(trains) == 2 else None
-        self.comp_step = comparison.step
-        # None in the sync window mode, whose servers never hold a piece
-        self.held = None if comparison.mode == MODE_SYNC_WINDOW \
-            else comparison.held_levels
+            t.make_vector_kernel(ops, self.topo) for t in proto.trains)
+        self.comp_kern = proto.comparison.make_vector_kernel(ops,
+                                                             self.topo)
         self.key = None
         self.statics_empty = None
         self.row_of = None
@@ -312,17 +213,20 @@ class _VectorSweep:
             self.row_of = np.empty(n, np.int64)
         self.key = self.store.stable_epoch + self.snap.stable_epoch
 
-    def run(self, ctx_list, step_nos, bgts, run_bodies) -> bool:
-        """Vector-sweep the batch; False defers it to the caller's
+    def run(self, batch, step_nos) -> bool:
+        """Vector-sweep the batch, whose step counters are already
+        advanced to ``step_nos``; False defers it to the caller's
         scalar loop (numpy disabled, batch too small, or topology not
         yet fully observed)."""
         np = numpy_or_none()
+        ctx_list = batch.contexts
         m = len(ctx_list)
         if np is None or m < self.MIN_BATCH:
             return False
         if not self.topo.offer(ctx_list):
             return False
         proto = self.proto
+        bgts = batch.ops.gather(batch, proto.h_bgt)
         key = self.store.stable_epoch + self.snap.stable_epoch
         if key != self.key:
             self._rebuild(np)
@@ -339,7 +243,7 @@ class _VectorSweep:
         na, rr, aa, sv, aw, bgok = self._budgets(np, ia, ctx_list,
                                                  step_nos, snos, bgts)
         traffic = m >= self.TRAFFIC_MIN
-        if self.held is not None:
+        if proto._held is not None:
             held_ok, ht, hb = self.comp_kern.held(np, ia)
             holds = (ht, hb)
         else:
@@ -368,10 +272,12 @@ class _VectorSweep:
         for triv in trivs:
             full &= triv
             any_triv = any_triv or triv.any()
-        stats = _bulk_stats(self.proto)
+        stats = _bulk_stats(proto)
         if not any_triv:
             stats["rows_scalar"] += m
-            run_bodies(ctx_list, step_nos, bgts)
+            step_at = proto.step_at
+            for ctx, step_no in zip(ctx_list, step_nos):
+                step_at(ctx, step_no)
             return True
         for triv, apply in zip(trivs, applies):
             apply(np.flatnonzero(triv))
@@ -447,14 +353,14 @@ class _VectorSweep:
     def _run_partial(self, resid, ctx_list, step_nos, bgts, trivs,
                      bc_dones, adopts, holds, held_ok) -> None:
         """Replay the per-node body for every non-trivial
-        (component, row) pair — the exact ``run_bodies`` sequence with
+        (component, row) pair — the exact ``step_at`` sequence with
         the already-applied components skipped."""
         proto = self.proto
         statics = proto._static_alarms
         se = proto.static_every
-        tr0, tr1 = self.tr0, self.tr1
-        comp_step = self.comp_step
-        held = self.held
+        tr0, tr1 = proto.top.step, proto._bottom_step
+        comp_step = proto.comparison.step
+        held = proto._held
         # plain-list views: per-element indexing of numpy bool arrays
         # costs more than the loop bodies it gates
         t0 = trivs[0].tolist()
@@ -537,6 +443,15 @@ class TrainVerifierProtocol(Protocol):
                                               comparison_mode,
                                               only_top=self.only_top)
         self.static_every = max(1, static_every)
+        # the mode-dependent callables of ``step_at``, decided once: the
+        # synchronous window's servers never hold a piece, serve_turn
+        # acts only in the serialized want-simple ablation, and the
+        # Bottom train stays inert under ``only_top``
+        self._held = None if comparison_mode == MODE_SYNC_WINDOW \
+            else self.comparison.held_levels
+        self._serve = self.comparison.serve_turn \
+            if comparison_mode == MODE_WANT_SIMPLE else None
+        self._bottom_step = None if self.only_top else self.bottom.step
         self.bind_registers(None)
 
     # ------------------------------------------------------------------
@@ -580,8 +495,9 @@ class TrainVerifierProtocol(Protocol):
         self._slot_bound = compiled is not None
         self._static_cache = {}
         self._budget_cache = {}
-        # bulk plane: fused component closures, keyed on the ops object
-        self._fused = None
+        # bulk plane: ``(ops, vector sweep or None)``, keyed on the ops
+        # object
+        self._vec = None
 
     # ------------------------------------------------------------------
     def init_node(self, ctx: NodeContext) -> None:
@@ -602,8 +518,8 @@ class TrainVerifierProtocol(Protocol):
         under every storage; on columnar storage the
         recomputation at a refresh is additionally memoized on the label
         sentinel, so an unchanged neighbourhood never re-derives its
-        budgets.  ``step_no`` lets :meth:`step` pass the counter it just
-        advanced instead of re-reading the register."""
+        budgets.  ``step_no`` lets :meth:`step_at` pass the counter its
+        caller just advanced instead of re-reading the register."""
         cached = ctx.get(self.h_bgt)
         if step_no is None:
             step_no = ctx.nat(self.h_vstep, cap=1 << 30) or 0
@@ -639,36 +555,57 @@ class TrainVerifierProtocol(Protocol):
     def step(self, ctx: NodeContext) -> None:
         step_no = (ctx.nat(self.h_vstep, cap=1 << 30) or 0) + 1
         ctx.set(self.h_vstep, step_no)
+        self.step_at(ctx, step_no)
+
+    def step_at(self, ctx: NodeContext, step_no: int) -> None:
+        """One activation whose step counter is already advanced to
+        ``step_no``: the statics (every :attr:`static_every` steps), the
+        ghost budgets, the Want-mode hold scan, the train steps in
+        order, ``serve_turn`` in the want-simple ablation and the
+        comparison step.  The first alarm wins: statics, then the
+        trains in order, then the comparison.  This is the one per-node
+        body; :meth:`step` and the bulk sweep
+        (:func:`fused_verifier_sweep`) both run it."""
         sentinel = ctx.stable_sentinel() if self._slot_bound else None
-        alarms: List[str] = []
-
-        if step_no % self.static_every == 0:
-            alarms.extend(self._static_alarms(ctx, sentinel))
-
+        first = self._static_alarms(ctx, sentinel) \
+            if step_no % self.static_every == 0 else None
         budgets = self.budgets_for(ctx, sentinel, step_no)
-        for train, held in zip(self.trains,
-                               self.comparison.held_levels(ctx)):
-            alarms.extend(train.step(ctx, budgets,
-                                     hold_broadcast=held is not None,
-                                     sentinel=sentinel))
-        self.comparison.serve_turn(ctx)
-        alarms.extend(self.comparison.step(ctx, budgets, sentinel))
-
-        if alarms:
-            ctx.alarm(alarms[0])
+        held = self._held
+        if held is None:
+            h0 = h1 = False
+        else:
+            ht, hb = held(ctx)
+            h0 = ht is not None
+            h1 = hb is not None
+        a = self.top.step(ctx, budgets, h0, sentinel)
+        if a and not first:
+            first = a
+        bottom = self._bottom_step
+        if bottom is not None:
+            a = bottom(ctx, budgets, h1, sentinel)
+            if a and not first:
+                first = a
+        serve = self._serve
+        if serve is not None:
+            serve(ctx)
+        a = self.comparison.step(ctx, budgets, sentinel)
+        if a and not first:
+            first = a
+        if first:
+            ctx.alarm(first[0])
 
     # ------------------------------------------------------------------
     def bulk_step(self, batch) -> None:
         """One scheduler batch (the bulk-activation plane): the shared
-        fused sweep over :attr:`trains` when fusion is licensed — a
-        synchronous columnar round, a conflict-free asynchronous batch,
-        or a single asynchronous activation on columnar storage — and
-        the generic per-node fallback driver on dict storage.
+        fused sweep when a batch of several contexts carries fused ops
+        — a synchronous columnar round or a conflict-free asynchronous
+        batch — and :meth:`step` per context otherwise (dict storage,
+        ``bulk=False``, or a one-context batch).
         See :func:`fused_verifier_sweep`."""
-        if batch.ops is None:
+        if batch.ops is None or len(batch.contexts) == 1:
             drive_batch(self.step, batch)
             return
-        fused_verifier_sweep(self, batch, self.trains, self.comparison)
+        fused_verifier_sweep(self, batch)
 
 
 class MstVerifierProtocol(TrainVerifierProtocol):

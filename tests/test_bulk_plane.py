@@ -29,6 +29,7 @@ from repro.sim import (STORAGE_KINDS, AsynchronousScheduler,
                        SynchronousScheduler, TiledConflictFreeDaemon,
                        first_alarm)
 from repro.sim.columnar import ColumnStore
+from repro.sim.npcolumnar import numpy_or_none
 from repro.sim.registers import CompiledSchema
 from repro.trains.comparison import MODE_WANT, MODE_WANT_SIMPLE
 from repro.verification import make_network
@@ -125,8 +126,8 @@ def test_async_bulk_vs_scalar_equal(daemon_kind, campaign_seed):
     daemons' independent sets run *fused* column sweeps under the
     ``conflict_free`` license, and every other activation (the one-node
     batches of the permutation, round-robin, random and slow-nodes
-    daemons, each activation of a locality batch) runs the fused
-    per-node body alone under the one-activation license."""
+    daemons, each activation of a locality batch) reaches scalar
+    ``step`` as a one-context batch without ops."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 983)
 
     def run(storage, bulk, dirty_aware=True):
@@ -239,21 +240,29 @@ def test_junk_mid_sweep_bulk_equals_scalar(storage, campaign_seed):
     """Fault-injected junk in nat/tuple registers mid-sweep: the fused
     ``inc_nat`` sweep must coerce sentinel-coded and boxed junk exactly
     like the scalar context (restart at 1, drop stale boxed overflow),
-    and the run must keep matching the scalar loop bit for bit."""
+    and the run must keep matching the scalar loop bit for bit.  Two
+    nodes also get corrupted registers, labels among them, so the
+    statics hold verdicts, and both ``static_every`` 1 and 3 run: the
+    statics gate reads the junk-restarted step counters."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 967)
 
-    def run(bulk):
+    def run(bulk, static_every):
         net = make_network(g)
-        sched = SynchronousScheduler(net, _protocol("verifier", True),
-                                     storage=storage, bulk=bulk)
+        proto = MstVerifierProtocol(synchronous=True,
+                                    static_every=static_every)
+        sched = SynchronousScheduler(net, proto, storage=storage,
+                                     bulk=bulk)
         sched.run(12)
         _plant_junk(net)
+        FaultInjector(net, seed=campaign_seed).corrupt_random_nodes(2)
         sched.run(40)   # keep sweeping over the junk
         return (sched.rounds, net.alarms(),
                 {v: dict(r) for v, r in net.registers.items()},
                 net.max_memory_bits(), net.total_memory_bits())
 
-    assert run(True) == run(False)
+    for static_every in (1, 3):
+        assert run(True, static_every) == run(False, static_every), \
+            static_every
 
 
 def test_junk_mid_sweep_vector_path_big_n(campaign_seed):
@@ -286,26 +295,40 @@ def test_junk_mid_sweep_async_vector_path(campaign_seed, monkeypatch):
     the vector batch floor lowered so the daemon's ~modest independent
     sets engage the masked-ndarray replay, junk planted between runs
     must flow through the per-batch classify/apply split exactly like
-    the scalar context writes."""
-    monkeypatch.setattr(_VectorSweep, "MIN_BATCH", 4)
+    the scalar context writes.  The floor is 2: the sweep starts only
+    once every node has been in a batch at the floor, and a node whose
+    distance-2 ball covers most of the graph is rarely batched with
+    three others.  Two nodes also get corrupted registers, labels among
+    them, and both ``static_every`` 1 and 3 run, so the sweep's statics
+    gate (``snos % static_every``) meets rows with verdicts to skip."""
+    monkeypatch.setattr(_VectorSweep, "MIN_BATCH", 2)
     g = random_connected_graph(40, 68, seed=campaign_seed % 929)
 
-    def run(storage, bulk):
+    def run(storage, bulk, static_every):
         net = make_network(g)
-        proto = MstVerifierProtocol(synchronous=False)
+        proto = MstVerifierProtocol(synchronous=False,
+                                    static_every=static_every)
         sched = AsynchronousScheduler(net, proto,
                                       ConflictFreeDaemon(g, seed=3),
                                       storage=storage, bulk=bulk)
         sched.run(10)
         _plant_junk(net)
+        FaultInjector(net, seed=campaign_seed).corrupt_random_nodes(2)
         r = sched.run(25)
         return (r, sched.rounds, sched.activations, sched.steps_skipped,
                 net.alarms(),
-                {v: dict(regs) for v, regs in net.registers.items()})
+                {v: dict(regs) for v, regs in net.registers.items()},
+                getattr(proto, "bulk_stats", None))
 
-    ref = run("dict", bulk=False)
-    assert run("numpy", bulk=True) == ref
-    assert run("columnar", bulk=True) == ref
+    for static_every in (1, 3):
+        ref = run("dict", False, static_every)
+        got = run("numpy", True, static_every)
+        assert got[:-1] == ref[:-1], static_every
+        if numpy_or_none() is not None:
+            # the sweep engaged: every node was in a vector batch
+            assert got[-1]["rows_fused"] > 0, static_every
+        assert run("columnar", True, static_every)[:-1] == ref[:-1], \
+            static_every
 
 
 def test_conflict_free_batches_are_independent(campaign_seed):
@@ -524,12 +547,12 @@ def test_junk_mid_sweep_async_fused_equals_scalar(mode, campaign_seed):
 def test_junk_mid_run_one_activation_equals_naive(daemon_kind,
                                                    proto_kind, mode,
                                                    campaign_seed):
-    """The one-activation license under junk: with junk and overdue
-    service watchdogs planted mid-run, single activations routed through
-    the fused per-node body (every storage, ``bulk=True``) match the
-    naive scalar dict loop bit for bit: rounds, activations, alarms and
-    registers.  The dirty-aware runs also pin the route's ``wrote``
-    marking, which their skips depend on."""
+    """Single activations under junk: with junk and overdue service
+    watchdogs planted mid-run, the one-node daemons' activations (every
+    storage, ``bulk=True``) match the naive scalar dict loop bit for
+    bit: rounds, activations, alarms and registers.  The dirty-aware
+    runs also pin the route's ``wrote`` marking, which their skips
+    depend on."""
     g = random_connected_graph(12, 20, seed=campaign_seed % 937)
 
     def run(storage, bulk, dirty_aware=True):
@@ -552,43 +575,76 @@ def test_junk_mid_run_one_activation_equals_naive(daemon_kind,
     assert run("columnar", bulk=True, dirty_aware=False) == naive
 
 
-def test_one_activation_route_engages(monkeypatch):
-    """On columnar storage with ``bulk=True`` a permutation-daemon run
-    never calls scalar ``step``: every activation takes the fused
-    per-node body.  ``bulk=False`` is the scalar control, so it must
-    reach the (here raising) ``step``."""
-    g = random_connected_graph(10, 16, seed=3)
+def test_fused_routes_engage(monkeypatch):
+    """On columnar storage with ``bulk=True`` neither a synchronous
+    round nor a conflict-free batch of at least two survivors calls
+    scalar ``step``: both advance the batch's step counters in one
+    sweep and then run ``step_at`` at the advanced counter.
+    ``bulk=False`` is the scalar control, so its batches of several
+    contexts must reach ``step``."""
+    g = _wide_batch_graph(3)
+    seen = {"sweeps": 0, "step_at": 0}
+    sweeping = [False]
+    step, step_at, bulk_step = (MstVerifierProtocol.step,
+                                MstVerifierProtocol.step_at,
+                                MstVerifierProtocol.bulk_step)
 
-    def boom(self, ctx):
-        raise AssertionError("scalar step reached")
+    def guarded_step(self, ctx):
+        assert not sweeping[0], "scalar step reached"
+        step(self, ctx)
 
-    monkeypatch.setattr(MstVerifierProtocol, "step", boom)
+    def counted_step_at(self, ctx, step_no):
+        assert ctx.nat(self.h_vstep, cap=1 << 30) == step_no
+        seen["step_at"] += sweeping[0]
+        step_at(self, ctx, step_no)
 
-    def run(bulk):
+    def marked_bulk_step(self, batch):
+        sweeping[0] = len(batch.contexts) > 1
+        seen["sweeps"] += sweeping[0]
+        try:
+            bulk_step(self, batch)
+        finally:
+            sweeping[0] = False
+
+    monkeypatch.setattr(MstVerifierProtocol, "step", guarded_step)
+    monkeypatch.setattr(MstVerifierProtocol, "step_at", counted_step_at)
+    monkeypatch.setattr(MstVerifierProtocol, "bulk_step", marked_bulk_step)
+
+    def run(synchronous, bulk):
         net = make_network(g)
-        sched = AsynchronousScheduler(
-            net, MstVerifierProtocol(synchronous=False),
-            PermutationDaemon(seed=1), storage="columnar", bulk=bulk)
+        proto = MstVerifierProtocol(synchronous=synchronous)
+        if synchronous:
+            sched = SynchronousScheduler(net, proto, storage="columnar",
+                                         bulk=bulk)
+        else:
+            sched = AsynchronousScheduler(
+                net, proto, ConflictFreeDaemon(g, seed=1),
+                storage="columnar", bulk=bulk)
         return sched.run(5)
 
-    assert run(True) == 5
-    with pytest.raises(AssertionError, match="scalar step reached"):
-        run(False)
+    for synchronous in (True, False):
+        seen.update(sweeps=0, step_at=0)
+        assert run(synchronous, True) == 5
+        assert seen["sweeps"] > 0 and seen["step_at"] > seen["sweeps"], \
+            (synchronous, seen)
+        with pytest.raises(AssertionError, match="scalar step reached"):
+            run(synchronous, False)
 
 
 @pytest.mark.parametrize("storage", ["columnar", "numpy"])
 def test_fused_plane_holds_no_protocol_cycle(storage):
-    """The protocol's cached fused plane (body closures and, on numpy,
-    the vector sweep with its pool-sized caches) must not refer back to
-    the protocol: a dropped verifier is freed by reference counting
-    alone, not left for the cyclic collector."""
+    """The protocol's cached bulk plane (``proto._vec``: the ops and,
+    on numpy, the vector sweep with its pool-sized caches) and its
+    hoisted per-node callables must not refer back to the protocol: a
+    dropped verifier is freed by reference counting alone, not left for
+    the cyclic collector."""
     g = random_connected_graph(12, 20, seed=1)
     net = make_network(g)
     proto = MstVerifierProtocol(synchronous=False)
-    AsynchronousScheduler(net, proto, PermutationDaemon(seed=1),
+    AsynchronousScheduler(net, proto, ConflictFreeDaemon(g, seed=1),
                           storage=storage).run(3)
     SynchronousScheduler(net, proto, storage=storage).run(3)
-    assert proto._fused is not None
+    assert proto._vec is not None
     ref = weakref.ref(proto)
     gc.disable()
     try:

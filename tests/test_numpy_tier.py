@@ -657,10 +657,10 @@ def test_async_vector_sweep_store_equals_scalar_fused(daemon, floor, junk,
                                                       monkeypatch):
     """The conflict-free asynchronous license, on the independent-set
     and the tiled daemons, at the default vector floors (segments
-    below ``MIN_BATCH`` run the scalar fused bodies) and with both
-    floors lowered to 2 (every segment takes the vector tier, child
-    traffic planned), against the scalar fused sweep of plain columnar
-    storage."""
+    below ``MIN_BATCH`` run ``step_at`` per row) and with both floors
+    lowered to 2 (every segment of two or more rows takes the vector
+    tier, child traffic planned), against the scalar fused sweep of
+    plain columnar storage."""
     if numpy_or_none() is None:
         pytest.skip("numpy unavailable")
     if floor is not None:

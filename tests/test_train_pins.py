@@ -12,7 +12,8 @@ rotations, so only the transient shows a slip) and after each later
 chunk (every register value, plus the alarms).
 
 Every storage must reproduce the pins: ``dict``, ``columnar`` (with the
-bulk plane's fused per-node body) and ``numpy``, whose vector-tier
+bulk plane's counter sweep before the per-node ``step_at``) and
+``numpy``, whose vector-tier
 floors are lowered so the synchronous cell's rounds classify their
 trivial rows in bulk and replay the rest through the per-row scalar
 path.
